@@ -1,83 +1,209 @@
 //! CI bench-regression gate: compares the `"speedup"` figures of a freshly
 //! measured bench JSON (`BENCH_transens.json` / `BENCH_pss.json`) against
 //! the committed baseline and fails if any drops below a floor fraction of
-//! its baseline value (default 0.8×), or if any `"max_abs_diff"` in the
-//! fresh run is nonzero — a correctness regression masquerading as a perf
-//! number.
+//! its baseline value (default 0.8×), if a baseline figure is missing from
+//! the fresh run, or if any `"max_abs_diff"` in the fresh run is nonzero —
+//! a correctness regression masquerading as a perf number.
 //!
 //! Usage: `compare_bench <baseline.json> <current.json> [--min-ratio 0.8]`
 //!
-//! The speedups in each file are compared positionally (the bench emitters
-//! write them in a fixed order), so the gate needs no JSON dependency: a
-//! tiny scanner extracts every `"speedup": <number>` / `"max_abs_diff":
-//! <number>` pair in document order.
+//! Figures are matched by their dotted key path (`strongarm_lptv.speedup`,
+//! or plain `speedup` at the top level), so reordering or adding rows moves
+//! no gate. A small scanner keeps the gate free of a JSON dependency.
 
+use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// Extracts every numeric value following a `"key":` occurrence, in
-/// document order.
-fn extract_key(text: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\"");
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let Some(colon) = rest.find(':') else { break };
-        let tail = rest[colon + 1..].trim_start();
-        let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        if let Ok(v) = tail[..end].trim().parse::<f64>() {
-            out.push(v);
+/// Every number in a JSON document, keyed by its dotted path (`a.b`,
+/// `sweep[2].n`), in document order. Strings, booleans and nulls are
+/// skipped; a duplicate key yields two entries with the same path.
+fn numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let mut s = Scanner {
+        b: text.as_bytes(),
+        i: 0,
+        out: Vec::new(),
+    };
+    s.value(String::new())?;
+    s.ws();
+    if s.i != s.b.len() {
+        return Err(format!("trailing input at byte {}", s.i));
+    }
+    Ok(s.out)
+}
+
+struct Scanner<'a> {
+    b: &'a [u8],
+    i: usize,
+    out: Vec<(String, f64)>,
+}
+
+impl Scanner<'_> {
+    fn ws(&mut self) {
+        while self.b.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
         }
     }
-    out
+
+    fn err<T>(&self, what: &str) -> Result<T, String> {
+        Err(format!("{what} at byte {}", self.i))
+    }
+
+    /// Consumes `c` (after whitespace) if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        self.ws();
+        let hit = self.b.get(self.i) == Some(&c);
+        self.i += usize::from(hit);
+        hit
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat(b'"') {
+            return self.err("expected a string");
+        }
+        let start = self.i;
+        while let Some(&c) = self.b.get(self.i) {
+            match c {
+                b'"' => {
+                    let s = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
+                    self.i += 1;
+                    return Ok(s);
+                }
+                b'\\' => self.i += 2,
+                _ => self.i += 1,
+            }
+        }
+        self.err("unterminated string")
+    }
+
+    fn value(&mut self, path: String) -> Result<(), String> {
+        self.ws();
+        match self.b.get(self.i) {
+            Some(b'{') => {
+                self.i += 1;
+                if self.eat(b'}') {
+                    return Ok(());
+                }
+                loop {
+                    let key = self.string()?;
+                    if !self.eat(b':') {
+                        return self.err("expected `:`");
+                    }
+                    let child = if path.is_empty() {
+                        key
+                    } else {
+                        format!("{path}.{key}")
+                    };
+                    self.value(child)?;
+                    if self.eat(b'}') {
+                        return Ok(());
+                    }
+                    if !self.eat(b',') {
+                        return self.err("expected `,` or `}`");
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.i += 1;
+                if self.eat(b']') {
+                    return Ok(());
+                }
+                for k in 0.. {
+                    self.value(format!("{path}[{k}]"))?;
+                    if self.eat(b']') {
+                        break;
+                    }
+                    if !self.eat(b',') {
+                        return self.err("expected `,` or `]`");
+                    }
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(_) => {
+                let start = self.i;
+                while self
+                    .b
+                    .get(self.i)
+                    .is_some_and(|c| !matches!(c, b',' | b'}' | b']') && !c.is_ascii_whitespace())
+                {
+                    self.i += 1;
+                }
+                let tok = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
+                match tok {
+                    "true" | "false" | "null" => Ok(()),
+                    _ => match tok.parse::<f64>() {
+                        Ok(v) => {
+                            self.out.push((path, v));
+                            Ok(())
+                        }
+                        Err(_) => self.err(&format!("bad token `{tok}`")),
+                    },
+                }
+            }
+            None => self.err("unexpected end of input"),
+        }
+    }
+}
+
+/// The path of the figure named `key` next to `path`'s leaf.
+fn sibling(path: &str, key: &str) -> String {
+    match path.rfind('.') {
+        Some(dot) => format!("{}.{key}", &path[..dot]),
+        None => key.to_string(),
+    }
+}
+
+fn is_leaf(path: &str, key: &str) -> bool {
+    path == key || path.ends_with(&format!(".{key}"))
 }
 
 fn run(baseline_path: &str, current_path: &str, min_ratio: f64) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let current = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("cannot read current {current_path}: {e}"))?;
-    let base_speedups = extract_key(&baseline, "speedup");
-    let cur_speedups = extract_key(&current, "speedup");
+    let read = |p: &str| -> Result<Vec<(String, f64)>, String> {
+        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
+        numbers(&text).map_err(|e| format!("{p}: {e}"))
+    };
+    let baseline = read(baseline_path)?;
+    let current = read(current_path)?;
+    let base_speedups: Vec<_> = baseline
+        .iter()
+        .filter(|(p, _)| is_leaf(p, "speedup"))
+        .collect();
     if base_speedups.is_empty() {
         return Err(format!(
             "baseline {baseline_path} carries no speedup figures"
         ));
     }
-    if base_speedups.len() != cur_speedups.len() {
-        return Err(format!(
-            "speedup count mismatch: baseline has {}, current has {}",
-            base_speedups.len(),
-            cur_speedups.len()
-        ));
-    }
+    let cur: HashMap<&str, f64> = current.iter().map(|(p, v)| (p.as_str(), *v)).collect();
     println!("{baseline_path} vs {current_path} (floor {min_ratio:.2}x of baseline):");
     let mut failed = false;
-    for (i, (b, c)) in base_speedups.iter().zip(cur_speedups.iter()).enumerate() {
+    for (path, b) in &base_speedups {
         let floor = min_ratio * b;
-        let ok = *c >= floor;
-        println!(
-            "  speedup[{i}]: baseline {b:.3}x, current {c:.3}x, floor {floor:.3}x  {}",
-            if ok { "ok" } else { "REGRESSION" }
-        );
-        failed |= !ok;
+        match cur.get(path.as_str()) {
+            Some(c) => {
+                let ok = *c >= floor;
+                println!(
+                    "  {path}: baseline {b:.3}x, current {c:.3}x, floor {floor:.3}x  {}",
+                    if ok { "ok" } else { "REGRESSION" }
+                );
+                failed |= !ok;
+            }
+            None => {
+                println!("  {path}: baseline {b:.3}x, missing from current  MISSING");
+                failed = true;
+            }
+        }
     }
     // Every speedup is paired with a correctness figure by the emitters; a
     // missing one means the gate would be vacuous, so treat it as failure.
-    let diffs = extract_key(&current, "max_abs_diff");
-    if diffs.len() != cur_speedups.len() {
-        return Err(format!(
-            "current {current_path} has {} max_abs_diff figures for {} speedups",
-            diffs.len(),
-            cur_speedups.len()
-        ));
+    for (path, _) in current.iter().filter(|(p, _)| is_leaf(p, "speedup")) {
+        let diff = sibling(path, "max_abs_diff");
+        if !cur.contains_key(diff.as_str()) {
+            return Err(format!("current {current_path} has no {diff} for {path}"));
+        }
     }
-    for (i, d) in diffs.iter().enumerate() {
+    for (path, d) in current.iter().filter(|(p, _)| is_leaf(p, "max_abs_diff")) {
         let ok = *d == 0.0;
-        println!(
-            "  max_abs_diff[{i}]: {d:e}  {}",
-            if ok { "ok" } else { "NONZERO" }
-        );
+        println!("  {path}: {d:e}  {}", if ok { "ok" } else { "NONZERO" });
         failed |= !ok;
     }
     if failed {
@@ -121,78 +247,92 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "bench": "periodic_analysis",
-  "a": { "speedup": 2.480, "max_abs_diff": 0.000e0 },
-  "b": { "speedup": 4.270, "max_abs_diff": 0.000e0 }
+  "threads": 1,
+  "a": { "circuit": "x", "speedup": 2.480, "max_abs_diff": 0.000e0 },
+  "b": { "speedup": 4.270, "max_abs_diff": 0.000e0, "ok": true, "x": null },
+  "sweep": [ { "n": 16 }, { "n": 32 } ]
 }"#;
 
+    /// Writes `base` and `cur` into a per-test temp dir and runs the gate.
+    fn gate(name: &str, base: &str, cur: &str) -> Result<(), String> {
+        let dir = std::env::temp_dir().join(format!("compare_bench_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (b, c) = (dir.join("base.json"), dir.join("cur.json"));
+        std::fs::write(&b, base).unwrap();
+        std::fs::write(&c, cur).unwrap();
+        run(b.to_str().unwrap(), c.to_str().unwrap(), 0.8)
+    }
+
     #[test]
-    fn extracts_in_document_order() {
-        assert_eq!(extract_key(SAMPLE, "speedup"), vec![2.48, 4.27]);
-        assert_eq!(extract_key(SAMPLE, "max_abs_diff"), vec![0.0, 0.0]);
-        assert!(extract_key(SAMPLE, "absent").is_empty());
+    fn numbers_are_keyed_by_path() {
+        let got = numbers(SAMPLE).unwrap();
+        let want = [
+            ("threads", 1.0),
+            ("a.speedup", 2.48),
+            ("a.max_abs_diff", 0.0),
+            ("b.speedup", 4.27),
+            ("b.max_abs_diff", 0.0),
+            ("sweep[0].n", 16.0),
+            ("sweep[1].n", 32.0),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((p, v), (wp, wv)) in got.iter().zip(want) {
+            assert_eq!((p.as_str(), *v), (wp, wv));
+        }
+        assert_eq!(
+            numbers(r#"{ "speedup": 3.9, "max_abs_diff": 0e0 }"#).unwrap()[0].0,
+            "speedup"
+        );
+        assert!(numbers(r#"{ "a": 1 "#).is_err());
+        assert!(numbers(r#"{ "a": 1x }"#).is_err());
     }
 
     #[test]
     fn gate_passes_and_fails_on_ratio() {
-        let dir = std::env::temp_dir().join("compare_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let good = dir.join("good.json");
-        let bad = dir.join("bad.json");
-        std::fs::write(&base, SAMPLE).unwrap();
         // 2.1/2.48 = 0.85 and 3.6/4.27 = 0.84: above the 0.8 floor.
-        std::fs::write(
-            &good,
-            r#"{ "speedup": 2.1, "max_abs_diff": 0e0, "speedup": 3.6, "max_abs_diff": 0e0 }"#,
-        )
-        .unwrap();
-        // First speedup collapses to 0.5x of baseline.
-        std::fs::write(
-            &bad,
-            r#"{ "speedup": 1.2, "max_abs_diff": 0e0, "speedup": 4.3, "max_abs_diff": 0e0 }"#,
-        )
-        .unwrap();
-        let b = base.to_str().unwrap();
-        assert!(run(b, good.to_str().unwrap(), 0.8).is_ok());
-        assert!(run(b, bad.to_str().unwrap(), 0.8).is_err());
+        let good = r#"{ "a": { "speedup": 2.1, "max_abs_diff": 0e0 },
+                        "b": { "speedup": 3.6, "max_abs_diff": 0e0 } }"#;
+        // a collapses to 0.5x of baseline.
+        let bad = r#"{ "a": { "speedup": 1.2, "max_abs_diff": 0e0 },
+                       "b": { "speedup": 4.3, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("ratio_good", SAMPLE, good).is_ok());
+        assert!(gate("ratio_bad", SAMPLE, bad).is_err());
+    }
+
+    #[test]
+    fn gate_matches_reordered_rows_by_key() {
+        // Same figures as SAMPLE with the rows swapped and a new row in
+        // front: matched by key, the gate passes.
+        let reordered = r#"{ "new": { "speedup": 1.0, "max_abs_diff": 0e0 },
+                             "b": { "speedup": 4.27, "max_abs_diff": 0e0 },
+                             "a": { "speedup": 2.48, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("reordered", SAMPLE, reordered).is_ok());
+        // Swapping the values between the keys is caught: b falls to
+        // 2.48/4.27 = 0.58x, although the positional sequence still holds
+        // a 4.27 and a 2.48.
+        let swapped = r#"{ "b": { "speedup": 2.48, "max_abs_diff": 0e0 },
+                           "a": { "speedup": 4.27, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("swapped", SAMPLE, swapped).is_err());
     }
 
     #[test]
     fn gate_fails_on_nonzero_diff() {
-        let dir = std::env::temp_dir().join("compare_bench_diff_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(&base, SAMPLE).unwrap();
-        std::fs::write(
-            &cur,
-            r#"{ "speedup": 2.5, "max_abs_diff": 1.2e-9, "speedup": 4.3, "max_abs_diff": 0e0 }"#,
-        )
-        .unwrap();
-        assert!(run(base.to_str().unwrap(), cur.to_str().unwrap(), 0.8).is_err());
+        let cur = r#"{ "a": { "speedup": 2.5, "max_abs_diff": 1.2e-9 },
+                       "b": { "speedup": 4.3, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("diff", SAMPLE, cur).is_err());
     }
 
     #[test]
     fn gate_fails_on_missing_diff_figures() {
-        let dir = std::env::temp_dir().join("compare_bench_missing_diff_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(&base, SAMPLE).unwrap();
-        // Right number of speedups, but the correctness figures are gone:
+        // Every speedup is there, but the correctness figures are gone:
         // the gate must not silently pass vacuously.
-        std::fs::write(&cur, r#"{ "speedup": 2.5, "speedup": 4.3 }"#).unwrap();
-        assert!(run(base.to_str().unwrap(), cur.to_str().unwrap(), 0.8).is_err());
+        let cur = r#"{ "a": { "speedup": 2.5 }, "b": { "speedup": 4.3 } }"#;
+        assert!(gate("missing_diff", SAMPLE, cur).is_err());
     }
 
     #[test]
-    fn gate_fails_on_count_mismatch() {
-        let dir = std::env::temp_dir().join("compare_bench_count_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(&base, SAMPLE).unwrap();
-        std::fs::write(&cur, r#"{ "speedup": 2.5 }"#).unwrap();
-        assert!(run(base.to_str().unwrap(), cur.to_str().unwrap(), 0.8).is_err());
+    fn gate_fails_on_missing_baseline_key() {
+        let cur = r#"{ "a": { "speedup": 2.5, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("missing_key", SAMPLE, cur).is_err());
     }
 }

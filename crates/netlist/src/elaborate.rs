@@ -55,7 +55,8 @@ pub enum Analysis {
         period: f64,
         /// `steps=`: shooting steps per period.
         n_steps: Option<usize>,
-        /// `warmup=`: forward warm-up cycles.
+        /// `warmup=`: cap on forward warm-up cycles; shooting returns the
+        /// first recorded cycle within `tol`, so it may integrate fewer.
         warmup_cycles: Option<usize>,
         /// `tol=`: shooting convergence tolerance.
         tol: Option<f64>,

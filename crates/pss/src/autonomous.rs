@@ -104,7 +104,9 @@ fn warm_up(
     // State at the last rising crossing of the phase level.
     let w = res.node_waveform(ckt, phase_node);
     let rises = crossings(&res.times, &w, phase_value, Edge::Rising);
-    let t_cross = *rises.last().expect("average_period guarantees crossings");
+    let t_cross = *rises.last().ok_or_else(|| PssError::NoOscillation {
+        detail: "warm-up transient has no rising crossing of the phase level".into(),
+    })?;
     let idx = tranvar_num::interp::nearest_index(&res.times, t_cross);
     Ok(Warmup {
         period_est,

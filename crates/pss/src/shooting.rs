@@ -49,7 +49,12 @@ pub struct PssOptions {
     pub newton: NewtonOptions,
     /// Node-row gmin.
     pub gmin: f64,
-    /// Forward warm-up cycles integrated before shooting starts.
+    /// Cap on forward warm-up cycles (`x ← Φ(x)`) before shooting-Newton
+    /// takes over. Every cycle after the one leaving the DC seed checks its
+    /// residual, and the solve returns the first cycle within [`tol`], so a
+    /// well-damped circuit may integrate fewer cycles than this.
+    ///
+    /// [`tol`]: PssOptions::tol
     pub warmup_cycles: usize,
     /// Clamp on the shooting update ∞-norm.
     pub update_limit: f64,
@@ -304,6 +309,11 @@ pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat<f64> {
 /// `period` (paper Section IV-B: every source must be DC or divide the
 /// period).
 ///
+/// Starting from the DC operating point, up to
+/// [`PssOptions::warmup_cycles`] forward cycles are followed by
+/// shooting-Newton rounds; the first cycle whose residual is within
+/// [`PssOptions::tol`] is returned, forward or Newton alike.
+///
 /// # Errors
 ///
 /// - [`PssError::NotPeriodic`] if a source is incompatible with `period`,
@@ -355,7 +365,7 @@ pub fn shooting_pss_in(
     };
     let threads = session.effective_threads(opts.threads);
 
-    // Initial guess: DC operating point, then a few forward cycles.
+    // Initial guess: the DC operating point.
     let mut x0 = session.dc_operating_point(
         ckt,
         &DcOptions {
@@ -364,27 +374,34 @@ pub fn shooting_pss_in(
         },
     )?;
     // The session's cycle workspace serves every cycle this solve
-    // integrates: warm-up cycles and shooting rounds share the assembly
+    // integrates: forward cycles and shooting rounds share the assembly
     // buffers, Newton vectors and factorization staging instead of
     // re-allocating them per round — and a warm session extends that reuse
     // across solves.
     let ws = session.cycle_workspace();
-    for _ in 0..opts.warmup_cycles {
-        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, opts, &newton, false)?;
-        x0 = last_state(&cyc)?.clone();
-    }
 
+    // One loop for warm-up and Newton. The first `warmup_cycles` cycles
+    // advance by forward substitution `x ← Φ(x)`, later ones by a Newton
+    // step on `Φ(x) − x`; every cycle checks its residual and the first
+    // one within `tol` is the returned orbit. The cycle leaving the DC
+    // seed is a forward cycle only: the DC point is not on a driven orbit,
+    // so it runs unrecorded and is never checked.
     let mut last_residual = f64::INFINITY;
-    for _iter in 0..opts.max_iter {
-        // The shooting loop is itself a Newton iteration on the cycle map;
-        // charge it to the same budget its inner integrations draw from.
-        newton.budget.begin_iteration("pss shooting")?;
-        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, opts, &newton, true)?;
+    for k in 0..opts.warmup_cycles + opts.max_iter {
+        let forward = k < opts.warmup_cycles;
+        let from_dc = k == 0 && forward;
+        if !forward {
+            // A shooting round is itself a Newton iteration on the cycle
+            // map; charge it to the same budget its inner integrations draw
+            // from.
+            newton.budget.begin_iteration("pss shooting")?;
+        }
+        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, opts, &newton, !from_dc)?;
         let x_end = last_state(&cyc)?.clone();
         let r = vecops::sub(&x_end, &x0);
         last_residual = vecops::norm_inf(&r);
-        let m = monodromy_threaded(&cyc.records, n, threads);
-        if last_residual < opts.tol {
+        if last_residual < opts.tol && !from_dc {
+            let m = monodromy_threaded(&cyc.records, n, threads);
             return Ok(finish(
                 cyc,
                 period,
@@ -395,8 +412,12 @@ pub fn shooting_pss_in(
                 last_residual,
             ));
         }
+        if forward {
+            x0 = x_end;
+            continue;
+        }
         // Newton: (M − I)·Δ = −r.
-        let mut a = m.clone();
+        let mut a = monodromy_threaded(&cyc.records, n, threads);
         for i in 0..n {
             a[(i, i)] -= 1.0;
         }
@@ -501,26 +522,8 @@ mod tests {
     /// Pulse-driven RC: check `x(T) = x(0)` and periodic repeatability.
     #[test]
     fn pulse_driven_rc_is_periodic() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        let period = 10e-6;
-        ckt.add_vsource(
-            "V1",
-            a,
-            NodeId::GROUND,
-            Waveform::Pulse(Pulse {
-                v0: 0.0,
-                v1: 1.0,
-                delay: 1e-6,
-                rise: 1e-8,
-                fall: 1e-8,
-                width: 4e-6,
-                period,
-            }),
-        );
-        ckt.add_resistor("R1", a, b, 10e3);
-        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9); // tau = 10 us >> period
+        let (ckt, period) = pulse_rc(1e-9); // tau = 10 us = period
+        let b = ckt.find_node("b").unwrap();
         let sol = shooting_pss(&ckt, period, &PssOptions::default()).unwrap();
         let first = &sol.states[0];
         let last = sol.states.last().unwrap();
@@ -534,13 +537,9 @@ mod tests {
         assert!((mean - 0.4).abs() < 0.02, "ripple mean {mean}");
     }
 
-    /// Adaptive cycle integration inside shooting: same pulse-driven RC as
-    /// above, solved on an LTE-controlled grid. The orbit must still close,
-    /// the stored grid must be non-uniform with matching per-step records,
-    /// and the ripple mean (now time-weighted) must agree with the fixed-grid
-    /// reference.
-    #[test]
-    fn adaptive_shooting_matches_fixed_reference() {
+    /// The pulse-driven RC of `pulse_driven_rc_is_periodic` with load
+    /// capacitance `c` (τ = 10 kΩ · c against a 10 µs period).
+    fn pulse_rc(c: f64) -> (Circuit, f64) {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let b = ckt.node("b");
@@ -560,7 +559,137 @@ mod tests {
             }),
         );
         ckt.add_resistor("R1", a, b, 10e3);
-        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, c);
+        (ckt, period)
+    }
+
+    fn dc_seed(ckt: &Circuit, opts: &PssOptions) -> Vec<f64> {
+        tranvar_engine::dc::dc_operating_point(
+            ckt,
+            &DcOptions {
+                newton: opts.newton.clone(),
+                ..DcOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
+    fn cycle(
+        ckt: &Circuit,
+        ws: &mut CycleWorkspace,
+        x0: &[f64],
+        period: f64,
+        opts: &PssOptions,
+        record: bool,
+    ) -> CycleResult {
+        integrate_cycle_with(
+            ckt,
+            ws,
+            x0,
+            0.0,
+            period,
+            opts.n_steps,
+            opts.method,
+            &opts.newton,
+            opts.gmin,
+            record,
+        )
+        .unwrap()
+    }
+
+    /// A strongly damped RC (τ = period / 20) nearly forgets the DC seed
+    /// within one cycle, so the first recorded cycle already closes: the
+    /// solve returns it instead of running out the warm-up cap.
+    #[test]
+    fn damped_rc_returns_first_recorded_cycle() {
+        let (ckt, period) = pulse_rc(5e-11);
+        let mut opts = PssOptions::default();
+        opts.warmup_cycles = 4;
+        let sol = shooting_pss(&ckt, period, &opts).unwrap();
+        assert!(sol.residual < opts.tol, "residual {:e}", sol.residual);
+        let seed = dc_seed(&ckt, &opts);
+        let mut ws = CycleWorkspace::new();
+        let first = cycle(&ckt, &mut ws, &seed, period, &opts, false);
+        let x1 = first.states.last().unwrap();
+        assert_eq!(sol.states[0].len(), x1.len());
+        for (u, v) in sol.states[0].iter().zip(x1) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        // The orbit is closed only to within tol, not to the bit: a later
+        // cycle would have started from a different state.
+        assert!(sol.residual > 0.0);
+    }
+
+    /// When no forward cycle closes, the merged loop reproduces the bits of
+    /// a separate loop of `w` unrecorded forward cycles followed by Newton
+    /// rounds — which also shows recording a cycle leaves its trajectory
+    /// unchanged.
+    #[test]
+    fn unclosed_forward_cycles_keep_separate_loop_bits() {
+        let (ckt, period) = pulse_rc(1e-9); // τ = period
+        for w in [0usize, 1, 2, 4] {
+            let mut opts = PssOptions::default();
+            opts.warmup_cycles = w;
+            let sol = shooting_pss(&ckt, period, &opts).unwrap();
+
+            let n = ckt.n_unknowns();
+            let mut ws = CycleWorkspace::new();
+            let mut x0 = dc_seed(&ckt, &opts);
+            for _ in 0..w {
+                let cyc = cycle(&ckt, &mut ws, &x0, period, &opts, false);
+                x0 = cyc.states.last().unwrap().clone();
+            }
+            let (states, m, residual) = loop {
+                let cyc = cycle(&ckt, &mut ws, &x0, period, &opts, true);
+                let r = vecops::sub(cyc.states.last().unwrap(), &x0);
+                let residual = vecops::norm_inf(&r);
+                let m = monodromy_threaded(&cyc.records, n, 1);
+                if residual < opts.tol {
+                    break (cyc.states, m, residual);
+                }
+                let mut a = m;
+                for i in 0..n {
+                    a[(i, i)] -= 1.0;
+                }
+                let mut delta = a.lu().unwrap().solve(&r);
+                vecops::scale(&mut delta, -1.0);
+                let dmax = vecops::norm_inf(&delta);
+                if dmax > opts.update_limit {
+                    vecops::scale(&mut delta, opts.update_limit / dmax);
+                }
+                for (xi, di) in x0.iter_mut().zip(delta.iter()) {
+                    *xi += di;
+                }
+            };
+
+            assert_eq!(sol.residual.to_bits(), residual.to_bits(), "w = {w}");
+            assert_eq!(sol.states.len(), states.len());
+            for (s, t) in sol.states.iter().zip(&states) {
+                for (u, v) in s.iter().zip(t) {
+                    assert_eq!(u.to_bits(), v.to_bits(), "w = {w}: state");
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        sol.monodromy[(i, j)].to_bits(),
+                        m[(i, j)].to_bits(),
+                        "w = {w}: M[{i}][{j}]"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Adaptive cycle integration inside shooting: same pulse-driven RC as
+    /// above, solved on an LTE-controlled grid. The orbit must still close,
+    /// the stored grid must be non-uniform with matching per-step records,
+    /// and the ripple mean (now time-weighted) must agree with the fixed-grid
+    /// reference.
+    #[test]
+    fn adaptive_shooting_matches_fixed_reference() {
+        let (ckt, period) = pulse_rc(1e-9);
+        let b = ckt.find_node("b").unwrap();
         let mut opts = PssOptions::default();
         opts.step_control = StepControl::Adaptive(tranvar_engine::AdaptiveOptions {
             reltol: 1e-4,

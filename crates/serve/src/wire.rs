@@ -25,8 +25,9 @@ pub struct AnalyzeRequest {
     pub period: f64,
     /// Shooting steps per period.
     pub n_steps: usize,
-    /// Warm-up cycles before shooting (deck `.pss warmup=`; JSON requests
-    /// leave this `None` and take the solver default).
+    /// Cap on forward warm-up cycles before shooting-Newton (deck `.pss
+    /// warmup=`; JSON requests leave this `None` and take the solver
+    /// default). Shooting returns the first recorded cycle within `tol`.
     pub warmup_cycles: Option<usize>,
     /// Shooting convergence tolerance (deck `.pss tol=`).
     pub tol: Option<f64>,
