@@ -32,7 +32,12 @@ pub enum PssConfig {
     },
     /// Autonomous oscillator.
     Autonomous {
-        /// Order-of-magnitude period guess for the warm-up transient.
+        /// Order-of-magnitude period guess (s). The warm-up integrates
+        /// hint-length cycles from the kicked DC point and stops at the
+        /// first one after which it has seen four rising crossings of
+        /// `phase_value` on `phase_node` (at most
+        /// [`OscOptions::settle_periods`] cycles, rounded up); the mean of
+        /// the last three crossing intervals seeds the period unknown.
         period_hint: f64,
         /// Node carrying the phase condition.
         phase_node: NodeId,
@@ -326,16 +331,6 @@ mod tests {
         let fd = {
             let mut cp = build();
             cp.apply_mismatch(&[h]);
-            let rp = analyze(
-                &ckt,
-                &PssConfig::Driven {
-                    period,
-                    opts: opts.clone(),
-                },
-                std::slice::from_ref(&spec),
-            )
-            .unwrap();
-            let _ = rp;
             let sp = analyze(
                 &cp,
                 &PssConfig::Driven {

@@ -1052,7 +1052,7 @@ pub fn integrate_cycle(
 }
 
 /// [`integrate_cycle`] with an explicit reusable workspace: repeated calls
-/// (shooting-Newton rounds, warm-up cycles, period-perturbed re-integrations)
+/// (shooting-Newton rounds, warm-up cycles)
 /// skip the per-call buffer allocation and — for the sparse backend — the
 /// symbolic pivot re-analysis.
 ///

@@ -66,7 +66,8 @@ pub enum Analysis {
     /// `.pss osc hint= node= value= [steps= tol=]`: autonomous
     /// (oscillator) periodic steady state.
     PssAutonomous {
-        /// `hint=`: order-of-magnitude period estimate (s).
+        /// `hint=`: order-of-magnitude period estimate (s), the length of
+        /// each warm-up cycle.
         period_hint: f64,
         /// `node=`: phase-condition node.
         phase_node: NodeId,

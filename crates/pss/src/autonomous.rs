@@ -10,22 +10,30 @@
 //! [ e_φᵀ       0   ] [δT ] = [ x₀[φ] − v_φ  ]
 //! ```
 //!
+//! `∂Φ/∂T` is the exact derivative of the discrete cycle map, propagated
+//! through the recorded cycle alongside the monodromy. Every step satisfies
+//! `(q₁−q₀)/h + θf₁ + (1−θ)f₀ = 0` and every `h` scales with `T`, so
+//! differentiating gives `J·d₁ = B·d₀ + (q₁−q₀)/(h·T)` from `d = 0` at
+//! `t = 0`: the step records' `J`/`B` carry the state coupling and
+//! `(q₁−q₀)/(h·T)` is the source term. No period-perturbed cycle is
+//! integrated. (An adaptive grid is treated as scaling with `T` too; its
+//! step choice is only reproducible to the LTE tolerance anyway.)
+//!
 //! The same bordered operator later gives the *frequency sensitivity* of the
 //! oscillator to each mismatch parameter at negligible cost (the LPTV layer
 //! reuses the records and `∂Φ/∂T` stored here).
 
 use crate::error::PssError;
-use crate::shooting::last_state;
 use crate::shooting::{
-    check_periodicity, finish, integrate_pss_cycle, monodromy_threaded, PssOptions, PssSolution,
+    finish, first_source_where, integrate_pss_cycle, last_state, monodromy_threaded, PssOptions,
+    PssSolution,
 };
-use tranvar_circuit::{Circuit, NodeId};
+use tranvar_circuit::{Assembly, Circuit, NodeId, Waveform};
 use tranvar_engine::dc::DcOptions;
-use tranvar_engine::measure::average_period;
-use tranvar_engine::tran::TranOptions;
+use tranvar_engine::tran::CycleResult;
 use tranvar_engine::{NewtonOptions, Session, SessionOptions};
 use tranvar_num::dense::vecops;
-use tranvar_num::interp::{crossings, Edge};
+use tranvar_num::interp::{crossings, nearest_index, Edge};
 use tranvar_num::DMat;
 
 /// Oscillator PSS controls on top of [`PssOptions`].
@@ -33,7 +41,13 @@ use tranvar_num::DMat;
 pub struct OscOptions {
     /// Shared shooting controls.
     pub pss: PssOptions,
-    /// Warm-up length in units of the period hint.
+    /// Cap on the warm-up length, in units of the period hint. The warm-up
+    /// integrates chained hint-length cycles from the kicked DC point and
+    /// stops at the first one after which it has seen the four rising
+    /// phase-level crossings the period estimate needs, so a fast-starting
+    /// oscillator integrates fewer than `⌈settle_periods⌉` hint-periods.
+    /// Too short a cap to see four crossings is
+    /// [`PssError::NoOscillation`].
     pub settle_periods: f64,
     /// Initial-condition kick (V) applied to the phase node to break the
     /// symmetric latch-up equilibrium.
@@ -57,14 +71,23 @@ impl Default for OscOptions {
     }
 }
 
-/// Result of the warm-up transient: a refined period estimate and a state on
-/// the orbit at a rising crossing of the phase level.
+/// Periods the warm-up period estimate averages over (it needs one more
+/// rising crossing than this).
+const WARMUP_PERIODS: usize = 3;
+
+/// Result of the warm-up: a refined period estimate and a state on the
+/// orbit at a rising crossing of the phase level.
 struct Warmup {
     period_est: f64,
     x_start: Vec<f64>,
     phase_value: f64,
 }
 
+/// Integrates unrecorded hint-length cycles from the kicked DC point, on the
+/// session's cycle workspace and under the shooting grid policy, until the
+/// rising crossings of the phase level seen so far give a period estimate
+/// (at most `⌈settle_periods⌉` cycles). Returns the estimate and the sampled
+/// state nearest the last crossing.
 fn warm_up(
     session: &mut Session,
     ckt: &Circuit,
@@ -72,12 +95,9 @@ fn warm_up(
     phase_node: NodeId,
     phase_value: f64,
     opts: &OscOptions,
+    newton: &NewtonOptions,
 ) -> Result<Warmup, PssError> {
-    let newton = NewtonOptions {
-        solver: session.solver(),
-        ..opts.pss.newton.clone()
-    };
-    let mut x0 = session.dc_operating_point(
+    let mut x = session.dc_operating_point(
         ckt,
         &DcOptions {
             newton: newton.clone(),
@@ -85,45 +105,85 @@ fn warm_up(
         },
     )?;
     if let Some(i) = ckt.unknown_of_node(phase_node) {
-        x0[i] += opts.kick;
+        x[i] += opts.kick;
     }
-    let t_stop = opts.settle_periods * period_hint;
-    let dt = period_hint / opts.pss.n_steps as f64;
-    let mut tran_opts = TranOptions::new(t_stop, dt);
-    tran_opts.step_control = opts.pss.step_control;
-    tran_opts.method = opts.pss.method;
-    tran_opts.newton = newton;
-    tran_opts.gmin = opts.pss.gmin;
-    tran_opts.x0 = Some(x0);
-    let res = session.transient(ckt, &tran_opts)?;
-    let period_est = average_period(ckt, &res, phase_node, phase_value, 3).map_err(|e| {
-        PssError::NoOscillation {
-            detail: format!("warm-up transient shows no periodicity: {e}"),
+    let ws = session.cycle_workspace();
+    let max_chunks = opts.settle_periods.ceil() as usize;
+    // Absolute times of every rising crossing so far.
+    let mut rises = Vec::new();
+    for chunk in 0..max_chunks {
+        let mut cyc = integrate_pss_cycle(ckt, ws, &x, 0.0, period_hint, &opts.pss, newton, false)?;
+        // A chunk's first sample is the previous chunk's last, so scanning
+        // each chunk's samples counts every crossing exactly once.
+        let w: Vec<f64> = cyc
+            .states
+            .iter()
+            .map(|s| ckt.voltage(s, phase_node))
+            .collect();
+        let new = crossings(&cyc.times, &w, phase_value, Edge::Rising);
+        let t0 = chunk as f64 * period_hint;
+        rises.extend(new.iter().map(|t| t0 + t));
+        // Only this chunk's crossings can have completed the count.
+        if let Some(&t_cross) = new.last().filter(|_| rises.len() > WARMUP_PERIODS) {
+            let last = rises.len() - 1;
+            let idx = nearest_index(&cyc.times, t_cross);
+            return Ok(Warmup {
+                period_est: (rises[last] - rises[last - WARMUP_PERIODS]) / WARMUP_PERIODS as f64,
+                phase_value: w[idx],
+                x_start: cyc.states.swap_remove(idx),
+            });
         }
-    })?;
-    // State at the last rising crossing of the phase level.
-    let w = res.node_waveform(ckt, phase_node);
-    let rises = crossings(&res.times, &w, phase_value, Edge::Rising);
-    let t_cross = *rises.last().ok_or_else(|| PssError::NoOscillation {
-        detail: "warm-up transient has no rising crossing of the phase level".into(),
-    })?;
-    let idx = tranvar_num::interp::nearest_index(&res.times, t_cross);
-    Ok(Warmup {
-        period_est,
-        x_start: res.states[idx].clone(),
-        phase_value: w[idx],
+        x = last_state(&cyc)?.clone();
+    }
+    Err(PssError::NoOscillation {
+        detail: format!(
+            "warm-up saw {} rising crossings of the phase level in {max_chunks} hint-periods, \
+             needs {}",
+            rises.len(),
+            WARMUP_PERIODS + 1
+        ),
     })
+}
+
+/// `∂Φ/∂T` of the recorded cycle: `d ← J⁻¹(B·d + (q₁−q₀)/(h·T))` per step
+/// from `d = 0` (see the module docs). `asm` is a reusable assembly buffer
+/// the charges `q` of every sampled state are read from.
+fn period_derivative(
+    ckt: &Circuit,
+    cyc: &CycleResult,
+    period: f64,
+    asm: &mut Assembly,
+) -> Vec<f64> {
+    let n = ckt.n_unknowns();
+    let mut d = vec![0.0; n];
+    let mut rhs = vec![0.0; n];
+    let mut scratch = vec![0.0; n];
+    ckt.assemble_into(&cyc.states[0], cyc.times[0], asm);
+    let mut q0 = asm.q.clone();
+    for (rec, x1) in cyc.records.iter().zip(&cyc.states[1..]) {
+        ckt.assemble_into(x1, rec.t1, asm);
+        rec.b.mat_vec_into(&d, &mut rhs);
+        let scale = 1.0 / (rec.h * period);
+        for ((r, q1), q0) in rhs.iter_mut().zip(&asm.q).zip(&q0) {
+            *r += (q1 - q0) * scale;
+        }
+        rec.lu.solve_into(&rhs, &mut d, &mut scratch);
+        q0.copy_from_slice(&asm.q);
+    }
+    d
 }
 
 /// Solves the autonomous PSS problem of an oscillator.
 ///
-/// `period_hint` seeds the warm-up transient (an order-of-magnitude guess is
-/// enough); `phase_node`/`phase_value` define the phase condition — the node
-/// is pinned to the value it has at the chosen crossing, which fixes the time
-/// origin of the orbit.
+/// `period_hint` sets the length of the warm-up cycles (an
+/// order-of-magnitude guess is enough); `phase_node`/`phase_value` define
+/// the phase condition — the node is pinned to the value it has at the
+/// chosen crossing, which fixes the time origin of the orbit. Every source
+/// must be DC: the bordered cycle map treats the circuit as time-invariant.
 ///
 /// # Errors
 ///
+/// - [`PssError::TimeVaryingSource`] if a source is not DC,
 /// - [`PssError::NoOscillation`] if the warm-up never oscillates,
 /// - [`PssError::NoConvergence`] if bordered shooting stalls,
 /// - engine/numerical errors from the inner solves.
@@ -148,7 +208,7 @@ pub fn autonomous_pss(
 }
 
 /// [`autonomous_pss`] borrowing an analysis [`Session`]: the DC seed, the
-/// warm-up transient and every bordered-Newton cycle run through the
+/// warm-up cycles and every bordered-Newton cycle run through the
 /// session's workspaces (see [`crate::shooting::shooting_pss_in`] for the
 /// reuse and determinism contract).
 ///
@@ -163,7 +223,14 @@ pub fn autonomous_pss_in(
     phase_value: f64,
     opts: &OscOptions,
 ) -> Result<PssSolution, PssError> {
-    check_periodicity(ckt, period_hint)?; // only DC sources are allowed anyway
+    if !(period_hint.is_finite() && period_hint > 0.0) {
+        return Err(PssError::BadConfig(
+            "period hint must be positive and finite".into(),
+        ));
+    }
+    if let Some(device) = first_source_where(ckt, |w| !matches!(w, Waveform::Dc(_))) {
+        return Err(PssError::TimeVaryingSource { device });
+    }
     let n = ckt.n_unknowns();
     let pi = ckt
         .unknown_of_node(phase_node)
@@ -174,48 +241,36 @@ pub fn autonomous_pss_in(
     };
     let threads = session.effective_threads(opts.pss.threads);
 
-    let warm = warm_up(session, ckt, period_hint, phase_node, phase_value, opts)?;
+    let warm = warm_up(
+        session,
+        ckt,
+        period_hint,
+        phase_node,
+        phase_value,
+        opts,
+        &newton,
+    )?;
     let mut x0 = warm.x_start;
     let mut period = warm.period_est;
     // Pin the phase to the state actually sampled (closest grid point to the
     // crossing) — this keeps the initial phase residual tiny.
     let v_pin = warm.phase_value;
 
-    // The session's cycle workspace serves every cycle of the bordered
-    // Newton loop (two integrations per round: nominal and
-    // period-perturbed) and carries over to later solves.
+    // The session's cycle workspace serves the one cycle integration of
+    // every bordered-Newton round and carries over to later solves.
     let ws = session.cycle_workspace();
+    let mut asm = ckt.assemble(&x0, 0.0);
     let mut last_residual = f64::INFINITY;
     for _iter in 0..opts.pss.max_iter {
         // One bordered-Newton round per iteration, charged to the shared
-        // budget alongside its two inner cycle integrations.
+        // budget alongside its inner cycle integration.
         newton.budget.begin_iteration("autonomous shooting")?;
         let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, &opts.pss, &newton, true)?;
-        let x_end = last_state(&cyc)?.clone();
-        let r = vecops::sub(&x_end, &x0);
+        let r = vecops::sub(last_state(&cyc)?, &x0);
         let phase_res = x0[pi] - v_pin;
         last_residual = vecops::norm_inf(&r).max(phase_res.abs());
         let m = monodromy_threaded(&cyc.records, n, threads);
-
-        // ∂Φ/∂T by forward difference on the period.
-        let dt_rel = 1e-6;
-        let cyc2 = integrate_pss_cycle(
-            ckt,
-            ws,
-            &x0,
-            0.0,
-            period * (1.0 + dt_rel),
-            &opts.pss,
-            &newton,
-            false,
-        )?;
-        let x_end2 = last_state(&cyc2)?;
-        let dphi_dt: Vec<f64> = x_end2
-            .iter()
-            .zip(x_end.iter())
-            .map(|(a, b)| (a - b) / (period * dt_rel))
-            .collect();
-
+        let dphi_dt = period_derivative(ckt, &cyc, period, &mut asm);
         if last_residual < opts.pss.tol {
             return Ok(finish(
                 cyc,
@@ -282,9 +337,10 @@ pub fn autonomous_pss_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tranvar_circuit::{MosModel, MosType, Waveform};
+    use tranvar_circuit::{MosModel, MosType, Pulse};
     use tranvar_engine::dc::dc_operating_point;
-    use tranvar_engine::tran::transient;
+    use tranvar_engine::measure::average_period;
+    use tranvar_engine::tran::{transient, CycleWorkspace, TranOptions};
 
     /// Builds an N-stage MOSFET inverter ring oscillator with explicit load
     /// capacitors (mirrors the paper's Section IV-C example at small scale).
@@ -366,6 +422,103 @@ mod tests {
             "transient {t_meas:.4e} vs pss {:.4e}",
             sol.period
         );
+    }
+
+    /// The propagated `∂Φ/∂T` is the derivative of the discrete cycle map:
+    /// it matches a central difference of the period-perturbed cycle from
+    /// the converged `x₀`, which pins both its sign and its `1/(h·T)` scale.
+    #[test]
+    fn dphi_dt_matches_period_perturbed_cycles() {
+        let (ckt, s0) = ring(3, 10e-15);
+        let mut opts = OscOptions::default();
+        opts.pss.n_steps = 128;
+        let sol = autonomous_pss(&ckt, 200e-12, s0, 0.6, &opts).unwrap();
+        let dphi = sol.dphi_dt.as_ref().unwrap();
+        let eps = 1e-4;
+        let mut ws = CycleWorkspace::new();
+        let mut end = |period: f64| {
+            let cyc = integrate_pss_cycle(
+                &ckt,
+                &mut ws,
+                &sol.states[0],
+                0.0,
+                period,
+                &opts.pss,
+                &opts.pss.newton,
+                false,
+            )
+            .unwrap();
+            cyc.states.last().unwrap().clone()
+        };
+        let hi = end(sol.period * (1.0 + eps));
+        let lo = end(sol.period * (1.0 - eps));
+        let scale = vecops::norm_inf(dphi);
+        assert!(scale > 0.0);
+        for (i, ((h, l), d)) in hi.iter().zip(&lo).zip(dphi).enumerate() {
+            let fd = (h - l) / (2.0 * eps * sol.period);
+            assert!(
+                (fd - d).abs() <= 1e-5 * scale,
+                "unknown {i}: propagated {d:.6e} vs central difference {fd:.6e}"
+            );
+        }
+    }
+
+    /// `settle_periods` only caps the warm-up: a looser cap stops at the same
+    /// crossing and returns the same bits, and a cap too short to see four
+    /// rising crossings is a typed error.
+    #[test]
+    fn settle_cap_does_not_change_the_answer() {
+        let (ckt, s0) = ring(3, 10e-15);
+        let solve = |settle: f64| {
+            let mut opts = OscOptions::default();
+            opts.pss.n_steps = 128;
+            opts.settle_periods = settle;
+            autonomous_pss(&ckt, 200e-12, s0, 0.6, &opts)
+        };
+        let a = solve(12.0).unwrap();
+        let b = solve(40.0).unwrap();
+        assert_eq!(a.period.to_bits(), b.period.to_bits());
+        assert_eq!(a.states.len(), b.states.len());
+        for (u, v) in a.states.iter().flatten().zip(b.states.iter().flatten()) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        let (da, db) = (a.dphi_dt.unwrap(), b.dphi_dt.unwrap());
+        for (u, v) in da.iter().zip(&db) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        assert!(matches!(solve(2.0), Err(PssError::NoOscillation { .. })));
+    }
+
+    /// A pulse whose period equals the hint used to pass the driven
+    /// periodicity check; an oscillator with any non-DC source is rejected
+    /// by name before any integration.
+    #[test]
+    fn time_varying_source_is_rejected() {
+        let (mut ckt, s0) = ring(3, 10e-15);
+        let hint = 200e-12;
+        let s1 = ckt.find_node("s1").unwrap();
+        ckt.add_isource(
+            "IKICK",
+            NodeId::GROUND,
+            s1,
+            Waveform::Pulse(Pulse {
+                v0: 0.0,
+                v1: 1e-6,
+                delay: 0.0,
+                rise: 1e-12,
+                fall: 1e-12,
+                width: 10e-12,
+                period: hint,
+            }),
+        );
+        let err = autonomous_pss(&ckt, hint, s0, 0.6, &OscOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            PssError::TimeVaryingSource {
+                device: "IKICK".into()
+            }
+        );
+        assert_eq!(err.wire_fault().code, "pss.time-varying-source");
     }
 
     #[test]

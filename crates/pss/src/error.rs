@@ -17,6 +17,12 @@ pub enum PssError {
         /// Requested analysis period.
         period: f64,
     },
+    /// An oscillator contains a time-varying source: autonomous shooting
+    /// treats the circuit as time-invariant, so every source must be DC.
+    TimeVaryingSource {
+        /// Offending device label.
+        device: String,
+    },
     /// The shooting iteration failed to converge.
     NoConvergence {
         /// Which stage failed.
@@ -47,6 +53,10 @@ impl fmt::Display for PssError {
                     "source `{device}` is not periodic in the analysis period {period:.3e} s"
                 )
             }
+            PssError::TimeVaryingSource { device } => write!(
+                f,
+                "source `{device}` is time-varying; an oscillator's sources must all be DC"
+            ),
             PssError::NoConvergence { analysis, detail } => {
                 write!(f, "{analysis} failed to converge: {detail}")
             }
@@ -66,6 +76,9 @@ impl PssError {
         use FailureClass::*;
         match self {
             PssError::NotPeriodic { .. } => WireFault::new("pss.not-periodic", BadInput),
+            PssError::TimeVaryingSource { .. } => {
+                WireFault::new("pss.time-varying-source", BadInput)
+            }
             PssError::NoConvergence { .. } => WireFault::new("pss.no-convergence", Unstable),
             PssError::NoOscillation { .. } => WireFault::new("pss.no-oscillation", Unstable),
             PssError::BadConfig(_) => WireFault::new("pss.bad-config", BadInput),

@@ -467,20 +467,25 @@ pub(crate) fn check_periodicity(ckt: &Circuit, period: f64) -> Result<(), PssErr
     if period <= 0.0 {
         return Err(PssError::BadConfig("period must be positive".into()));
     }
-    for (i, dev) in ckt.devices().iter().enumerate() {
+    match first_source_where(ckt, |w| !w.is_periodic_in(period)) {
+        Some(device) => Err(PssError::NotPeriodic { device, period }),
+        None => Ok(()),
+    }
+}
+
+/// Label of the first independent source whose waveform satisfies `pred`.
+pub(crate) fn first_source_where(
+    ckt: &Circuit,
+    pred: impl Fn(&tranvar_circuit::Waveform) -> bool,
+) -> Option<String> {
+    ckt.devices().iter().enumerate().find_map(|(i, dev)| {
         let wave = match dev {
             tranvar_circuit::Device::Vsource { wave, .. } => wave,
             tranvar_circuit::Device::Isource { wave, .. } => wave,
-            _ => continue,
+            _ => return None,
         };
-        if !wave.is_periodic_in(period) {
-            return Err(PssError::NotPeriodic {
-                device: ckt.label(tranvar_circuit::DeviceId::from_index(i)).into(),
-                period,
-            });
-        }
-    }
-    Ok(())
+        pred(wave).then(|| ckt.label(tranvar_circuit::DeviceId::from_index(i)).into())
+    })
 }
 
 #[cfg(test)]

@@ -278,6 +278,14 @@ mod tests {
                 400,
             ),
             (
+                PssError::TimeVaryingSource {
+                    device: "VCLK".into(),
+                }
+                .into(),
+                "pss.time-varying-source",
+                400,
+            ),
+            (
                 LptvError::MissingRecords.into(),
                 "lptv.missing-records",
                 400,
