@@ -3,17 +3,19 @@
 //! CI regression gate:
 //!
 //! * compile-time lane dispatch (`solve_multi_lanes`) vs the runtime-width
-//!   interleaved kernel, on the logic-path Jacobian with one RHS per
-//!   mismatch parameter — gated on speedup *and* bit-identity to per-RHS
-//!   `solve_into`;
+//!   interleaved reference solves of [`tranvar_bench::reference`], on the
+//!   logic-path Jacobian with one RHS per mismatch parameter — gated on
+//!   speedup *and* bit-identity to per-RHS `solve_into`;
 //! * Markowitz-ordered replay (`refactor`) vs a fresh analyze+factor —
 //!   gated on speedup and bit-identity of the solutions;
 //! * fill-in of the ordered vs natural factorizations on the DAC and
 //!   StrongARM Jacobian patterns (informational);
-//! * the dense/sparse crossover sweep on ladder-pattern matrices that
-//!   calibrates `SolverKind::auto_for` (informational).
+//! * the dense/sparse crossover sweep on ladder-pattern matrices
+//!   (informational: where the replayed sparse backend overtakes the dense
+//!   one).
 
 use std::io::Write;
+use tranvar_bench::reference::{dense_solve_interleaved, sparse_solve_interleaved};
 use tranvar_bench::{bench_times, fmt_time, median};
 use tranvar_circuits::{ArrivalOrder, LogicPath, RStringDac, StrongArm, Tech};
 use tranvar_engine::dc::{dc_operating_point, DcOptions};
@@ -69,7 +71,8 @@ struct LaneResult {
     max_abs_diff: f64,
 }
 
-/// Lane dispatch vs runtime-width interleaved on one factor backend.
+/// Lane dispatch vs the runtime-width interleaved reference on one factor
+/// backend.
 fn bench_lanes(
     name: &str,
     n: usize,
@@ -82,7 +85,8 @@ fn bench_lanes(
     let mut rng = Rng64::seed_from(0xB10C5);
     let block0: Vec<f64> = (0..n * n_rhs).map(|_| 2.0 * rng.uniform() - 1.0).collect();
 
-    // Correctness gate first: lanes must match per-RHS solve_into bitwise.
+    // Correctness gate first: lanes must match per-RHS solve_into and the
+    // runtime-width reference bitwise.
     let mut reference = vec![0.0; n * n_rhs];
     let mut b = vec![0.0; n];
     let mut out = vec![0.0; n];
@@ -98,13 +102,15 @@ fn bench_lanes(
     let mut block = block0.clone();
     let mut scratch = vec![0.0; lanes_scratch_len(n, n_rhs)];
     lanes(&mut block, &mut scratch);
-    let max_abs_diff = bitwise_diff(name, &block, &reference);
+    let mut iscratch = vec![0.0; n * n_rhs];
+    let mut ilv = block0.clone();
+    interleaved(&mut ilv, &mut iscratch);
+    let max_abs_diff = bitwise_diff(name, &block, &reference).max(bitwise_diff(name, &block, &ilv));
 
     // Timing: each sample reloads the RHS block once, then iterates the
     // solve in place (output feeds the next input — the values shrink by
     // ~|A|⁻¹ per rep, staying far from denormal range over one sample).
     const REPS: usize = 64;
-    let mut iscratch = vec![0.0; n * n_rhs];
     let itimes = bench_times(5, budget_s, || {
         block.copy_from_slice(&block0);
         for _ in 0..REPS {
@@ -151,15 +157,15 @@ fn main() {
         csc.nnz()
     );
 
-    // --- Lane kernels vs runtime-width interleaved, dense backend. ---
+    // --- Lane kernels vs the runtime-width reference, dense backend. ---
     let dense = csc.to_dense().lu().expect("dense lu");
     let lane_dense = bench_lanes(
         "lu_kernels/dense",
         n,
         n_rhs,
         budget_s,
-        &|b, out| dense.solve_into(b, out),
-        &mut |blk, scr| dense.solve_multi_interleaved(blk, n_rhs, scr),
+        &|b, out| dense.solve_into(b, out, &mut vec![0.0; n]),
+        &mut |blk, scr| dense_solve_interleaved(&dense, blk, n_rhs, scr),
         &mut |blk, scr| dense.solve_multi_lanes(blk, n_rhs, scr),
     );
 
@@ -171,11 +177,8 @@ fn main() {
         n,
         n_rhs,
         budget_s,
-        &|b, out| {
-            let mut scr = vec![0.0; n];
-            sparse.solve_into(b, out, &mut scr);
-        },
-        &mut |blk, scr| sparse.solve_multi_interleaved(blk, n_rhs, scr),
+        &|b, out| sparse.solve_into(b, out, &mut vec![0.0; n]),
+        &mut |blk, scr| sparse_solve_interleaved(&sparse, blk, n_rhs, scr),
         &mut |blk, scr| sparse.solve_multi_lanes(blk, n_rhs, scr),
     );
 

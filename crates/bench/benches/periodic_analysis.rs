@@ -2,9 +2,7 @@
 //! LPTV parameter propagation against their retained sequential references,
 //! on the paper's two periodic workloads (ring-oscillator PSS, StrongARM
 //! comparator mismatch). The gated `speedup` figures are measured against
-//! the per-column/per-parameter *sequential* references; the PR-1
-//! column-major blocked monodromy is timed alongside (`blocked_median_s`)
-//! so the trajectory also records the previously-shipped figure.
+//! the per-column/per-parameter *sequential* references.
 //!
 //! Emits `BENCH_pss.json` (median wall times, speedups, and the max absolute
 //! result difference — required to be exactly 0) at the workspace root,
@@ -50,37 +48,9 @@ fn bench_budget(quick: bool) -> (usize, f64) {
     }
 }
 
-/// The PR-1 column-major blocked monodromy (one `solve_multi` sweep per
-/// record over a preallocated block) — re-timed here so the trajectory
-/// records what actually shipped before the interleaved/threaded kernel,
-/// not just the per-column pre-batching strawman.
-fn monodromy_blocked(records: &[tranvar_engine::StepRecord], n: usize) -> tranvar_num::DMat<f64> {
-    let mut m = tranvar_num::DMat::<f64>::identity(n);
-    let mut col = vec![0.0; n];
-    let mut block = vec![0.0; n * n];
-    let mut scratch = vec![0.0; n * n];
-    for rec in records {
-        for j in 0..n {
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = m[(i, j)];
-            }
-            rec.b.mat_vec_into(&col, &mut block[j * n..(j + 1) * n]);
-        }
-        rec.lu.solve_multi(&mut block, n, &mut scratch);
-        for j in 0..n {
-            for i in 0..n {
-                m[(i, j)] = block[j * n + i];
-            }
-        }
-    }
-    m
-}
-
 /// Monodromy accumulation on the paper's 5-stage ring oscillator: the
 /// interleaved+threaded column propagation vs the per-column allocating
-/// reference, over the records of one converged autonomous PSS solve. The
-/// PR-1 column-major blocked path is timed alongside as the honest
-/// previously-shipped figure (`blocked_median_s`).
+/// reference, over the records of one converged autonomous PSS solve.
 fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
     let tech = Tech::t013();
     let ring = RingOsc::paper(&tech);
@@ -94,15 +64,13 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
     .expect("ring oscillator PSS");
     let n = ring.circuit.n_unknowns();
 
-    // Correctness gate: all three paths must agree exactly.
+    // Correctness gate: both paths must agree exactly.
     let m_seq = monodromy_seq(&sol.records, n);
-    let m_blk = monodromy_blocked(&sol.records, n);
     let m_bat = monodromy_threaded(&sol.records, n, 0);
     let mut max_abs_diff = 0.0f64;
     for i in 0..n {
         for j in 0..n {
             max_abs_diff = max_abs_diff.max((m_bat[(i, j)] - m_seq[(i, j)]).abs());
-            max_abs_diff = max_abs_diff.max((m_bat[(i, j)] - m_blk[(i, j)]).abs());
         }
     }
     assert!(
@@ -114,9 +82,6 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
     let seq_times = bench_times(min_iters, min_time, || {
         monodromy_seq(&sol.records, n);
     });
-    let blk_times = bench_times(min_iters, min_time, || {
-        monodromy_blocked(&sol.records, n);
-    });
     let bat_times = bench_times(min_iters, min_time, || {
         monodromy_threaded(&sol.records, n, 0);
     });
@@ -125,14 +90,7 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
         batched_median_s: median(&bat_times),
         max_abs_diff,
     };
-    let blk_median = median(&blk_times);
     cmp.print("pss_ring_monodromy", seq_times.len(), bat_times.len());
-    println!(
-        "pss_ring_monodromy/blocked(PR-1) {:>12}   ({} iters, {:.2}x over batched)",
-        fmt_time(blk_median),
-        blk_times.len(),
-        blk_median / cmp.batched_median_s
-    );
     let json = format!(
         concat!(
             "  \"ring_monodromy\": {{\n",
@@ -140,7 +98,6 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
             "    \"n_unknowns\": {},\n",
             "    \"n_records\": {},\n",
             "    \"sequential_median_s\": {:.6e},\n",
-            "    \"blocked_median_s\": {:.6e},\n",
             "    \"batched_median_s\": {:.6e},\n",
             "    \"speedup\": {:.3},\n",
             "    \"max_abs_diff\": {:.3e}\n",
@@ -149,7 +106,6 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
         n,
         sol.records.len(),
         cmp.sequential_median_s,
-        blk_median,
         cmp.batched_median_s,
         cmp.speedup(),
         cmp.max_abs_diff

@@ -19,8 +19,14 @@
 //! Pass `--full` for paper-scale Monte-Carlo sample counts (slow); the
 //! default sizes finish in seconds-to-minutes and carry proportionally wider
 //! confidence intervals (reported alongside).
+//!
+//! The [`reference`](mod@reference) module keeps the runtime-width multi-RHS triangular
+//! solves that the lane kernels of `tranvar-num` are timed and checked
+//! against.
 
 use std::time::Instant;
+
+pub mod reference;
 
 /// Wall-clock timing of a closure.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {

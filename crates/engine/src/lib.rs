@@ -21,8 +21,8 @@
 //!   workspace pools, thread policy) for running many analyses on one
 //!   circuit without per-call setup — the substrate of the scenario
 //!   campaigns in `tranvar-core`,
-//! - [`par`]: the scoped worker-thread chunking shared by every batched
-//!   analysis,
+//! - [`par`]: the worker-thread policy and scoped chunking shared by every
+//!   batched analysis,
 //! - [`budget`]: cooperative solve budgets (Newton iterations,
 //!   factorizations, wall-clock deadline) checked once per Newton iteration,
 //! - [`retry`]: bounded retry/fallback escalation (denser gmin → more
@@ -53,7 +53,7 @@ pub use budget::{BudgetKind, BudgetLimits, BudgetProgress, SolveBudget};
 pub use dc::{dc_operating_point, DcOptions, NewtonOptions};
 pub use error::EngineError;
 pub use mc::{monte_carlo, monte_carlo_multi, McOptions, McResult};
-pub use par::{chunk_ranges, map_scoped};
+pub use par::{chunk_ranges, effective_threads, effective_threads_for_work, map_scoped};
 pub use pool::SessionPool;
 pub use retry::{
     is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics, DEADLINE_SHORT_CIRCUIT,
@@ -65,4 +65,3 @@ pub use tran::{
     transient_with, AdaptiveOptions, CycleResult, CycleWorkspace, Integrator, StepControl,
     StepRecord, TranOptions, TranResult,
 };
-pub use transens::{effective_threads, effective_threads_for_work, MIN_WORK_PER_THREAD};

@@ -1,4 +1,4 @@
-//! Shared worker-thread chunking for the batched analyses.
+//! Shared worker-thread policy and chunking for the batched analyses.
 //!
 //! Every parallel path in the workspace follows the same shape: split a set
 //! of independent jobs into contiguous chunks, spawn one std scoped worker
@@ -13,6 +13,42 @@
 //! partitioning (true for all callers — each chunk owns disjoint data), the
 //! combined result is bit-identical for any thread count. A single job runs
 //! inline on the calling thread with no scope at all.
+
+/// Resolves a worker-thread count in the `TranOptions::threads` convention
+/// shared by every batched analysis (transient sensitivities, the PSS
+/// monodromy accumulation, the LPTV parameter responses, scenario
+/// campaigns): `0` means all available cores, and the count never exceeds
+/// `n_jobs` independent work items (so no worker is ever spawned idle).
+pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
+    let t = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    };
+    t.clamp(1, n_jobs.max(1))
+}
+
+/// Work a spawned worker must receive before the automatic mode of
+/// [`effective_threads_for_work`] spawns it: a std scoped thread costs tens
+/// of microseconds to spawn+join against roughly 10 ns per flop-proxy unit,
+/// so a worker needs ~2^16 units before the spawn amortizes.
+const MIN_WORK_PER_THREAD: usize = 1 << 16;
+
+/// [`effective_threads`] with a work-size guard for the *automatic* mode:
+/// when `requested == 0`, the worker count is additionally capped so that
+/// each spawned thread receives at least `MIN_WORK_PER_THREAD` (2^16) of
+/// `total_work` (callers pass a flop-count proxy), so a sub-100 µs problem
+/// is not made slower by thread spawns. Explicit nonzero requests are
+/// honored unchanged.
+pub fn effective_threads_for_work(requested: usize, n_jobs: usize, total_work: usize) -> usize {
+    let t = effective_threads(requested, n_jobs);
+    if requested != 0 {
+        return t;
+    }
+    t.min((total_work / MIN_WORK_PER_THREAD).max(1))
+}
 
 /// Splits `0..n_items` into contiguous `(start, len)` chunks of at most
 /// `chunk` items (the last chunk may be shorter). Returns no chunks for

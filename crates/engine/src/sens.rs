@@ -6,6 +6,7 @@
 use crate::error::EngineError;
 use crate::solver::{FactoredJacobian, SolverKind};
 use tranvar_circuit::{Circuit, ParamDeriv};
+use tranvar_num::lanes_scratch_len;
 
 /// DC sensitivities `dx/dp_k` of the operating point with respect to every
 /// registered mismatch parameter.
@@ -30,23 +31,22 @@ pub fn dc_sensitivities(
     let n_node = ckt.n_nodes() - 1;
     let lu = FactoredJacobian::factor(solver, &asm, 1.0, 0.0, 1e-12, n_node)?;
     let n = asm.n;
-    // Stage every parameter's RHS in one column-major block and solve them
-    // with a single batched sweep — the factor is traversed once per block
-    // rather than once per parameter.
+    // Stage every parameter's RHS in one RHS-interleaved block
+    // (`block[i·n_params + k]`) and solve them with a single lane sweep —
+    // the factor is traversed once per block rather than once per parameter.
     let mut block = vec![0.0; n * n_params];
     let mut pd = ParamDeriv::default();
     for k in 0..n_params {
         ckt.d_residual_dparam_into(k, x_op, &mut pd)?;
-        let col = &mut block[k * n..(k + 1) * n];
         for &(i, v) in &pd.df {
-            col[i] -= v;
+            block[i * n_params + k] -= v;
         }
         // ∂q/∂p does not influence the DC solution.
     }
-    let mut scratch = vec![0.0; n * n_params];
-    lu.solve_multi(&mut block, n_params, &mut scratch);
+    let mut scratch = vec![0.0; lanes_scratch_len(n, n_params)];
+    lu.solve_multi_lanes(&mut block, n_params, &mut scratch);
     Ok((0..n_params)
-        .map(|k| block[k * n..(k + 1) * n].to_vec())
+        .map(|k| (0..n).map(|i| block[i * n_params + k]).collect())
         .collect())
 }
 

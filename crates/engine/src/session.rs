@@ -45,10 +45,10 @@ use tranvar_circuit::Circuit;
 /// Construction options for a [`Session`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionOptions {
-    /// Linear-solver backend used by every analysis in the session.
-    /// [`SolverKind::auto_for`] picks one from the circuit size; the
-    /// fill-reducing [`SolverKind::SparseOrdered`] backend is worthwhile for
-    /// large sparse substrates.
+    /// Linear-solver backend used by every analysis in the session
+    /// (default [`SolverKind::Dense`]); the fill-reducing
+    /// [`SolverKind::SparseOrdered`] backend is worthwhile for large sparse
+    /// substrates.
     pub solver: SolverKind,
     /// Default worker-thread count for batched analyses run through the
     /// session, in the [`TranOptions::threads`] convention (`0` = all

@@ -13,12 +13,10 @@
 //! coordinates. [`JacobianWorkspace`] exploits that by caching the sparsity
 //! structure, the symbolic elimination order, and every staging allocation
 //! across factorizations, so per-timestep factors cost only the numeric
-//! work. Heuristics for [`SolverKind`]:
+//! work. The backends of [`SolverKind`]:
 //!
-//! - **Dense** (default): best below [`SPARSE_CROSSOVER_N`] unknowns — the
-//!   dense kernel has no indexing overhead, vectorizes, and the blocked
-//!   [`FactoredJacobian::solve_multi`] amortizes each factor row over a
-//!   whole block of right-hand sides. All paper benchmark circuits are in
+//! - **Dense** (default): best for small systems — the dense kernel has no
+//!   indexing overhead and vectorizes. All paper benchmark circuits are in
 //!   this regime.
 //! - **Sparse**: the natural-column-order sparse backend; keeps bit-compat
 //!   replay semantics and wins when the Jacobian is large *and* sparse —
@@ -27,36 +25,22 @@
 //!   timestep.
 //! - **SparseOrdered**: sparse with a Markowitz fill-reducing pivot order;
 //!   the least fill-in and the fastest replayed factorizations on ladder/
-//!   mesh-like substrates. [`SolverKind::auto_for`] encodes the measured
-//!   crossover.
+//!   mesh-like substrates.
 //!
-//! Wide multi-RHS solves (sensitivity and LPTV batches) should go through
-//! [`FactoredJacobian::solve_multi_lanes`], which dispatches to
-//! compile-time-width lane kernels and returns bit-for-bit the same results
-//! as the runtime-width interleaved path.
+//! Either backend solves through one lane kernel: the single solve
+//! [`FactoredJacobian::solve_into`] is its width-1 case, and wide multi-RHS
+//! solves (sensitivity and LPTV batches) go through
+//! [`FactoredJacobian::solve_multi_lanes`] with bit-for-bit the same
+//! per-RHS results.
 
 use tranvar_circuit::Assembly;
 use tranvar_num::{lanes_scratch_len, Csc, DMat, Lu, NumError, SparseLu, SparseSymbolic, Triplets};
-
-/// Dense/sparse crossover for [`SolverKind::auto_for`]: measured with the
-/// `lu_kernels` bench (steady-state refactor + multi-RHS lane solve on
-/// MNA-like ladder patterns), the flattened sparse backend with a replayed
-/// Markowitz ordering overtakes the dense kernel from this many unknowns —
-/// ~1.7× ahead at n = 32 and two orders of magnitude at n = 192. The
-/// one-off O(n³) ordering analysis is excluded: it is paid once per
-/// sparsity pattern and amortized by [`JacobianWorkspace`] replays.
-pub const SPARSE_CROSSOVER_N: usize = 32;
-
-/// Density above which a matrix at the crossover size is treated as dense
-/// regardless of dimension (fill-in would make the sparse factors no
-/// cheaper than the dense ones).
-const DENSE_FILL_FRACTION: f64 = 0.25;
 
 /// Which linear-algebra backend factors the MNA Jacobians.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// Dense LU with partial pivoting (default; ideal for the paper-scale
-    /// benchmark circuits, below [`SPARSE_CROSSOVER_N`] unknowns).
+    /// benchmark circuits, all below 32 unknowns).
     #[default]
     Dense,
     /// Sparse left-looking LU in natural column order (bit-compat replay
@@ -67,24 +51,6 @@ pub enum SolverKind {
     /// substrates; solutions agree with [`SolverKind::Sparse`] to machine
     /// precision but not bit-for-bit.
     SparseOrdered,
-}
-
-impl SolverKind {
-    /// Picks a backend from the system dimension and stamp count:
-    /// [`SolverKind::Dense`] below [`SPARSE_CROSSOVER_N`] unknowns or when
-    /// the matrix is too full to profit from sparsity, otherwise
-    /// [`SolverKind::SparseOrdered`].
-    pub fn auto_for(n: usize, nnz: usize) -> SolverKind {
-        if n < SPARSE_CROSSOVER_N {
-            return SolverKind::Dense;
-        }
-        let density = nnz as f64 / (n as f64 * n as f64);
-        if density > DENSE_FILL_FRACTION {
-            SolverKind::Dense
-        } else {
-            SolverKind::SparseOrdered
-        }
-    }
 }
 
 /// A factored Jacobian, solvable for many right-hand sides.
@@ -134,68 +100,24 @@ impl FactoredJacobian {
     }
 
     /// Solves `J·x = b` into `out` with zero heap allocation; `scratch`
-    /// must have length `self.n()` (used by the sparse backend, ignored by
-    /// the dense one).
+    /// must have length `self.n()`. Bit-for-bit identical to every lane of
+    /// [`FactoredJacobian::solve_multi_lanes`].
     pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         match self {
-            FactoredJacobian::Dense(lu) => lu.solve_into(b, out),
+            FactoredJacobian::Dense(lu) => lu.solve_into(b, out, scratch),
             FactoredJacobian::Sparse(lu) => lu.solve_into(b, out, scratch),
         }
     }
 
-    /// Solves `J·X = B` for a column-major block of `n_rhs` right-hand
-    /// sides in place (`block[r + n·k]` is row `r` of RHS `k`); `scratch`
-    /// must have length `self.n() * n_rhs`.
-    ///
-    /// The blocked sweeps read each factor row/column once per block rather
-    /// than once per RHS, and per-column results are bit-for-bit identical
-    /// to [`FactoredJacobian::solve`].
-    pub fn solve_multi(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
-        if n_rhs == 0 {
-            return;
-        }
-        match self {
-            FactoredJacobian::Dense(lu) => {
-                let n = lu.n();
-                lu.solve_multi(block, n_rhs, &mut scratch[..n]);
-            }
-            FactoredJacobian::Sparse(lu) => lu.solve_multi(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves `J·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place (`block[r·n_rhs + k]` is row `r` of RHS `k`);
-    /// `scratch` must have length `self.n() * n_rhs`.
-    ///
-    /// The interleaved layout turns every factor entry into a contiguous
-    /// `n_rhs`-wide axpy — the fastest shape when the system is small and
-    /// the batch is wide (tens of unknowns × tens of parameters). Per-RHS
-    /// results are bit-for-bit identical to [`FactoredJacobian::solve`].
-    /// Prefer [`FactoredJacobian::solve_multi_lanes`], whose compile-time
-    /// lane kernels produce the same bits faster.
-    ///
-    /// Scratch contract: `scratch` must be a full `self.n() * n_rhs` shadow
-    /// of the block (both backends stage through it); a shorter slice would
-    /// read stale or out-of-range rows.
-    pub fn solve_multi_interleaved(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
-        debug_assert!(
-            scratch.len() >= self.n() * n_rhs,
-            "interleaved scratch must cover the whole block"
-        );
-        match self {
-            FactoredJacobian::Dense(lu) => lu.solve_multi_interleaved(block, n_rhs, scratch),
-            FactoredJacobian::Sparse(lu) => lu.solve_multi_interleaved(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves an RHS-interleaved block through the compile-time lane kernels
-    /// (`solve_arr`), decomposing `n_rhs` into supported lane widths.
+    /// Solves `J·X = B` for an RHS-interleaved block in place
+    /// (`block[r·n_rhs + k]` is row `r` of RHS `k`) through the
+    /// compile-time lane kernels, decomposing `n_rhs` into supported lane
+    /// widths.
     ///
     /// `scratch` must hold at least
     /// [`tranvar_num::lanes_scratch_len`]`(self.n(), n_rhs)` elements — size
     /// caller buffers with that helper. Per-RHS results are bit-for-bit
-    /// identical to [`FactoredJacobian::solve_multi_interleaved`] and
-    /// [`FactoredJacobian::solve`].
+    /// identical to [`FactoredJacobian::solve`].
     pub fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
         debug_assert!(
             scratch.len() >= lanes_scratch_len(self.n(), n_rhs),
@@ -204,17 +126,6 @@ impl FactoredJacobian {
         match self {
             FactoredJacobian::Dense(lu) => lu.solve_multi_lanes(block, n_rhs, scratch),
             FactoredJacobian::Sparse(lu) => lu.solve_multi_lanes(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves `J·X = B` for an `N`-lane RHS block in place (`block[i]` is
-    /// row `i` of all `N` right-hand sides); `scratch` must hold `self.n()`
-    /// lane blocks. Per-RHS results are bit-for-bit identical to
-    /// [`FactoredJacobian::solve`].
-    pub fn solve_arr<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
-        match self {
-            FactoredJacobian::Dense(lu) => lu.solve_arr(block, scratch),
-            FactoredJacobian::Sparse(lu) => lu.solve_arr(block, scratch),
         }
     }
 
@@ -713,18 +624,22 @@ mod tests {
         let n_rhs = 5;
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
             let fac = FactoredJacobian::factor(kind, &asm, 1.0, 1e9, 1e-12, nn).unwrap();
+            // RHS-interleaved layout: block[i * n_rhs + k].
             let mut block: Vec<f64> = (0..n * n_rhs)
                 .map(|i| ((i * 7 % 11) as f64) * 0.4 - 1.0)
                 .collect();
             let per_col: Vec<Vec<f64>> = (0..n_rhs)
-                .map(|k| fac.solve(&block[k * n..(k + 1) * n]))
+                .map(|k| {
+                    let b: Vec<f64> = (0..n).map(|i| block[i * n_rhs + k]).collect();
+                    fac.solve(&b)
+                })
                 .collect();
-            let mut scratch = vec![0.0; n * n_rhs];
-            fac.solve_multi(&mut block, n_rhs, &mut scratch);
+            let mut scratch = vec![0.0; lanes_scratch_len(n, n_rhs)];
+            fac.solve_multi_lanes(&mut block, n_rhs, &mut scratch);
             for k in 0..n_rhs {
                 for i in 0..n {
                     assert!(
-                        block[k * n + i].to_bits() == per_col[k][i].to_bits(),
+                        block[i * n_rhs + k].to_bits() == per_col[k][i].to_bits(),
                         "{kind:?} rhs {k} row {i}"
                     );
                 }

@@ -23,12 +23,12 @@
 //! 2. *Propagate phase* (parallel): the mismatch parameters are split into
 //!    contiguous chunks, one worker thread per chunk ([`TranOptions::threads`]).
 //!    Each worker advances its chunk through the window with a single
-//!    multi-RHS batched solve per step
-//!    ([`crate::solver::FactoredJacobian::solve_multi`]) over preallocated
-//!    column-major blocks — **zero heap allocation inside the per-step
-//!    parameter loop**. Each state's parameter derivatives are evaluated
-//!    once (not once per adjacent step), and same-device parameter pairs
-//!    (Pelgrom V_T/β) share one model evaluation
+//!    multi-RHS lane solve per step
+//!    ([`crate::solver::FactoredJacobian::solve_multi_lanes`]) over
+//!    preallocated RHS-interleaved blocks — **zero heap allocation inside
+//!    the per-step parameter loop**. Each state's parameter derivatives are
+//!    evaluated once (not once per adjacent step), and same-device
+//!    parameter pairs (Pelgrom V_T/β) share one model evaluation
 //!    ([`tranvar_circuit::Circuit::d_residual_dparams_into`]).
 //!
 //! Because every parameter's arithmetic is independent of the partitioning,
@@ -46,6 +46,7 @@
 
 use crate::dc::{dc_operating_point, DcOptions};
 use crate::error::EngineError;
+use crate::par::effective_threads_for_work;
 use crate::sens::{dc_sensitivities, param_step_rhs};
 use crate::solver::{combine, FactoredJacobian};
 use crate::tran::{StepControl, StepRecord, TranOptions, TranResult};
@@ -239,12 +240,8 @@ pub fn transient_with_sensitivities_with(
     // Auto mode stays single-threaded when the whole propagation is too
     // small to amortize the per-window thread spawns (work proxy: one
     // triangular sweep per step per parameter ≈ steps·n²·p flops).
-    let threads = effective_threads_for_work(
-        opts.threads,
-        n_params,
-        n_steps * n * n * n_params.max(1),
-        MIN_WORK_PER_THREAD,
-    );
+    let threads =
+        effective_threads_for_work(opts.threads, n_params, n_steps * n * n * n_params.max(1));
     let chunk = n_params.div_ceil(threads.max(1)).max(1);
     let mut chunk_states: Vec<ChunkState> = sens
         .chunks(chunk)
@@ -504,49 +501,6 @@ pub fn transient_with_sensitivities_seq(
         }
     }
     Ok(TranSensResult { tran: res, sens })
-}
-
-/// Resolves a worker-thread count in the [`TranOptions::threads`] convention
-/// shared by every batched analysis (transient sensitivities, the PSS
-/// monodromy accumulation, the LPTV parameter responses): `0` means all
-/// available cores, and the count never exceeds `n_jobs` independent work
-/// items (so no worker is ever spawned idle).
-pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    t.clamp(1, n_jobs.max(1))
-}
-
-/// Default `min_work_per_thread` for [`effective_threads_for_work`]: one
-/// physical calibration shared by every batched analysis — a std scoped
-/// thread costs tens of microseconds to spawn+join against roughly 10 ns
-/// per flop-proxy unit, so a worker needs ~2^16 units before the spawn
-/// amortizes.
-pub const MIN_WORK_PER_THREAD: usize = 1 << 16;
-
-/// [`effective_threads`] with a work-size guard for the *automatic* mode:
-/// when `requested == 0`, the worker count is additionally capped so that
-/// each spawned thread receives at least `min_work_per_thread` of
-/// `total_work` (arbitrary cost units — callers use a flop-count proxy).
-/// A std scoped thread costs tens of microseconds to spawn and join, so
-/// auto-threading a sub-100 µs problem would make it *slower*; explicit
-/// nonzero requests are honored unchanged.
-pub fn effective_threads_for_work(
-    requested: usize,
-    n_jobs: usize,
-    total_work: usize,
-    min_work_per_thread: usize,
-) -> usize {
-    let t = effective_threads(requested, n_jobs);
-    if requested != 0 {
-        return t;
-    }
-    t.min((total_work / min_work_per_thread.max(1)).max(1))
 }
 
 #[cfg(test)]

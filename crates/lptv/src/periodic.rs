@@ -34,9 +34,7 @@
 use crate::error::LptvError;
 use tranvar_circuit::{Circuit, ParamDeriv};
 use tranvar_engine::sens::param_step_rhs;
-use tranvar_engine::{
-    effective_threads_for_work, map_scoped, Session, SolveBudget, MIN_WORK_PER_THREAD,
-};
+use tranvar_engine::{effective_threads_for_work, map_scoped, Session, SolveBudget};
 use tranvar_num::dense::vecops;
 use tranvar_num::{DMat, Lu};
 use tranvar_pss::PssSolution;
@@ -301,8 +299,7 @@ impl<'a> PeriodicSolver<'a> {
         // `effective_threads_for_work`).
         let n = self.ckt.n_unknowns();
         let work = self.sol.records.len() * n * n * p_total;
-        let threads =
-            effective_threads_for_work(self.opts.threads, p_total, work, MIN_WORK_PER_THREAD);
+        let threads = effective_threads_for_work(self.opts.threads, p_total, work);
         let chunk = p_total.div_ceil(threads).max(1);
         let mut out: Vec<PeriodicResponse> = (0..p_total)
             .map(|_| PeriodicResponse {

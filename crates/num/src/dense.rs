@@ -7,6 +7,7 @@
 
 use crate::complex::Scalar;
 use crate::error::NumError;
+use crate::lanes::as_lane_blocks_mut;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -237,8 +238,6 @@ pub struct Lu<T> {
     lu: DMat<T>,
     /// Row permutation: `perm[i]` is the original row in position `i`.
     perm: Vec<usize>,
-    /// Parity of the permutation (+1/-1), used by `det`.
-    sign: f64,
 }
 
 impl<T: Scalar> Lu<T> {
@@ -252,7 +251,6 @@ impl<T: Scalar> Lu<T> {
         let mut lu = Lu {
             lu: a,
             perm: Vec::new(),
-            sign: 1.0,
         };
         lu.factor_in_place()?;
         Ok(lu)
@@ -286,7 +284,6 @@ impl<T: Scalar> Lu<T> {
         self.perm.clear();
         self.perm.extend(0..n);
         let perm = &mut self.perm;
-        let mut sign = 1.0;
         for k in 0..n {
             // Pivot: largest magnitude in column k at or below the diagonal.
             // A NaN would lose every `>` comparison and hide behind a finite
@@ -312,7 +309,6 @@ impl<T: Scalar> Lu<T> {
             }
             if p != k {
                 perm.swap(k, p);
-                sign = -sign;
                 for j in 0..n {
                     let tmp = a[(k, j)];
                     a[(k, j)] = a[(p, j)];
@@ -337,7 +333,6 @@ impl<T: Scalar> Lu<T> {
                 }
             }
         }
-        self.sign = sign;
         Ok(())
     }
 
@@ -347,199 +342,54 @@ impl<T: Scalar> Lu<T> {
         self.lu.rows
     }
 
+    /// Row permutation of the factorization: `perm()[i]` is the original
+    /// row in pivot position `i`.
+    #[inline]
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// The combined factors in row-major storage: the unit-lower `L`
+    /// strictly below the diagonal (its unit diagonal implicit), `U` on and
+    /// above it.
+    #[inline]
+    pub fn factors(&self) -> &DMat<T> {
+        &self.lu
+    }
+
     /// Solves `A·x = b`.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != self.n()`.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
-        self.solve_permuted_in_place(&mut x);
-        x
+        let mut out = vec![T::zero(); self.n()];
+        self.solve_into(b, &mut out, &mut vec![T::zero(); self.n()]);
+        out
     }
 
-    /// Solves `A·x = b`, overwriting `x` (which must already hold `b`).
-    pub fn solve_in_place(&self, x: &mut [T]) {
-        let b: Vec<T> = self.perm.iter().map(|&p| x[p]).collect();
-        x.copy_from_slice(&b);
-        self.solve_permuted_in_place(x);
-    }
-
-    /// Solves `A·x = b` into `out` with zero heap allocation — the
-    /// per-timestep hot path.
+    /// Solves `A·x = b` into `out`, using `scratch` as workspace, with zero
+    /// heap allocation — the per-timestep hot path. This is the width-1
+    /// lane solve [`Lu::solve_arr`]`::<1>`, so its bits are exactly those of
+    /// every lane of a multi-RHS solve.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != self.n()` or `out.len() != self.n()`.
-    pub fn solve_into(&self, b: &[T], out: &mut [T]) {
-        let n = self.n();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        assert_eq!(out.len(), n, "out length mismatch");
-        for (o, &p) in out.iter_mut().zip(self.perm.iter()) {
-            *o = b[p];
-        }
-        self.solve_permuted_in_place(out);
-    }
-
-    /// Solves `A·X = B` for a column-major block of `n_rhs` right-hand sides
-    /// in place (`block[r + n·k]` is row `r` of RHS `k`); `scratch` must
-    /// have length `self.n()`.
-    ///
-    /// The triangular sweeps run with the factor row as the outer loop so
-    /// each row of `L`/`U` is read once per block instead of once per RHS —
-    /// for sensitivity batches this turns a memory-bound loop into an
-    /// arithmetic one. Per-column results are bit-for-bit identical to
-    /// [`Lu::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len() != self.n() * n_rhs` or
-    /// `scratch.len() != self.n()`.
-    pub fn solve_multi(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n();
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n, "scratch length mismatch");
-        // Apply the row permutation column by column.
-        for k in 0..n_rhs {
-            let col = &mut block[k * n..(k + 1) * n];
-            scratch.copy_from_slice(col);
-            for (o, &p) in col.iter_mut().zip(self.perm.iter()) {
-                *o = scratch[p];
-            }
-        }
-        // Forward substitution with unit lower factor, row-outer so the
-        // factor row is loaded once per block.
-        for i in 1..n {
-            let row = self.lu.row(i);
-            for k in 0..n_rhs {
-                let col = &mut block[k * n..(k + 1) * n];
-                let mut acc = col[i];
-                for j in 0..i {
-                    acc -= row[j] * col[j];
-                }
-                col[i] = acc;
-            }
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            for k in 0..n_rhs {
-                let col = &mut block[k * n..(k + 1) * n];
-                let mut acc = col[i];
-                for j in (i + 1)..n {
-                    acc -= row[j] * col[j];
-                }
-                col[i] = acc / row[i];
-            }
-        }
-    }
-
-    fn solve_permuted_in_place(&self, x: &mut [T]) {
-        let n = self.n();
-        assert_eq!(x.len(), n, "rhs length mismatch");
-        // Forward substitution with unit lower factor.
-        for i in 1..n {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= row[j] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= row[j] * x[j];
-            }
-            x[i] = acc / row[i];
-        }
-    }
-
-    /// Solves `A·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place: `block[i·n_rhs + k]` is row `i` of RHS `k`, so the
-    /// values of all RHS for one unknown are contiguous. `scratch` must be
-    /// another `n·n_rhs` buffer.
-    ///
-    /// Every triangular update becomes a contiguous `n_rhs`-wide axpy, which
-    /// vectorizes far better than the column-major [`Lu::solve_multi`] when
-    /// the system is small and the batch is wide (the transient-sensitivity
-    /// shape: tens of unknowns, tens of parameters). Per-RHS results are
-    /// bit-for-bit identical to [`Lu::solve`]. Prefer
-    /// [`Lu::solve_multi_lanes`] when the width is fixed across calls: its
-    /// compile-time lane kernels solve the same block faster with the same
-    /// bits.
-    ///
-    /// Scratch contract: `scratch` is a full shadow of the block — exactly
-    /// `self.n() * n_rhs` elements — used to stage the row permutation. A
-    /// shorter slice would permute from stale or out-of-range rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi_interleaved(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n();
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        debug_assert!(
-            scratch.len() >= block.len(),
-            "interleaved scratch must cover the whole block"
-        );
-        if n_rhs == 0 {
-            return;
-        }
-        // Row permutation.
-        scratch.copy_from_slice(block);
-        for (i, &p) in self.perm.iter().enumerate() {
-            block[i * n_rhs..(i + 1) * n_rhs].copy_from_slice(&scratch[p * n_rhs..(p + 1) * n_rhs]);
-        }
-        // Forward substitution with unit lower factor: row i accumulates
-        // -L[i][j]·x_j for j < i, each a contiguous axpy.
-        for i in 1..n {
-            let row = self.lu.row(i);
-            let (lo, hi) = block.split_at_mut(i * n_rhs);
-            let xi = &mut hi[..n_rhs];
-            for (j, &lij) in row.iter().enumerate().take(i) {
-                if lij == T::zero() {
-                    continue;
-                }
-                let xj = &lo[j * n_rhs..(j + 1) * n_rhs];
-                for (a, b) in xi.iter_mut().zip(xj.iter()) {
-                    *a -= lij * *b;
-                }
-            }
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let (lo, hi) = block.split_at_mut((i + 1) * n_rhs);
-            let xi = &mut lo[i * n_rhs..];
-            for (j, &uij) in row.iter().enumerate().skip(i + 1) {
-                if uij == T::zero() {
-                    continue;
-                }
-                let xj = &hi[(j - i - 1) * n_rhs..(j - i) * n_rhs];
-                for (a, b) in xi.iter_mut().zip(xj.iter()) {
-                    *a -= uij * *b;
-                }
-            }
-            let diag = row[i];
-            for a in xi.iter_mut() {
-                *a = *a / diag;
-            }
-        }
+    /// Panics if any slice length differs from `self.n()`.
+    pub fn solve_into(&self, b: &[T], out: &mut [T], scratch: &mut [T]) {
+        out.copy_from_slice(b);
+        self.solve_arr::<1>(as_lane_blocks_mut(out), as_lane_blocks_mut(scratch));
     }
 
     /// Solves `A·X = B` for an `N`-lane RHS block in place: `block[i]` holds
     /// row `i` of all `N` right-hand sides. `scratch` must also hold
     /// `self.n()` lane blocks.
     ///
-    /// This is the compile-time-width variant of
-    /// [`Lu::solve_multi_interleaved`]: every inner axpy is a fixed-`N` loop
-    /// the compiler unrolls into straight-line SIMD. Per-RHS results are
-    /// bit-for-bit identical to [`Lu::solve_into`].
+    /// This is the one triangular-solve kernel of the dense factorization:
+    /// [`Lu::solve_into`] is its width-1 case and [`Lu::solve_multi_lanes`]
+    /// dispatches wider blocks onto it. Every inner axpy is a fixed-`N` loop
+    /// the compiler unrolls into straight-line SIMD, and each lane sees the
+    /// same operation sequence whatever `N` is.
     ///
     /// # Panics
     ///
@@ -552,19 +402,17 @@ impl<T: Scalar> Lu<T> {
         // permutation with a full-block copy: the forward sweep gathers input
         // row `perm[i]` straight from `block` and writes `y` into `scratch`;
         // the back sweep reads `y` from `scratch` and writes solutions into
-        // `block` (every input row has been consumed by then). Per-RHS
-        // operation order matches `solve_permuted_in_place` exactly
-        // (ascending j, zero-skip is a bitwise no-op for finite values), and
-        // the accumulator row lives in a local `[T; N]` so all `N` lanes stay
-        // in registers across the whole dot-product sweep.
+        // `block` (every input row has been consumed by then). Factor
+        // entries that are exactly zero are skipped, and the accumulator row
+        // lives in a local `[T; N]` so all `N` lanes stay in registers across
+        // the whole dot-product sweep.
         for i in 0..n {
             let row = self.lu.row(i);
             let mut acc = block[self.perm[i]];
-            for (j, &lij) in row.iter().enumerate().take(i) {
+            for (&lij, yj) in row[..i].iter().zip(&scratch[..i]) {
                 if lij == T::zero() {
                     continue;
                 }
-                let yj = &scratch[j];
                 for (a, b) in acc.iter_mut().zip(yj.iter()) {
                     *a -= lij * *b;
                 }
@@ -576,11 +424,10 @@ impl<T: Scalar> Lu<T> {
         for i in (0..n).rev() {
             let row = self.lu.row(i);
             let mut acc = scratch[i];
-            for (j, &uij) in row.iter().enumerate().skip(i + 1) {
+            for (&uij, xj) in row[i + 1..].iter().zip(&block[i + 1..]) {
                 if uij == T::zero() {
                     continue;
                 }
-                let xj = &block[j];
                 for (a, b) in acc.iter_mut().zip(xj.iter()) {
                     *a -= uij * *b;
                 }
@@ -593,77 +440,15 @@ impl<T: Scalar> Lu<T> {
         }
     }
 
-    /// Solves an RHS-interleaved block through the compile-time lane kernels
-    /// ([`Lu::solve_arr`]), decomposing `n_rhs` into supported lane widths.
+    /// Solves an RHS-interleaved block (`block[i·n_rhs + k]` is row `i` of
+    /// RHS `k`) through the lane kernel [`Lu::solve_arr`], decomposing
+    /// `n_rhs` into supported lane widths.
     ///
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
-    /// Per-RHS results are bit-for-bit identical to
-    /// [`Lu::solve_multi_interleaved`] and [`Lu::solve_into`].
+    /// Per-RHS results are bit-for-bit identical to [`Lu::solve_into`].
     pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
         crate::lanes::solve_lanes_dispatch(self, self.n(), block, n_rhs, scratch);
-    }
-
-    /// Solves `Aᵀ·x = b` (useful for adjoint sensitivity analysis).
-    pub fn solve_transposed(&self, b: &[T]) -> Vec<T> {
-        let n = self.n();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut x = b.to_vec();
-        // Uᵀ is lower triangular: forward substitution.
-        for i in 0..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * x[j];
-            }
-            x[i] = acc / self.lu[(i, i)];
-        }
-        // Lᵀ is unit upper triangular: back substitution.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(j, i)] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Undo the permutation: Aᵀ = Uᵀ Lᵀ P, so x_orig[perm[i]] = x[i].
-        let mut out = vec![T::zero(); n];
-        for (i, &p) in self.perm.iter().enumerate() {
-            out[p] = x[i];
-        }
-        out
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> T {
-        let mut d = T::from_f64(self.sign);
-        for i in 0..self.n() {
-            d = d * self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Solves for each column of `B`, returning `A⁻¹·B` (blocked multi-RHS
-    /// sweep under the hood).
-    pub fn solve_mat(&self, b: &DMat<T>) -> DMat<T> {
-        let n = self.n();
-        assert_eq!(b.rows(), n);
-        let n_rhs = b.cols();
-        // Column-major staging block for the batched solve.
-        let mut block = vec![T::zero(); n * n_rhs];
-        for j in 0..n_rhs {
-            for i in 0..n {
-                block[j * n + i] = b[(i, j)];
-            }
-        }
-        let mut scratch = vec![T::zero(); n];
-        self.solve_multi(&mut block, n_rhs, &mut scratch);
-        let mut out = DMat::zeros(n, n_rhs);
-        for j in 0..n_rhs {
-            for i in 0..n {
-                out[(i, j)] = block[j * n + i];
-            }
-        }
-        out
     }
 }
 
@@ -808,26 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn transposed_solve_matches_direct() {
-        let a = DMat::from_vec(3, 3, vec![4.0, 1.0, 0.0, 2.0, 5.0, 1.0, 0.5, 1.0, 3.0]);
-        let at = a.transpose();
-        let b = [1.0, 2.0, 3.0];
-        let lu = a.lu().unwrap();
-        let x1 = lu.solve_transposed(&b);
-        let x2 = at.solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn det_of_permutation_has_sign() {
-        let a = DMat::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let lu = a.lu().unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-14);
-    }
-
-    #[test]
     fn mat_mul_matches_mat_vec() {
         let a = DMat::from_fn(3, 3, |i, j| (i * 3 + j) as f64 + 1.0);
         let b = DMat::identity(3);
@@ -841,69 +606,41 @@ mod tests {
         let b = [4.0, 5.0, 6.0];
         let reference = lu.solve(&b);
         let mut out = [0.0; 3];
-        lu.solve_into(&b, &mut out);
+        lu.solve_into(&b, &mut out, &mut [0.0; 3]);
         for i in 0..3 {
             assert!(out[i].to_bits() == reference[i].to_bits());
         }
     }
 
+    /// A multi-RHS block solve returns, per right-hand side, the bits of
+    /// solving that column alone — for an exact lane width and for a width
+    /// the dispatcher splits into lane groups.
     #[test]
     fn solve_multi_matches_column_solves() {
-        let n = 9;
-        let mut seed = 3u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let a = DMat::from_fn(n, n, |i, j| rnd() + if i == j { 5.0 } else { 0.0 });
-        let lu = a.lu().unwrap();
-        let n_rhs = 4;
-        let mut block: Vec<f64> = (0..n * n_rhs).map(|_| rnd()).collect();
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| lu.solve(&block[k * n..(k + 1) * n]))
-            .collect();
-        let mut scratch = vec![0.0; n];
-        lu.solve_multi(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for i in 0..n {
-                assert!(
-                    block[k * n + i].to_bits() == reference[k][i].to_bits(),
-                    "rhs {k} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_multi_interleaved_matches_solve() {
-        let n = 11;
-        let mut seed = 9u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let a = DMat::from_fn(n, n, |i, j| rnd() + if i == j { 5.0 } else { 0.0 });
-        let lu = a.lu().unwrap();
-        let n_rhs = 7;
-        let mut block: Vec<f64> = (0..n * n_rhs).map(|_| rnd()).collect();
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| {
-                let b: Vec<f64> = (0..n).map(|r| block[r * n_rhs + k]).collect();
-                lu.solve(&b)
-            })
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi_interleaved(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for r in 0..n {
-                assert!(
-                    block[r * n_rhs + k].to_bits() == reference[k][r].to_bits(),
-                    "rhs {k} row {r}"
-                );
+        for (mut seed, n, n_rhs) in [(3u64, 9, 4), (9, 11, 7)] {
+            let mut rnd = || {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+            };
+            let a = DMat::from_fn(n, n, |i, j| rnd() + if i == j { 5.0 } else { 0.0 });
+            let lu = a.lu().unwrap();
+            // RHS-interleaved layout: block[r * n_rhs + k].
+            let mut block: Vec<f64> = (0..n * n_rhs).map(|_| rnd()).collect();
+            let columns: Vec<Vec<f64>> = (0..n_rhs)
+                .map(|k| (0..n).map(|r| block[r * n_rhs + k]).collect())
+                .collect();
+            let mut scratch = vec![0.0; crate::lanes::lanes_scratch_len(n, n_rhs)];
+            lu.solve_multi_lanes(&mut block, n_rhs, &mut scratch);
+            for (k, col) in columns.iter().enumerate() {
+                let reference = lu.solve(col);
+                for r in 0..n {
+                    assert!(
+                        block[r * n_rhs + k].to_bits() == reference[r].to_bits(),
+                        "n_rhs {n_rhs} rhs {k} row {r}"
+                    );
+                }
             }
         }
     }
@@ -920,20 +657,6 @@ mod tests {
         let x2 = fresh.solve(&rhs);
         for i in 0..3 {
             assert!(x1[i].to_bits() == x2[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn solve_mat_inverts() {
-        let a = DMat::from_vec(2, 2, vec![3.0, 1.0, 1.0, 2.0]);
-        let lu = a.lu().unwrap();
-        let inv = lu.solve_mat(&DMat::identity(2));
-        let prod = a.mat_mul(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-12);
-            }
         }
     }
 }

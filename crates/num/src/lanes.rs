@@ -1,22 +1,18 @@
-//! Compile-time lane blocks for the multi-RHS triangular-solve hot path.
+//! Compile-time lane blocks: the one triangular-solve shape of the
+//! workspace.
 //!
-//! The runtime-width interleaved kernels
-//! ([`crate::dense::Lu::solve_multi_interleaved`],
-//! [`crate::sparse::SparseLu::solve_multi_interleaved`]) turn every factor
-//! entry into an `n_rhs`-wide axpy whose trip count is only known at run
-//! time, so the compiler emits a vector loop with prologue/remainder
-//! handling around every single factor entry. The lane kernels in this
-//! module fix the width at *compile time* instead: a block of `N` right-hand
-//! sides is a `[[T; N]]` slice, the inner axpy is a fixed-`N` loop the
-//! compiler fully unrolls into straight-line SIMD, and
+//! Each factorization ([`crate::dense::Lu`], [`crate::sparse::SparseLu`])
+//! has exactly one triangular-solve kernel, `solve_arr::<N>`: a block of
+//! `N` right-hand sides is a `[[T; N]]` slice, and every factor entry
+//! becomes a fixed-`N` axpy the compiler fully unrolls into straight-line
+//! SIMD. The single solve `solve_into` is the width-1 case, and
 //! [`solve_lanes_dispatch`] decomposes an arbitrary `n_rhs` into lane groups
-//! of the supported widths ([`LANE_WIDTHS`]) plus a scalar remainder.
+//! of the supported widths ([`LANE_WIDTHS`]).
 //!
-//! Per-RHS arithmetic is identical to the runtime-width kernels (same
-//! operations, same order, independent of which lanes share a group), so
-//! lane-dispatched solves are **bit-for-bit identical per RHS** to
-//! [`crate::dense::Lu::solve_into`] / [`crate::sparse::SparseLu::solve_into`]
-//! — the property every `max_abs_diff == 0` bench gate relies on.
+//! A lane's operation sequence does not depend on `N` or on which lanes
+//! share its group, so multi-RHS solves are **bit-for-bit identical per
+//! RHS** to `solve_into` — signed zeros included — the property every
+//! `max_abs_diff == 0` bench gate relies on.
 
 use crate::complex::Scalar;
 
@@ -65,9 +61,9 @@ pub trait LaneSolver<T: Scalar> {
 /// interleaved block.
 ///
 /// When `n_rhs` is itself a supported lane width the block is solved in
-/// place and one `n·n_rhs` workspace suffices (the same contract as
-/// `solve_multi_interleaved`); otherwise the dispatcher additionally stages
-/// each lane group contiguously, which needs a second `n·n_rhs` region.
+/// place and one `n·n_rhs` workspace suffices; otherwise the dispatcher
+/// additionally stages each lane group contiguously, which needs a second
+/// `n·n_rhs` region.
 #[inline]
 pub fn lanes_scratch_len(n: usize, n_rhs: usize) -> usize {
     if LANE_WIDTHS.contains(&n_rhs) {
@@ -82,8 +78,8 @@ pub fn lanes_scratch_len(n: usize, n_rhs: usize) -> usize {
 /// solver's [`LaneSolver::solve_lane`] kernels, widest group first.
 ///
 /// Per-RHS results are bit-for-bit identical to solving each RHS alone: a
-/// lane group is solved with exactly the per-RHS operation sequence of
-/// `solve_into`, and the gather/scatter staging only moves values.
+/// lane group runs the same kernel as the width-1 `solve_into`, and the
+/// gather/scatter staging only moves values.
 ///
 /// # Panics
 ///
@@ -192,6 +188,75 @@ mod tests {
     fn lane_blocks_reject_ragged() {
         let mut v = vec![0.0f64; 10];
         let _ = as_lane_blocks_mut::<f64, 4>(&mut v);
+    }
+
+    /// Bits of `solve`, `solve_into` and every lane of `solve_multi_lanes`
+    /// (widths 1 and 3) for one right-hand side.
+    fn all_solve_bits(
+        n: usize,
+        b: &[f64],
+        solve: &dyn Fn(&[f64]) -> Vec<f64>,
+        solve_into: &dyn Fn(&[f64], &mut [f64], &mut [f64]),
+        lanes: &dyn Fn(&mut [f64], usize, &mut [f64]),
+    ) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = vec![bits(&solve(b))];
+        let mut x = vec![0.0; n];
+        solve_into(b, &mut x, &mut vec![0.0; n]);
+        out.push(bits(&x));
+        for width in [1usize, 3] {
+            let mut block: Vec<f64> = b.iter().flat_map(|&v| vec![v; width]).collect();
+            lanes(
+                &mut block,
+                width,
+                &mut vec![0.0; lanes_scratch_len(n, width)],
+            );
+            for k in 0..width {
+                let lane: Vec<f64> = (0..n).map(|i| block[i * width + k]).collect();
+                out.push(bits(&lane));
+            }
+        }
+        out
+    }
+
+    /// Zero skips and signed zeros: every solve path of a factorization
+    /// returns the same bits, because they all run the one lane kernel.
+    #[test]
+    fn single_and_lane_solves_agree_on_signed_zeros() {
+        use crate::dense::DMat;
+        use crate::sparse::Triplets;
+
+        // Sparse [[2,0],[-1,1]] with b = [0, -0].
+        let mut t = Triplets::new(2, 2);
+        t.push(0, 0, 2.0);
+        t.push(1, 0, -1.0);
+        t.push(1, 1, 1.0);
+        let sparse = t.to_csc().lu().unwrap();
+        let got = all_solve_bits(
+            2,
+            &[0.0, -0.0],
+            &|b| sparse.solve(b),
+            &|b, o, s| sparse.solve_into(b, o, s),
+            &|blk, w, s| sparse.solve_multi_lanes(blk, w, s),
+        );
+        for (path, bits) in got.iter().enumerate() {
+            assert_eq!(bits, &got[0], "sparse solve path {path}");
+        }
+
+        // Dense I₂ with b = [-1, -0].
+        let dense = DMat::<f64>::identity(2).lu().unwrap();
+        let got = all_solve_bits(
+            2,
+            &[-1.0, -0.0],
+            &|b| dense.solve(b),
+            &|b, o, s| dense.solve_into(b, o, s),
+            &|blk, w, s| dense.solve_multi_lanes(blk, w, s),
+        );
+        for (path, bits) in got.iter().enumerate() {
+            assert_eq!(bits, &got[0], "dense solve path {path}");
+        }
+        // The identity reproduces its right-hand side exactly, -0 included.
+        assert_eq!(got[0], vec![(-1.0f64).to_bits(), (-0.0f64).to_bits()]);
     }
 
     #[test]

@@ -21,14 +21,17 @@
 //! numerically unacceptable on new values is reported as
 //! [`NumError::Singular`] so callers can fall back to a fresh pivot search.
 //!
-//! Solves come in allocating ([`SparseLu::solve`]), zero-allocation
-//! ([`SparseLu::solve_into`]) and blocked multi-RHS
-//! ([`SparseLu::solve_multi`]) flavors; the blocked path walks each factor
-//! column once per *block* instead of once per right-hand side, which is
-//! where the transient-sensitivity and LPTV layers get their throughput.
+//! Every solve runs one triangular-solve kernel, the `N`-lane
+//! [`SparseLu::solve_arr`]: the allocating [`SparseLu::solve`] and the
+//! zero-allocation [`SparseLu::solve_into`] are its width-1 case, and
+//! [`SparseLu::solve_multi_lanes`] dispatches RHS-interleaved blocks onto
+//! it, walking each factor column once per *block* instead of once per
+//! right-hand side — where the transient-sensitivity and LPTV layers get
+//! their throughput.
 
 use crate::complex::Scalar;
 use crate::error::NumError;
+use crate::lanes::as_lane_blocks_mut;
 
 /// Relative pivot-acceptability threshold for fixed-order refactorization:
 /// a replayed pivot smaller than this fraction of its column's magnitude is
@@ -862,6 +865,36 @@ impl<T: Scalar> SparseLu<T> {
         Ok(())
     }
 
+    /// The recorded pivot order: `perm()[j]` is the original row eliminated
+    /// at step `j`.
+    #[inline]
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// The column elimination order: `col_order()[j]` is the original
+    /// column eliminated at step `j`; empty for natural order.
+    #[inline]
+    pub fn col_order(&self) -> &[usize] {
+        &self.col_order
+    }
+
+    /// Step `j`'s column of the unit-lower factor `L` (diagonal implicit):
+    /// original row indices and multipliers, sorted by row.
+    #[inline]
+    pub fn l_col(&self, j: usize) -> (&[usize], &[T]) {
+        let (lo, hi) = (self.l_ptr[j], self.l_ptr[j + 1]);
+        (&self.l_idx[lo..hi], &self.l_val[lo..hi])
+    }
+
+    /// Pivot row `j` of the upper factor `U` in pivot-step coordinates:
+    /// step indices and values sorted ascending, diagonal at step `j`.
+    #[inline]
+    pub fn u_row(&self, j: usize) -> (&[usize], &[T]) {
+        let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
+        (&self.u_idx[lo..hi], &self.u_val[lo..hi])
+    }
+
     /// Solves `A·x = b`.
     ///
     /// # Panics
@@ -869,248 +902,31 @@ impl<T: Scalar> SparseLu<T> {
     /// Panics if `b.len() != self.n()`.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
         let mut out = vec![T::zero(); self.n];
-        let mut scratch = vec![T::zero(); self.n];
-        self.solve_into(b, &mut out, &mut scratch);
+        self.solve_into(b, &mut out, &mut vec![T::zero(); self.n]);
         out
     }
 
     /// Solves `A·x = b` into `out`, using `scratch` as workspace — the
-    /// zero-allocation hot path for per-timestep solves.
+    /// zero-allocation hot path for per-timestep solves. This is the
+    /// width-1 lane solve [`SparseLu::solve_arr`]`::<1>`, so its bits are
+    /// exactly those of every lane of a multi-RHS solve.
     ///
     /// # Panics
     ///
     /// Panics if any slice length differs from `self.n()`.
     pub fn solve_into(&self, b: &[T], out: &mut [T], scratch: &mut [T]) {
-        let n = self.n;
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        assert_eq!(out.len(), n, "out length mismatch");
-        assert_eq!(scratch.len(), n, "scratch length mismatch");
-        // Forward: scratch holds the working RHS indexed by original row,
-        // out accumulates y indexed by pivot step.
-        scratch.copy_from_slice(b);
-        for j in 0..n {
-            let pr = self.perm[j];
-            let yj = scratch[pr];
-            out[j] = yj;
-            if yj == T::zero() {
-                continue;
-            }
-            for (idx, lv) in self.l_entries(j) {
-                scratch[idx] -= lv * yj;
-            }
-        }
-        // Back substitution on U: U is upper triangular in pivot-step
-        // coordinates; row j's entries are sorted by step, diagonal at
-        // step == j.
-        for j in (0..n).rev() {
-            let mut acc = out[j];
-            let mut diag = T::zero();
-            for (c, v) in self.u_entries(j) {
-                if c == j {
-                    diag = v;
-                } else {
-                    acc -= v * out[c];
-                }
-            }
-            out[j] = acc / diag;
-        }
-        // Under a fill-reducing column order, step j solved the unknown of
-        // original column col_order[j]: scatter back to original coordinates.
-        if !self.col_order.is_empty() {
-            scratch.copy_from_slice(out);
-            for (step, &c) in self.col_order.iter().enumerate() {
-                out[c] = scratch[step];
-            }
-        }
-    }
-
-    /// Iterates step `j`'s L column as (original row, multiplier) pairs.
-    #[inline]
-    fn l_entries(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_ {
-        let (lo, hi) = (self.l_ptr[j], self.l_ptr[j + 1]);
-        self.l_idx[lo..hi]
-            .iter()
-            .zip(self.l_val[lo..hi].iter())
-            .map(|(&r, &v)| (r, v))
-    }
-
-    /// Iterates pivot row `j` of U as (step, value) pairs sorted by step.
-    #[inline]
-    fn u_entries(&self, j: usize) -> impl Iterator<Item = (usize, T)> + '_ {
-        let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
-        self.u_idx[lo..hi]
-            .iter()
-            .zip(self.u_val[lo..hi].iter())
-            .map(|(&c, &v)| (c, v))
-    }
-
-    /// Solves `A·X = B` for a column-major block of `n_rhs` right-hand sides
-    /// in place. `block` holds the RHS columns contiguously
-    /// (`block[r + n·k]` is row `r` of RHS `k`) and is overwritten with the
-    /// solutions; `scratch` must be another `n·n_rhs` buffer.
-    ///
-    /// Each L/U column is traversed once per *block* rather than once per
-    /// RHS, so for many right-hand sides (sensitivity batches, monodromy
-    /// columns) this is substantially faster than repeated
-    /// [`SparseLu::solve_into`] calls — and just as importantly it performs
-    /// zero heap allocation.
-    ///
-    /// The per-column arithmetic is identical to [`SparseLu::solve`], so the
-    /// blocked path returns bit-for-bit the same solutions as solving each
-    /// column separately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n;
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        if n_rhs == 0 {
-            return;
-        }
-        // Forward sweep, factor-column outer loop: scratch is the working RHS
-        // (original-row indexed), block accumulates y (pivot-step indexed).
-        scratch.copy_from_slice(block);
-        for j in 0..n {
-            let pr = self.perm[j];
-            let (llo, lhi) = (self.l_ptr[j], self.l_ptr[j + 1]);
-            let lidx = &self.l_idx[llo..lhi];
-            let lval = &self.l_val[llo..lhi];
-            for k in 0..n_rhs {
-                let off = k * n;
-                let yj = scratch[off + pr];
-                block[off + j] = yj;
-                if yj == T::zero() {
-                    continue;
-                }
-                for (&orig_row, &lv) in lidx.iter().zip(lval.iter()) {
-                    scratch[off + orig_row] -= lv * yj;
-                }
-            }
-        }
-        // Back substitution, factor-row outer loop.
-        for j in (0..n).rev() {
-            let (ulo, uhi) = (self.u_ptr[j], self.u_ptr[j + 1]);
-            let uidx = &self.u_idx[ulo..uhi];
-            let uval = &self.u_val[ulo..uhi];
-            for k in 0..n_rhs {
-                let x = &mut block[k * n..(k + 1) * n];
-                let mut acc = x[j];
-                let mut diag = T::zero();
-                for (&c, &v) in uidx.iter().zip(uval.iter()) {
-                    if c == j {
-                        diag = v;
-                    } else {
-                        acc -= v * x[c];
-                    }
-                }
-                x[j] = acc / diag;
-            }
-        }
-        // Scatter each column from pivot-step to original-column coordinates.
-        if !self.col_order.is_empty() {
-            scratch.copy_from_slice(block);
-            for k in 0..n_rhs {
-                let off = k * n;
-                for (step, &c) in self.col_order.iter().enumerate() {
-                    block[off + c] = scratch[off + step];
-                }
-            }
-        }
-    }
-}
-
-impl<T: Scalar> SparseLu<T> {
-    /// Solves `A·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place (`block[r·n_rhs + k]` is row `r` of RHS `k`);
-    /// `scratch` must be another `n·n_rhs` buffer.
-    ///
-    /// Like [`crate::dense::Lu::solve_multi_interleaved`], every factor
-    /// entry turns into a contiguous `n_rhs`-wide axpy. Per-RHS results are
-    /// bit-for-bit identical to [`SparseLu::solve`]. Prefer
-    /// [`SparseLu::solve_multi_lanes`] when the width is fixed across calls:
-    /// its compile-time lane kernels solve the same block faster with the
-    /// same bits.
-    ///
-    /// Scratch contract: `scratch` is a full shadow of the block — exactly
-    /// `self.n() * n_rhs` elements — holding the working RHS rows during the
-    /// forward sweep. A shorter slice would read stale or out-of-range rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi_interleaved(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n;
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        debug_assert!(
-            scratch.len() >= block.len(),
-            "interleaved scratch must cover the whole block"
-        );
-        if n_rhs == 0 {
-            return;
-        }
-        // Forward: scratch is the working RHS (original-row indexed), block
-        // accumulates y (pivot-step indexed).
-        scratch.copy_from_slice(block);
-        for j in 0..n {
-            let pr = self.perm[j];
-            {
-                let (b, s) = (
-                    &mut block[j * n_rhs..(j + 1) * n_rhs],
-                    &scratch[pr * n_rhs..(pr + 1) * n_rhs],
-                );
-                b.copy_from_slice(s);
-            }
-            let yrow = &block[j * n_rhs..(j + 1) * n_rhs];
-            for (orig_row, lv) in self.l_entries(j) {
-                let wrow = &mut scratch[orig_row * n_rhs..(orig_row + 1) * n_rhs];
-                for (w, y) in wrow.iter_mut().zip(yrow.iter()) {
-                    *w -= lv * *y;
-                }
-            }
-        }
-        // Back substitution on U (pivot-step coordinates).
-        for j in (0..n).rev() {
-            let mut diag = T::zero();
-            for (c, v) in self.u_entries(j) {
-                if c == j {
-                    diag = v;
-                    continue;
-                }
-                let (lo, hi) = block.split_at_mut(c * n_rhs);
-                let xc = &hi[..n_rhs];
-                let xj = &mut lo[j * n_rhs..(j + 1) * n_rhs];
-                for (a, b) in xj.iter_mut().zip(xc.iter()) {
-                    *a -= v * *b;
-                }
-            }
-            let xj = &mut block[j * n_rhs..(j + 1) * n_rhs];
-            for a in xj.iter_mut() {
-                *a = *a / diag;
-            }
-        }
-        // Scatter rows from pivot-step to original-column coordinates.
-        if !self.col_order.is_empty() {
-            scratch.copy_from_slice(block);
-            for (step, &c) in self.col_order.iter().enumerate() {
-                block[c * n_rhs..(c + 1) * n_rhs]
-                    .copy_from_slice(&scratch[step * n_rhs..(step + 1) * n_rhs]);
-            }
-        }
+        out.copy_from_slice(b);
+        self.solve_arr::<1>(as_lane_blocks_mut(out), as_lane_blocks_mut(scratch));
     }
 
     /// Solves `A·X = B` for an `N`-lane RHS block in place: `block[i]` holds
     /// row `i` of all `N` right-hand sides. `scratch` must also hold
     /// `self.n()` lane blocks.
     ///
-    /// The compile-time-width variant of
-    /// [`SparseLu::solve_multi_interleaved`]: every factor entry becomes a
-    /// fixed-`N` axpy the compiler unrolls into straight-line SIMD. Per-RHS
-    /// results are bit-for-bit identical to [`SparseLu::solve_into`].
+    /// This is the one triangular-solve kernel of the sparse factorization:
+    /// every factor entry becomes a fixed-`N` axpy the compiler unrolls into
+    /// straight-line SIMD, and each lane sees the same operation sequence
+    /// whatever `N` is.
     ///
     /// # Panics
     ///
@@ -1126,7 +942,8 @@ impl<T: Scalar> SparseLu<T> {
         for j in 0..n {
             let yrow = block[self.perm[j]];
             scratch[j] = yrow;
-            for (orig_row, lv) in self.l_entries(j) {
+            let (rows, vals) = self.l_col(j);
+            for (&orig_row, &lv) in rows.iter().zip(vals) {
                 let wrow = &mut block[orig_row];
                 for (w, y) in wrow.iter_mut().zip(yrow.iter()) {
                     *w -= lv * *y;
@@ -1143,7 +960,8 @@ impl<T: Scalar> SparseLu<T> {
         for j in (0..n).rev() {
             let mut diag = T::zero();
             let mut acc = scratch[j];
-            for (c, v) in self.u_entries(j) {
+            let (steps, vals) = self.u_row(j);
+            for (&c, &v) in steps.iter().zip(vals) {
                 if c == j {
                     diag = v;
                     continue;
@@ -1160,14 +978,13 @@ impl<T: Scalar> SparseLu<T> {
         }
     }
 
-    /// Solves an RHS-interleaved block through the compile-time lane kernels
-    /// ([`SparseLu::solve_arr`]), decomposing `n_rhs` into supported lane
-    /// widths.
+    /// Solves an RHS-interleaved block (`block[i·n_rhs + k]` is row `i` of
+    /// RHS `k`) through the lane kernel [`SparseLu::solve_arr`],
+    /// decomposing `n_rhs` into supported lane widths.
     ///
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
-    /// Per-RHS results are bit-for-bit identical to
-    /// [`SparseLu::solve_multi_interleaved`] and [`SparseLu::solve_into`].
+    /// Per-RHS results are bit-for-bit identical to [`SparseLu::solve_into`].
     pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
         crate::lanes::solve_lanes_dispatch(self, self.n, block, n_rhs, scratch);
     }
@@ -1431,58 +1248,35 @@ mod tests {
         assert!((x[1] - 3.0).abs() < 1e-14);
     }
 
+    /// A multi-RHS block solve returns, per right-hand side, the bits of
+    /// solving that column alone — for an exact lane width and for a width
+    /// the dispatcher splits into lane groups.
     #[test]
     fn solve_multi_matches_column_solves() {
-        let mut seed = 11u64;
-        let n = 24;
-        let (s, _) = dense_random(n, &mut seed, 0.25);
-        let lu = s.lu().unwrap();
-        let n_rhs = 7;
-        let mut block = vec![0.0; n * n_rhs];
-        for (i, v) in block.iter_mut().enumerate() {
-            *v = ((i * 13 % 29) as f64) * 0.3 - 2.0;
-        }
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| lu.solve(&block[k * n..(k + 1) * n]))
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for i in 0..n {
-                assert!(
-                    block[k * n + i].to_bits() == reference[k][i].to_bits(),
-                    "rhs {k} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_multi_interleaved_matches_solve() {
-        let mut seed = 19u64;
-        let n = 18;
-        let (s, _) = dense_random(n, &mut seed, 0.3);
-        let lu = s.lu().unwrap();
-        let n_rhs = 5;
-        // Interleaved layout: block[r * n_rhs + k].
-        let mut block = vec![0.0; n * n_rhs];
-        for (i, v) in block.iter_mut().enumerate() {
-            *v = ((i * 31 % 17) as f64) * 0.25 - 1.5;
-        }
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| {
-                let b: Vec<f64> = (0..n).map(|r| block[r * n_rhs + k]).collect();
-                lu.solve(&b)
-            })
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi_interleaved(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for r in 0..n {
-                assert!(
-                    block[r * n_rhs + k].to_bits() == reference[k][r].to_bits(),
-                    "rhs {k} row {r}"
-                );
+        for (mut seed, n, density, n_rhs) in [(11u64, 24, 0.25, 8), (19, 18, 0.3, 5)] {
+            let (s, _) = dense_random(n, &mut seed, density);
+            let lu = s.lu().unwrap();
+            let columns: Vec<Vec<f64>> = (0..n_rhs)
+                .map(|k| {
+                    (0..n)
+                        .map(|r| ((r * 13 + k * 31) % 29) as f64 * 0.3 - 2.0)
+                        .collect()
+                })
+                .collect();
+            // RHS-interleaved layout: block[r * n_rhs + k].
+            let mut block: Vec<f64> = (0..n * n_rhs)
+                .map(|i| columns[i % n_rhs][i / n_rhs])
+                .collect();
+            let mut scratch = vec![0.0; crate::lanes::lanes_scratch_len(n, n_rhs)];
+            lu.solve_multi_lanes(&mut block, n_rhs, &mut scratch);
+            for (k, col) in columns.iter().enumerate() {
+                let reference = lu.solve(col);
+                for r in 0..n {
+                    assert!(
+                        block[r * n_rhs + k].to_bits() == reference[r].to_bits(),
+                        "n_rhs {n_rhs} rhs {k} row {r}"
+                    );
+                }
             }
         }
     }
@@ -1510,17 +1304,17 @@ mod tests {
     fn reference_solve_preflatten(lu: &SparseLu<f64>, b: &[f64]) -> Vec<f64> {
         let n = lu.n();
         // Rebuild nested factor storage from the flat arrays.
-        let l_cols: Vec<Vec<(usize, f64)>> = (0..n).map(|j| lu.l_entries(j).collect()).collect();
-        let u_rows: Vec<Vec<(usize, f64)>> = (0..n).map(|j| lu.u_entries(j).collect()).collect();
+        let nested = |(idx, val): (&[usize], &[f64])| -> Vec<(usize, f64)> {
+            idx.iter().copied().zip(val.iter().copied()).collect()
+        };
+        let l_cols: Vec<Vec<(usize, f64)>> = (0..n).map(|j| nested(lu.l_col(j))).collect();
+        let u_rows: Vec<Vec<(usize, f64)>> = (0..n).map(|j| nested(lu.u_row(j))).collect();
         let mut scratch = b.to_vec();
         let mut out = vec![0.0; n];
         for j in 0..n {
             let pr = lu.perm[j];
             let yj = scratch[pr];
             out[j] = yj;
-            if yj == 0.0 {
-                continue;
-            }
             for &(orig_row, lv) in &l_cols[j] {
                 scratch[orig_row] -= lv * yj;
             }

@@ -20,7 +20,6 @@ use tranvar_engine::tran::{
 };
 use tranvar_engine::{
     chunk_ranges, effective_threads_for_work, map_scoped, Session, SessionOptions,
-    MIN_WORK_PER_THREAD,
 };
 use tranvar_num::dense::vecops;
 use tranvar_num::{DMat, NumError};
@@ -249,8 +248,7 @@ pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> D
     // small to amortize a thread spawn (work proxy: one dense triangular
     // sweep per record per column ≈ records·n² flops; see
     // `effective_threads_for_work`).
-    let threads =
-        effective_threads_for_work(threads, n, records.len() * n * n, MIN_WORK_PER_THREAD);
+    let threads = effective_threads_for_work(threads, n, records.len() * n * n);
     let chunk = n.div_ceil(threads).max(1);
     let propagate = |c0: usize, p: usize| -> Vec<f64> {
         // Interleaved identity columns: cur[i·p + j] = I[(i, c0 + j)].

@@ -72,10 +72,12 @@
 //! The hot path exploits the fact that a circuit's MNA sparsity pattern is
 //! fixed: the sparse LU splits into one symbolic pivot analysis per circuit
 //! plus numeric-only refactorizations per timestep
-//! ([`num::SparseSymbolic`], [`num::SparseLu::refactor`]), every solver
-//! offers zero-allocation and multi-RHS batched solves (`solve_into`,
-//! `solve_multi`, `solve_multi_interleaved` — bit-for-bit identical per
-//! RHS), and the transient sensitivity engine propagates all mismatch
+//! ([`num::SparseSymbolic`], [`num::SparseLu::refactor`]), each
+//! factorization has one triangular-solve kernel — the compile-time lane
+//! solve `solve_arr::<N>`, whose width-1 case is the zero-allocation single
+//! solve `solve_into` and which `solve_multi_lanes` drives for multi-RHS
+//! blocks, bit-for-bit identical per RHS — and the transient sensitivity
+//! engine propagates all mismatch
 //! parameters as one batched block across worker threads
 //! ([`engine::TranOptions::threads`]). See ROADMAP.md's "Performance"
 //! section and `BENCH_transens.json` for the measured trajectory.

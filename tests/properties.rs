@@ -558,106 +558,6 @@ fn adaptive_matches_fixed_on_all_demo_circuits() {
     }
 }
 
-/// Deterministic random sparse-ish test matrix with a dominant diagonal,
-/// returned in both CSC and dense forms.
-fn random_system(rng: &mut Rng64, n: usize, density: f64) -> tranvar::num::Csc<f64> {
-    let mut t = tranvar::num::Triplets::new(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            let r = 2.0 * rng.uniform() - 1.0;
-            if i == j {
-                t.push(i, j, 4.0 + r);
-            } else if r.abs() < density {
-                t.push(i, j, r);
-            }
-        }
-    }
-    t.to_csc()
-}
-
-/// Lane-kernel dispatch is bit-for-bit identical to per-RHS `solve_into` and
-/// to the runtime-width interleaved kernel, across exact lane widths,
-/// remainder mixes, and both factor backends.
-#[test]
-fn lane_solves_bitwise_match_solve_into() {
-    let mut rng = Rng64::seed_from(0x1A5E5);
-    for case in 0..8 {
-        let n = 6 + (rng.next_u64() % 30) as usize;
-        let csc = random_system(&mut rng, n, 0.3);
-        let dense_lu = csc.to_dense().lu().unwrap();
-        let sparse_lu = csc.lu().unwrap();
-        let ordered_lu = csc.lu_markowitz().unwrap();
-        for n_rhs in [1usize, 2, 3, 4, 5, 8, 17] {
-            let block0: Vec<f64> = (0..n * n_rhs).map(|_| 2.0 * rng.uniform() - 1.0).collect();
-            // Per-RHS references from the single-solve kernels.
-            let mut dref = vec![0.0; n * n_rhs];
-            let mut sref = vec![0.0; n * n_rhs];
-            let mut oref = vec![0.0; n * n_rhs];
-            let mut b = vec![0.0; n];
-            let mut out = vec![0.0; n];
-            let mut scr = vec![0.0; n];
-            for k in 0..n_rhs {
-                for r in 0..n {
-                    b[r] = block0[r * n_rhs + k];
-                }
-                dense_lu.solve_into(&b, &mut out);
-                for r in 0..n {
-                    dref[r * n_rhs + k] = out[r];
-                }
-                sparse_lu.solve_into(&b, &mut out, &mut scr);
-                for r in 0..n {
-                    sref[r * n_rhs + k] = out[r];
-                }
-                ordered_lu.solve_into(&b, &mut out, &mut scr);
-                for r in 0..n {
-                    oref[r * n_rhs + k] = out[r];
-                }
-            }
-            let mut scratch = vec![0.0; tranvar::num::lanes_scratch_len(n, n_rhs)];
-            // Dense lanes vs solve_into, and vs the interleaved kernel.
-            let mut blk = block0.clone();
-            dense_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            let mut ilv = block0.clone();
-            let mut iscr = vec![0.0; n * n_rhs];
-            dense_lu.solve_multi_interleaved(&mut ilv, n_rhs, &mut iscr);
-            for i in 0..n * n_rhs {
-                assert!(
-                    blk[i].to_bits() == dref[i].to_bits(),
-                    "case {case} dense lanes vs solve_into n_rhs={n_rhs} idx {i}"
-                );
-                assert!(
-                    blk[i].to_bits() == ilv[i].to_bits(),
-                    "case {case} dense lanes vs interleaved n_rhs={n_rhs} idx {i}"
-                );
-            }
-            // Sparse (natural order) lanes.
-            let mut blk = block0.clone();
-            sparse_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            let mut ilv = block0.clone();
-            sparse_lu.solve_multi_interleaved(&mut ilv, n_rhs, &mut iscr);
-            for i in 0..n * n_rhs {
-                assert!(
-                    blk[i].to_bits() == sref[i].to_bits(),
-                    "case {case} sparse lanes vs solve_into n_rhs={n_rhs} idx {i}"
-                );
-                assert!(
-                    blk[i].to_bits() == ilv[i].to_bits(),
-                    "case {case} sparse lanes vs interleaved n_rhs={n_rhs} idx {i}"
-                );
-            }
-            // Sparse (Markowitz-ordered) lanes.
-            let mut blk = block0.clone();
-            ordered_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            for i in 0..n * n_rhs {
-                assert!(
-                    blk[i].to_bits() == oref[i].to_bits(),
-                    "case {case} ordered lanes vs solve_into n_rhs={n_rhs} idx {i}"
-                );
-            }
-        }
-    }
-}
-
 /// Markowitz-ordered factorization agrees with the natural-order one to
 /// machine precision on all four demo-circuit Jacobians, and its replayed
 /// refactorizations are bit-identical to the fresh ordered factorization.
