@@ -37,9 +37,10 @@ use crate::analysis::{analyze, reports_from_responses, AnalysisResult, MetricSpe
 use crate::error::CoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tranvar_circuit::{Circuit, CircuitOverride};
+use tranvar_engine::retry::{flip_backend, run_ladder, tran_ladder};
 use tranvar_engine::{
     chunk_ranges, effective_threads, fault, is_retryable, map_scoped, Escalation, RetryPolicy,
-    Session, SessionOptions, SessionStats, SolveBudget, SolveDiagnostics, SolverKind,
+    Session, SessionOptions, SessionStats, SolveBudget, SolveDiagnostics,
 };
 use tranvar_lptv::{LptvError, PeriodicResponse, PeriodicSolver};
 use tranvar_num::NumError;
@@ -182,31 +183,29 @@ impl Campaign {
         let n_unique = solve_keys.len();
 
         // ── Solve each unique variant on worker sessions. ──
-        let solver = crate::analysis::solver_of(&self.config);
         let workers = effective_threads(self.threads, n_unique);
         let chunk = n_unique.div_ceil(workers.max(1)).max(1);
-        // Workers solving in parallel keep their inner batched analyses
-        // single-threaded (the parallelism is across scenarios); a lone
-        // worker lets them auto-thread.
-        let inner_threads = if workers > 1 { 1 } else { 0 };
+        let worker_session = SessionOptions {
+            solver: crate::analysis::solver_of(&self.config),
+            // Workers solving in parallel keep their inner batched analyses
+            // single-threaded (the parallelism is across scenarios); a lone
+            // worker lets them auto-thread.
+            threads: if workers > 1 { 1 } else { 0 },
+        };
         let solve_chunk =
             |range: (usize, usize)| -> (Vec<(SolveOutcome, SolveDiagnostics)>, SessionStats) {
                 let (start, len) = range;
                 let mut stats = SessionStats::default();
-                let mut session = Session::new(SessionOptions {
-                    solver,
-                    threads: inner_threads,
-                });
+                let mut session = Session::new(worker_session);
                 let mut outcomes = Vec::with_capacity(len);
                 for (j, key) in solve_keys[start..start + len].iter().enumerate() {
-                    let vs = solve_variant_resilient(
+                    let vs = solve_unique(
                         &mut session,
                         base,
                         key,
                         &self.config,
                         &self.retry,
                         start + j,
-                        inner_threads,
                         &mut stats,
                     );
                     if vs.poisoned {
@@ -214,10 +213,7 @@ impl Campaign {
                         // workspaces mid-update; retire it so the chunk's
                         // remaining solves see clean state.
                         stats = stats.merged(session.stats());
-                        session = Session::new(SessionOptions {
-                            solver,
-                            threads: inner_threads,
-                        });
+                        session = Session::new(worker_session);
                     }
                     outcomes.push((vs.outcome, vs.diagnostics));
                 }
@@ -332,8 +328,11 @@ pub struct UniqueSolve {
 /// This is exactly the per-key solve [`Campaign::run`] performs after
 /// [`solve_groups`] deduplication — same code path, same escalation, same
 /// fault-injection sites — so results are interchangeable with an
-/// in-process campaign (bit-identical on the dense backend). Structural
-/// work from throwaway backend-switch sessions is merged into `stats`.
+/// in-process campaign (bit-identical on the dense backend). Every attempt
+/// runs through the engine's retry ladder ([`run_ladder`]) and lands in
+/// the trail. `SwitchBackend` attempts run on a throwaway session of the
+/// other backend than `session`'s (sessions pin their solver); its
+/// structural work is merged into `stats`.
 pub fn solve_unique(
     session: &mut Session,
     base: &Circuit,
@@ -343,46 +342,49 @@ pub fn solve_unique(
     solve_index: usize,
     stats: &mut SessionStats,
 ) -> UniqueSolve {
-    let inner_threads = session.threads();
-    let vs = solve_variant_resilient(
-        session,
-        base,
-        solve_overrides,
-        config,
-        policy,
-        solve_index,
-        inner_threads,
-        stats,
+    // The switch-backend rung moves off the session's own backend.
+    let rescue = SessionOptions {
+        solver: flip_backend(session.solver()),
+        threads: session.threads(),
+    };
+    let mut diag = SolveDiagnostics::new();
+    let mut cur = config.clone();
+    let mut poisoned = false;
+    let outcome = run_ladder(
+        &tran_ladder(policy),
+        &budget_of(config),
+        "campaign retry ladder",
+        &mut diag,
+        retryable_core,
+        engine_view,
+        |esc, _diag| {
+            escalate_config(&mut cur, esc);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if esc == Escalation::SwitchBackend {
+                    let mut fresh = Session::new(rescue);
+                    let r = solve_variant(&mut fresh, base, solve_overrides, &cur, solve_index);
+                    *stats = stats.merged(fresh.stats());
+                    r
+                } else {
+                    solve_variant(session, base, solve_overrides, &cur, solve_index)
+                }
+            }));
+            // A caught panic is final: `retryable_core` never retries
+            // `CoreError::Panic`, so the ladder ends on it.
+            caught.unwrap_or_else(|payload| {
+                poisoned = true;
+                Err(CoreError::Panic {
+                    context: format!("campaign unique solve {solve_index}"),
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+        },
     );
     UniqueSolve {
-        outcome: vs.outcome,
-        diagnostics: vs.diagnostics,
-        poisoned: vs.poisoned,
+        outcome,
+        diagnostics: diag,
+        poisoned,
     }
-}
-
-/// The result of one unique solve after panic isolation and (optional)
-/// retry escalation.
-struct VariantSolve {
-    outcome: SolveOutcome,
-    diagnostics: SolveDiagnostics,
-    /// A panic was caught; the worker session may hold half-updated caches
-    /// and must be retired.
-    poisoned: bool,
-}
-
-/// The escalation rungs that apply to a periodic (PSS+LPTV) solve: the
-/// DC-only gmin/source rungs are skipped, `HalveTimestep` doubles the
-/// shooting step count, `SwitchBackend` re-solves on the other backend.
-fn campaign_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.halve_timestep {
-        l.push(Escalation::HalveTimestep);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
 }
 
 /// The solve budget the configuration's Newton options carry (shared by
@@ -394,29 +396,16 @@ fn budget_of(config: &PssConfig) -> SolveBudget {
     }
 }
 
-fn flip(kind: SolverKind) -> SolverKind {
-    match kind {
-        SolverKind::Dense => SolverKind::Sparse,
-        // Both sparse variants fall back to the dense kernel, whose fresh
-        // full pivot search is the most robust escape from a bad pivot order.
-        SolverKind::Sparse | SolverKind::SparseOrdered => SolverKind::Dense,
-    }
-}
-
-/// Applies one escalation rung (cumulatively) to the PSS configuration.
+/// Applies one rung of the periodic ladder ([`tran_ladder`]: the DC-only
+/// gmin/source rungs are skipped) cumulatively to the PSS configuration:
+/// `HalveTimestep` doubles the shooting step count. `SwitchBackend` needs
+/// no config change: it runs on a session of the other backend.
 fn escalate_config(config: &mut PssConfig, esc: Escalation) {
-    match esc {
-        Escalation::HalveTimestep => match config {
+    if esc == Escalation::HalveTimestep {
+        match config {
             PssConfig::Driven { opts, .. } => opts.n_steps *= 2,
             PssConfig::Autonomous { opts, .. } => opts.pss.n_steps *= 2,
-        },
-        Escalation::SwitchBackend => match config {
-            PssConfig::Driven { opts, .. } => opts.newton.solver = flip(opts.newton.solver),
-            PssConfig::Autonomous { opts, .. } => {
-                opts.pss.newton.solver = flip(opts.pss.newton.solver);
-            }
-        },
-        _ => {}
+        }
     }
 }
 
@@ -463,108 +452,6 @@ fn engine_view(e: &CoreError) -> tranvar_engine::EngineError {
         | CoreError::Pss(PssError::Num(n))
         | CoreError::Lptv(LptvError::Num(n)) => EngineError::Num(n.clone()),
         other => EngineError::BadConfig(other.to_string()),
-    }
-}
-
-/// Runs one unique solve with panic isolation and the campaign's retry
-/// ladder, recording every attempt. `SwitchBackend` attempts run on a
-/// throwaway session with the flipped backend (sessions pin their solver);
-/// its structural work is merged into `stats`.
-#[allow(clippy::too_many_arguments)]
-fn solve_variant_resilient(
-    session: &mut Session,
-    base: &Circuit,
-    key: &[CircuitOverride],
-    config: &PssConfig,
-    policy: &RetryPolicy,
-    solve_index: usize,
-    inner_threads: usize,
-    stats: &mut SessionStats,
-) -> VariantSolve {
-    let mut diag = SolveDiagnostics::new();
-    let ladder = campaign_ladder(policy);
-    let n = ladder.len().min(policy.max_attempts.max(1));
-    let budget = budget_of(config);
-    let mut cur = config.clone();
-    let mut last_err: Option<CoreError> = None;
-    for (i, &esc) in ladder.iter().take(n).enumerate() {
-        // Mirror the engine ladder's deadline awareness: an expired shared
-        // deadline means every further rung would only delay the typed
-        // BudgetExceeded the caller is owed.
-        if budget.deadline_expired() {
-            let e = budget.deadline_exceeded("campaign retry ladder");
-            diag.record(
-                format!("retry[{i}]:{}", tranvar_engine::DEADLINE_SHORT_CIRCUIT),
-                Some(e.clone()),
-            );
-            return VariantSolve {
-                outcome: Err(CoreError::Engine(e)),
-                diagnostics: diag,
-                poisoned: false,
-            };
-        }
-        escalate_config(&mut cur, esc);
-        let mut poisoned = false;
-        let res = match fault::attempt_fault(fault::sites::RETRY_ATTEMPT, i) {
-            Some(e) => Err(CoreError::Engine(e)),
-            None => {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if esc == Escalation::SwitchBackend {
-                        let mut fresh = Session::new(SessionOptions {
-                            solver: crate::analysis::solver_of(&cur),
-                            threads: inner_threads,
-                        });
-                        let r = solve_variant(&mut fresh, base, key, &cur, solve_index);
-                        (r, Some(fresh.stats()))
-                    } else {
-                        (solve_variant(session, base, key, &cur, solve_index), None)
-                    }
-                }));
-                match caught {
-                    Ok((r, fresh_stats)) => {
-                        if let Some(s) = fresh_stats {
-                            *stats = stats.merged(s);
-                        }
-                        r
-                    }
-                    Err(payload) => {
-                        poisoned = true;
-                        Err(CoreError::Panic {
-                            context: format!("campaign unique solve {solve_index}"),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-        };
-        diag.record(
-            format!("retry[{i}]:{}", esc.label()),
-            res.as_ref().err().map(engine_view),
-        );
-        match res {
-            Ok(x) => {
-                return VariantSolve {
-                    outcome: Ok(x),
-                    diagnostics: diag,
-                    poisoned: false,
-                }
-            }
-            Err(e) if !poisoned && retryable_core(&e) => last_err = Some(e),
-            Err(e) => {
-                return VariantSolve {
-                    outcome: Err(e),
-                    diagnostics: diag,
-                    poisoned,
-                }
-            }
-        }
-    }
-    VariantSolve {
-        outcome: Err(
-            last_err.unwrap_or_else(|| CoreError::BadConfig("retry ladder ran no attempts".into()))
-        ),
-        diagnostics: diag,
-        poisoned: false,
     }
 }
 
@@ -1016,6 +903,44 @@ mod tests {
             );
             assert_eq!(oc.diagnostics.succeeded_stage(), Some("retry[1]:halve-dt"));
             assert_eq!(res.retry_attempts, 1);
+        }
+
+        /// An already-expired shared deadline stops the campaign ladder
+        /// before any attempt runs, for every scenario, with the typed
+        /// deadline error.
+        #[test]
+        fn expired_deadline_short_circuits_the_campaign_ladder() {
+            use std::time::Duration;
+            use tranvar_engine::{BudgetKind, BudgetLimits, EngineError, SolveBudget};
+            let ckt = divider();
+            let scenarios = vdd_grid(&ckt);
+            let _guard = FaultPlan::new()
+                .mock_elapsed(Duration::from_secs(2))
+                .install();
+            let mut camp = campaign(&ckt);
+            if let PssConfig::Driven { opts, .. } = &mut camp.config {
+                opts.newton.budget =
+                    SolveBudget::new(BudgetLimits::default().deadline(Duration::from_secs(1)));
+            }
+            let res = camp
+                .with_retry(RetryPolicy::default())
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            for oc in &res.outcomes {
+                assert_eq!(
+                    oc.diagnostics.stages(),
+                    vec!["retry[0]:deadline-short-circuit"]
+                );
+                match &oc.result {
+                    Err(CoreError::Engine(EngineError::BudgetExceeded { analysis, progress })) => {
+                        assert_eq!(analysis, "campaign retry ladder");
+                        assert_eq!(progress.exhausted, BudgetKind::Deadline);
+                    }
+                    other => panic!("expected a deadline error, got {other:?}"),
+                }
+            }
+            assert_eq!(res.retry_attempts, 0);
         }
 
         /// Without retry enabled the injected failure is final — the

@@ -67,39 +67,14 @@ impl Default for DcOptions {
     }
 }
 
-/// One static Newton solve at time `t` with a fixed `gmin`.
+/// One static Newton solve at time `t` with a fixed `gmin`, factoring
+/// through `jws` so repeated static solves (gmin stepping, source stepping,
+/// one-session scenario sweeps) reuse the staged pattern and — for the
+/// sparse backend — the symbolic pivot analysis.
 ///
-/// # Errors
-///
-/// Returns [`EngineError::NoConvergence`] if the iteration stalls, or a
+/// Fails with [`EngineError::NoConvergence`] if the iteration stalls, or a
 /// numerical error for a singular Jacobian.
-pub fn solve_static(
-    ckt: &Circuit,
-    t: f64,
-    gmin: f64,
-    x0: &[f64],
-    opts: &NewtonOptions,
-) -> Result<Vec<f64>, EngineError> {
-    solve_static_with(
-        ckt,
-        t,
-        gmin,
-        x0,
-        opts,
-        &mut JacobianWorkspace::new(opts.solver),
-    )
-}
-
-/// [`solve_static`] with an explicit factorization workspace, so repeated
-/// static solves (gmin stepping, source stepping, one-session scenario
-/// sweeps) reuse the staged pattern and — for the sparse backend — the
-/// symbolic pivot analysis. For the dense backend the results are
-/// bit-identical to a fresh per-call solve.
-///
-/// # Errors
-///
-/// See [`solve_static`].
-pub fn solve_static_with(
+fn solve_static(
     ckt: &Circuit,
     t: f64,
     gmin: f64,
@@ -173,7 +148,9 @@ pub fn solve_static_with(
 /// Computes the DC operating point (sources evaluated at `t = 0`).
 ///
 /// Tries plain Newton first, then walks the gmin schedule, then falls back to
-/// source stepping.
+/// source stepping. A one-line convenience over a fresh
+/// [`Session`](crate::session::Session) on `opts.newton.solver`; see
+/// [`Session::dc_operating_point`](crate::session::Session::dc_operating_point).
 ///
 /// # Errors
 ///
@@ -196,79 +173,31 @@ pub fn solve_static_with(
 /// # Ok::<(), tranvar_engine::EngineError>(())
 /// ```
 pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<Vec<f64>, EngineError> {
-    // A fresh workspace per homotopy stage, exactly as before the session
-    // refactor: on the sparse backend a shared workspace would replay the
-    // first stage's pivot order into later stages, which is legitimate but
-    // not bit-identical to the historical per-stage fresh analysis.
-    dc_operating_point_impl(ckt, opts, None)
+    crate::session::Session::with_solver(opts.newton.solver).dc_operating_point(ckt, opts)
 }
 
-/// [`dc_operating_point`] with an explicit factorization workspace shared
-/// across every homotopy stage (and across calls, for one-session scenario
-/// sweeps). The static MNA pattern `G + gmin·I` is staged once and every
-/// subsequent solve refactors in place; for the dense backend the results
-/// are bit-identical to the per-call path, while the sparse backend replays
-/// the first solve's pivot order (machine-precision identical).
-///
-/// # Errors
-///
-/// See [`dc_operating_point`].
-pub fn dc_operating_point_with(
+/// The DC homotopy behind every operating point: direct Newton, the gmin
+/// walk, then source stepping, all factoring through one workspace `jws`
+/// (the static MNA pattern `G + gmin·I` is staged once and every later
+/// solve refactors in place). The backend is the workspace's;
+/// `opts.newton.solver` is not read. With a trail, each homotopy stage solve
+/// (direct, each gmin-schedule entry, each source step) is recorded as one
+/// [`crate::retry::Attempt`], in the order they ran.
+pub(crate) fn homotopy(
     ckt: &Circuit,
     opts: &DcOptions,
     jws: &mut JacobianWorkspace,
-) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_impl(ckt, opts, Some(jws))
-}
-
-/// [`dc_operating_point_with`] that also records one [`crate::retry::Attempt`]
-/// per homotopy stage solve (direct, each gmin-schedule entry, each source
-/// step) into `diag`, in the order they ran. This is the trail the
-/// retry/escalation layer and campaign diagnostics report.
-///
-/// # Errors
-///
-/// See [`dc_operating_point`].
-pub fn dc_operating_point_traced(
-    ckt: &Circuit,
-    opts: &DcOptions,
-    jws: Option<&mut JacobianWorkspace>,
-    diag: &mut SolveDiagnostics,
-) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, jws, Some(diag))
-}
-
-fn dc_operating_point_impl(
-    ckt: &Circuit,
-    opts: &DcOptions,
-    jws: Option<&mut JacobianWorkspace>,
-) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, jws, None)
-}
-
-fn dc_operating_point_inner(
-    ckt: &Circuit,
-    opts: &DcOptions,
-    mut jws: Option<&mut JacobianWorkspace>,
     mut diag: Option<&mut SolveDiagnostics>,
 ) -> Result<Vec<f64>, EngineError> {
     // Every homotopy stage funnels through here: the fault harness can fail
     // any stage by its attempt ordinal, and the outcome lands in the trail.
     let mut attempt_no = 0usize;
-    let mut solve = |ckt: &Circuit,
-                     gmin: f64,
-                     x0: &[f64],
-                     stage: &dyn Fn() -> String,
-                     jws: &mut Option<&mut JacobianWorkspace>,
-                     diag: &mut Option<&mut SolveDiagnostics>| {
+    let mut solve = |ckt: &Circuit, gmin: f64, x0: &[f64], stage: &dyn Fn() -> String| {
         let idx = attempt_no;
         attempt_no += 1;
         let res = match fault::attempt_fault(fault::sites::DC_STAGE, idx) {
             Some(e) => Err(e),
-            None => match jws.as_deref_mut() {
-                Some(ws) => solve_static_with(ckt, 0.0, gmin, x0, &opts.newton, ws),
-                None => solve_static(ckt, 0.0, gmin, x0, &opts.newton),
-            },
+            None => solve_static(ckt, 0.0, gmin, x0, &opts.newton, jws),
         };
         if let Some(d) = diag.as_deref_mut() {
             d.record(stage(), res.as_ref().err().cloned());
@@ -280,14 +209,7 @@ fn dc_operating_point_inner(
     let final_gmin = *opts.gmin_schedule.last().unwrap_or(&1e-12);
 
     // 1. Direct attempt at the target gmin.
-    match solve(
-        ckt,
-        final_gmin,
-        &x0,
-        &|| "dc:direct".into(),
-        &mut jws,
-        &mut diag,
-    ) {
+    match solve(ckt, final_gmin, &x0, &|| "dc:direct".into()) {
         Ok(x) => return Ok(x),
         // A tripped budget is a global bound: further homotopy stages would
         // only re-trip it, so it propagates instead of escalating.
@@ -298,14 +220,7 @@ fn dc_operating_point_inner(
     let mut x = x0.clone();
     let mut ok = true;
     for &g in &opts.gmin_schedule {
-        match solve(
-            ckt,
-            g,
-            &x,
-            &|| format!("dc:gmin[{g:.1e}]"),
-            &mut jws,
-            &mut diag,
-        ) {
+        match solve(ckt, g, &x, &|| format!("dc:gmin[{g:.1e}]")) {
             Ok(xs) => x = xs,
             Err(e @ EngineError::BudgetExceeded { .. }) => return Err(e),
             Err(_) => {
@@ -323,14 +238,9 @@ fn dc_operating_point_inner(
         let alpha = k as f64 / opts.source_steps as f64;
         let scaled = ckt.scaled_sources(alpha);
         let steps = opts.source_steps;
-        x = solve(
-            &scaled,
-            final_gmin,
-            &x,
-            &|| format!("dc:source[{k}/{steps}]"),
-            &mut jws,
-            &mut diag,
-        )
+        x = solve(&scaled, final_gmin, &x, &|| {
+            format!("dc:source[{k}/{steps}]")
+        })
         .map_err(|e| match e {
             e @ EngineError::BudgetExceeded { .. } => e,
             e => EngineError::NoConvergence {
@@ -433,5 +343,29 @@ mod tests {
         ckt.add_capacitor("C1", a, NodeId::GROUND, 1e-12);
         let x = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
         assert!(ckt.voltage(&x, a).abs() < 1e-6);
+    }
+}
+
+#[cfg(all(test, feature = "fault-inject"))]
+mod fault_injected {
+    use super::*;
+    use crate::fault::{sites, FaultAction, FaultPlan};
+    use tranvar_circuit::{NodeId, Waveform};
+
+    #[test]
+    fn poisoned_dc_update_bails_on_first_iteration() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(2.0));
+        ckt.add_resistor("R1", a, NodeId::GROUND, 1e3);
+        let guard = FaultPlan::new()
+            .fail(sites::DC_RESIDUAL, 0, FaultAction::PoisonNan)
+            .install();
+        let (opts, x0) = (NewtonOptions::default(), vec![0.0; ckt.n_unknowns()]);
+        let mut jws = JacobianWorkspace::new(opts.solver);
+        let res = solve_static(&ckt, 0.0, 1e-12, &x0, &opts, &mut jws);
+        assert!(matches!(res, Err(EngineError::NonFinite { .. })), "{res:?}");
+        // Exactly one iteration ran: the guard fired once, not max_iter times.
+        assert_eq!(guard.hits(sites::DC_RESIDUAL), 1);
     }
 }

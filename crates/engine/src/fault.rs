@@ -33,7 +33,7 @@
 //! # Worked example: forcing the retry ladder to climb
 //!
 //! With `fault-inject` enabled, an armed [`sites::RETRY_ATTEMPT`] makes
-//! attempt 0 of a [`crate::retry`] solve fail with a synthetic
+//! attempt 0 of a [`crate::retry`] ladder fail with a synthetic
 //! `NoConvergence`, so the ladder *must* climb to its first real rung —
 //! deterministically, on a circuit that would otherwise solve first try
 //! (the doctest body compiles away without the feature):
@@ -43,7 +43,8 @@
 //! use tranvar_circuit::{Circuit, NodeId, Waveform};
 //! use tranvar_engine::dc::DcOptions;
 //! use tranvar_engine::fault::{sites, FaultAction, FaultPlan};
-//! use tranvar_engine::retry::{dc_operating_point_resilient, RetryPolicy};
+//! use tranvar_engine::retry::RetryPolicy;
+//! use tranvar_engine::session::Session;
 //!
 //! let mut ckt = Circuit::new();
 //! let a = ckt.node("a");
@@ -53,8 +54,8 @@
 //! let _guard = FaultPlan::new()
 //!     .fail(sites::RETRY_ATTEMPT, 0, FaultAction::NoConverge)
 //!     .install();
-//! let (res, diag) =
-//!     dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
+//! let (res, diag) = Session::default()
+//!     .dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
 //! assert!(res.is_ok());
 //! assert_eq!(diag.succeeded_stage(), Some("retry[1]:denser-gmin"));
 //! # }

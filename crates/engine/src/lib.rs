@@ -18,8 +18,9 @@
 //! - [`measure`]: delay/period/settled-value measurements shared by the
 //!   Monte-Carlo and LPTV paths,
 //! - [`session`]: shared solver state (pattern-keyed symbolic cache,
-//!   workspace pools, thread policy) for running many analyses on one
-//!   circuit without per-call setup — the substrate of the scenario
+//!   workspace pools, thread policy) and the one implementation of DC,
+//!   transient and transient-sensitivity analysis (the free functions are
+//!   one-line conveniences over it) — the substrate of the scenario
 //!   campaigns in `tranvar-core`,
 //! - [`par`]: the worker-thread policy and scoped chunking shared by every
 //!   batched analysis,
@@ -27,7 +28,7 @@
 //!   factorizations, wall-clock deadline) checked once per Newton iteration,
 //! - [`retry`]: bounded retry/fallback escalation (denser gmin → more
 //!   source steps → halved timestep → the other solver backend) with a
-//!   recorded attempt trail,
+//!   recorded attempt trail, run by the one loop [`retry::run_ladder`],
 //! - [`fault`]: the deterministic fault-injection harness (behind the
 //!   `fault-inject` feature) that makes every recovery path testable.
 
@@ -55,13 +56,10 @@ pub use error::EngineError;
 pub use mc::{monte_carlo, monte_carlo_multi, McOptions, McResult};
 pub use par::{chunk_ranges, effective_threads, effective_threads_for_work, map_scoped};
 pub use pool::SessionPool;
-pub use retry::{
-    is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics, DEADLINE_SHORT_CIRCUIT,
-};
+pub use retry::{is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics};
 pub use session::{Session, SessionOptions, SessionStats};
 pub use solver::{FactoredJacobian, SolverKind, SolverStats};
 pub use tran::{
-    integrate_cycle, integrate_cycle_adaptive_with, integrate_cycle_with, transient,
-    transient_with, AdaptiveOptions, CycleResult, CycleWorkspace, Integrator, StepControl,
-    StepRecord, TranOptions, TranResult,
+    integrate_cycle, integrate_cycle_adaptive, transient, AdaptiveOptions, CycleResult,
+    CycleWorkspace, Integrator, StepControl, StepRecord, TranOptions, TranResult,
 };

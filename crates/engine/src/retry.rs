@@ -31,7 +31,8 @@
 //! ```
 //! use tranvar_circuit::{Circuit, NodeId, Waveform};
 //! use tranvar_engine::dc::DcOptions;
-//! use tranvar_engine::retry::{dc_operating_point_resilient, RetryPolicy};
+//! use tranvar_engine::retry::RetryPolicy;
+//! use tranvar_engine::session::Session;
 //!
 //! let mut ckt = Circuit::new();
 //! let a = ckt.node("a");
@@ -40,30 +41,26 @@
 //! ckt.add_resistor("R1", a, b, 1e3);
 //! ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
 //!
-//! let (res, diag) =
-//!     dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
+//! let (res, diag) = Session::default()
+//!     .dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
 //! let x = res.unwrap();
 //! assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
 //! // A healthy solve needs no escalation; the trail still records the
 //! // homotopy stage and the rung that succeeded.
 //! assert_eq!(diag.stages(), vec!["dc:direct", "retry[0]:initial"]);
 //! assert_eq!(diag.succeeded_stage(), Some("retry[0]:initial"));
+//! assert_eq!(diag.retry_attempts(), 1);
 //! ```
 //!
 //! Forcing the ladder to actually climb requires a failure on attempt 0 —
 //! see [`crate::fault`] for the deterministic way to inject one.
 
 use crate::budget::SolveBudget;
-use crate::dc::{dc_operating_point_traced, DcOptions};
+use crate::dc::DcOptions;
 use crate::error::EngineError;
 use crate::fault;
 use crate::solver::SolverKind;
-use crate::tran::{transient, TranOptions, TranResult};
-use tranvar_circuit::Circuit;
-
-/// Stage suffix recorded when the ladder stops because the shared budget's
-/// wall-clock deadline has already expired (see `run_ladder`).
-pub const DEADLINE_SHORT_CIRCUIT: &str = "deadline-short-circuit";
+use crate::tran::TranOptions;
 
 /// Bounds and enables the escalation ladder. The default enables every
 /// rung with at most 5 total attempts.
@@ -188,11 +185,6 @@ impl SolveDiagnostics {
             .filter(|a| a.stage.starts_with("retry["))
             .count()
     }
-
-    /// Merges another trail's attempts onto this one.
-    pub fn extend(&mut self, other: SolveDiagnostics) {
-        self.attempts.extend(other.attempts);
-    }
 }
 
 /// True when the retry ladder is allowed to re-attempt after `e`.
@@ -207,7 +199,8 @@ pub fn is_retryable(e: &EngineError) -> bool {
     )
 }
 
-fn flip(kind: SolverKind) -> SolverKind {
+/// The backend the switch-backend rung moves to.
+pub fn flip_backend(kind: SolverKind) -> SolverKind {
     match kind {
         SolverKind::Dense => SolverKind::Sparse,
         // Both sparse variants fall back to the dense kernel, whose fresh
@@ -233,68 +226,72 @@ fn densify_gmin(schedule: &[f64]) -> Vec<f64> {
     out
 }
 
+/// The enabled `rungs` under `policy`, at most `policy.max_attempts` long.
+fn ladder(policy: &RetryPolicy, rungs: &[Escalation]) -> Vec<Escalation> {
+    let enabled = |esc: &Escalation| match esc {
+        Escalation::Initial => true,
+        Escalation::DenserGmin => policy.denser_gmin,
+        Escalation::MoreSourceSteps => policy.more_source_steps,
+        Escalation::HalveTimestep => policy.halve_timestep,
+        Escalation::SwitchBackend => policy.switch_backend,
+    };
+    let n = policy.max_attempts.max(1);
+    rungs.iter().copied().filter(enabled).take(n).collect()
+}
+
 /// The ladder for DC solves under `policy` (timestep rung skipped).
 pub(crate) fn dc_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.denser_gmin {
-        l.push(Escalation::DenserGmin);
-    }
-    if policy.more_source_steps {
-        l.push(Escalation::MoreSourceSteps);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
+    use Escalation::*;
+    ladder(
+        policy,
+        &[Initial, DenserGmin, MoreSourceSteps, SwitchBackend],
+    )
 }
 
-/// The ladder for transient solves under `policy` (gmin/source rungs are
-/// DC-seed concerns and skipped here).
-pub(crate) fn tran_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.halve_timestep {
-        l.push(Escalation::HalveTimestep);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
+/// The ladder for transient and periodic solves under `policy` (gmin/source
+/// rungs are DC-seed concerns and skipped here).
+pub fn tran_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
+    use Escalation::*;
+    ladder(policy, &[Initial, HalveTimestep, SwitchBackend])
 }
 
-/// Applies one rung (cumulatively) to DC options.
+/// Applies one rung (cumulatively) to DC options. The switch-backend rung
+/// changes no option: it runs on a session of the other backend.
 pub(crate) fn apply_dc(opts: &mut DcOptions, esc: Escalation) {
     match esc {
-        Escalation::Initial | Escalation::HalveTimestep => {}
         Escalation::DenserGmin => opts.gmin_schedule = densify_gmin(&opts.gmin_schedule),
         Escalation::MoreSourceSteps => opts.source_steps = (opts.source_steps * 4).max(4),
-        Escalation::SwitchBackend => opts.newton.solver = flip(opts.newton.solver),
+        _ => {}
     }
 }
 
-/// Applies one rung (cumulatively) to transient options.
+/// Applies one rung (cumulatively) to transient options; like
+/// [`apply_dc`], the switch-backend rung changes no option.
 pub(crate) fn apply_tran(opts: &mut TranOptions, esc: Escalation) {
     use crate::tran::StepControl;
-    match esc {
-        Escalation::Initial | Escalation::DenserGmin | Escalation::MoreSourceSteps => {}
-        Escalation::HalveTimestep => {
-            opts.dt /= 2.0;
-            // In adaptive mode dt only seeds the first step — the retry
-            // must reach the LTE controller to change the accepted grid.
-            if let StepControl::Adaptive(a) = &mut opts.step_control {
-                a.reltol /= 10.0;
-                a.abstol /= 10.0;
-            }
+    if esc == Escalation::HalveTimestep {
+        opts.dt /= 2.0;
+        // In adaptive mode dt only seeds the first step — the retry must
+        // reach the LTE controller to change the accepted grid.
+        if let StepControl::Adaptive(a) = &mut opts.step_control {
+            a.reltol /= 10.0;
+            a.abstol /= 10.0;
         }
-        Escalation::SwitchBackend => opts.newton.solver = flip(opts.newton.solver),
     }
 }
 
-/// Runs the escalation loop shared by every resilient entry point.
+/// Runs the escalation loop shared by every resilient solve: the
+/// [`Session`](crate::session::Session) DC and transient methods and the
+/// periodic campaign ladder of `tranvar-core`.
 ///
-/// `solve_one(i, esc, diag)` performs attempt `i` at rung `esc`; the
+/// `solve_one(esc, diag)` performs one attempt at rung `esc`, applying the
+/// rung to the caller's cumulative configuration first. The
 /// fault-injection site [`fault::sites::RETRY_ATTEMPT`] can fail any
-/// attempt by index before the real solve runs. Each attempt is recorded;
-/// non-retryable errors (including budget exhaustion) end the loop
+/// attempt by index *before* `solve_one` is called, so the rung of a
+/// faulted attempt is never applied and does not carry into later
+/// attempts. Each attempt is recorded as `retry[i]:<label>` with
+/// `view(err)` as its error; the ladder climbs only while `retryable(err)`
+/// holds, so any other error (budget exhaustion, a caught panic) ends it
 /// immediately.
 ///
 /// The ladder is deadline-aware: before every rung (including the first) it
@@ -302,94 +299,45 @@ pub(crate) fn apply_tran(opts: &mut TranOptions, esc: Escalation) {
 /// so stops without spending the attempt. An escalation rung is the most
 /// expensive work a solve can re-spend (denser homotopy, 4× source steps,
 /// halved timestep), so burning one against an already-dead deadline only
-/// delays the typed [`EngineError::BudgetExceeded`] the caller is owed. The
-/// short-circuit is recorded as `retry[i]:deadline-short-circuit` in the
-/// trail so diagnostics distinguish "rung i never ran" from "rung i failed".
-pub(crate) fn run_ladder<T>(
+/// delays the typed [`EngineError::BudgetExceeded`] the caller is owed
+/// (its analysis string is `context`). The short-circuit is recorded as
+/// `retry[i]:deadline-short-circuit` in the trail so diagnostics
+/// distinguish "rung i never ran" from "rung i failed".
+pub fn run_ladder<T, E: From<EngineError>>(
     ladder: &[Escalation],
-    max_attempts: usize,
     budget: &SolveBudget,
+    context: &str,
     diag: &mut SolveDiagnostics,
-    mut solve_one: impl FnMut(Escalation, &mut SolveDiagnostics) -> Result<T, EngineError>,
-) -> Result<T, EngineError> {
-    let n = ladder.len().min(max_attempts.max(1));
+    retryable: impl Fn(&E) -> bool,
+    view: impl Fn(&E) -> EngineError,
+    mut solve_one: impl FnMut(Escalation, &mut SolveDiagnostics) -> Result<T, E>,
+) -> Result<T, E> {
     let mut last_err = None;
-    for (i, &esc) in ladder.iter().take(n).enumerate() {
+    for (i, &esc) in ladder.iter().enumerate() {
         if budget.deadline_expired() {
-            let e = budget.deadline_exceeded("retry ladder");
+            let e = budget.deadline_exceeded(context);
             diag.record(
-                format!("retry[{i}]:{DEADLINE_SHORT_CIRCUIT}"),
+                format!("retry[{i}]:deadline-short-circuit"),
                 Some(e.clone()),
             );
-            return Err(e);
+            return Err(e.into());
         }
         let res = match fault::attempt_fault(fault::sites::RETRY_ATTEMPT, i) {
-            Some(e) => Err(e),
+            Some(e) => Err(e.into()),
             None => solve_one(esc, diag),
         };
         diag.record(
             format!("retry[{i}]:{}", esc.label()),
-            res.as_ref().err().cloned(),
+            res.as_ref().err().map(&view),
         );
         match res {
             Ok(x) => return Ok(x),
-            Err(e) if is_retryable(&e) => last_err = Some(e),
+            Err(e) if retryable(&e) => last_err = Some(e),
             Err(e) => return Err(e),
         }
     }
-    Err(last_err.unwrap_or_else(|| EngineError::BadConfig("retry ladder ran no attempts".into())))
-}
-
-/// DC operating point with retry/fallback escalation; returns the result
-/// together with the full attempt trail.
-///
-/// Uses fresh per-attempt solver workspaces so the backend-switch rung is
-/// exact; for session-cached solves see
-/// [`crate::session::Session::dc_operating_point_resilient`].
-pub fn dc_operating_point_resilient(
-    ckt: &Circuit,
-    opts: &DcOptions,
-    policy: &RetryPolicy,
-) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
-    let mut diag = SolveDiagnostics::new();
-    let ladder = dc_ladder(policy);
-    let budget = opts.newton.budget.clone();
-    let mut cur = opts.clone();
-    let res = run_ladder(
-        &ladder,
-        policy.max_attempts,
-        &budget,
-        &mut diag,
-        |esc, diag| {
-            apply_dc(&mut cur, esc);
-            dc_operating_point_traced(ckt, &cur, None, diag)
-        },
-    );
-    (res, diag)
-}
-
-/// Transient analysis with retry/fallback escalation; returns the result
-/// together with the attempt trail.
-pub fn transient_resilient(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    policy: &RetryPolicy,
-) -> (Result<TranResult, EngineError>, SolveDiagnostics) {
-    let mut diag = SolveDiagnostics::new();
-    let ladder = tran_ladder(policy);
-    let budget = opts.newton.budget.clone();
-    let mut cur = opts.clone();
-    let res = run_ladder(
-        &ladder,
-        policy.max_attempts,
-        &budget,
-        &mut diag,
-        |esc, _diag| {
-            apply_tran(&mut cur, esc);
-            transient(ckt, &cur)
-        },
-    );
-    (res, diag)
+    Err(last_err
+        .unwrap_or_else(|| EngineError::BadConfig("retry ladder ran no attempts".into()).into()))
 }
 
 #[cfg(test)]
@@ -413,6 +361,18 @@ mod tests {
         let none = RetryPolicy::none();
         assert_eq!(dc_ladder(&none), vec![Escalation::Initial]);
         assert_eq!(tran_ladder(&none), vec![Escalation::Initial]);
+        let two = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(
+            dc_ladder(&two),
+            vec![Escalation::Initial, Escalation::DenserGmin]
+        );
+        assert_eq!(
+            tran_ladder(&two),
+            vec![Escalation::Initial, Escalation::HalveTimestep]
+        );
     }
 
     #[test]
@@ -468,9 +428,34 @@ mod tests {
         assert!(!is_retryable(&EngineError::BadConfig("x".into())));
     }
 
+    /// Runs `ladder` with attempts that each do `work`, then fail to converge.
+    fn fail_every_rung(
+        ladder: &[Escalation],
+        budget: &SolveBudget,
+        diag: &mut SolveDiagnostics,
+        mut work: impl FnMut(),
+    ) -> Result<(), EngineError> {
+        let fail = |_, _: &mut SolveDiagnostics| {
+            work();
+            Err(EngineError::NoConvergence {
+                analysis: "test".into(),
+                detail: "injected".into(),
+            })
+        };
+        run_ladder(
+            ladder,
+            budget,
+            "retry ladder",
+            diag,
+            is_retryable,
+            EngineError::clone,
+            fail,
+        )
+    }
+
     #[test]
     fn ladder_short_circuits_when_deadline_expires_mid_ladder() {
-        use crate::budget::{BudgetKind, BudgetLimits, SolveBudget};
+        use crate::budget::{BudgetKind, BudgetLimits};
         use std::time::Duration;
         // The deadline outlives attempt 0 but not the work attempt 0 does:
         // the ladder must refuse to start rung 1 and record why.
@@ -482,13 +467,9 @@ mod tests {
         ];
         let mut diag = SolveDiagnostics::new();
         let mut attempts_run = 0usize;
-        let res: Result<(), EngineError> = run_ladder(&ladder, 5, &budget, &mut diag, |_, _| {
+        let res = fail_every_rung(&ladder, &budget, &mut diag, || {
             attempts_run += 1;
             std::thread::sleep(Duration::from_millis(30));
-            Err(EngineError::NoConvergence {
-                analysis: "test".into(),
-                detail: "injected".into(),
-            })
         });
         assert_eq!(attempts_run, 1, "escalation must stop at the dead deadline");
         match res {
@@ -510,34 +491,11 @@ mod tests {
 
     #[test]
     fn ladder_without_deadline_never_short_circuits() {
-        let budget = crate::budget::SolveBudget::unlimited();
+        let budget = SolveBudget::unlimited();
         let ladder = [Escalation::Initial, Escalation::SwitchBackend];
         let mut diag = SolveDiagnostics::new();
-        let res: Result<(), EngineError> = run_ladder(&ladder, 5, &budget, &mut diag, |_, _| {
-            Err(EngineError::NoConvergence {
-                analysis: "test".into(),
-                detail: "injected".into(),
-            })
-        });
+        let res = fail_every_rung(&ladder, &budget, &mut diag, || {});
         assert!(matches!(res, Err(EngineError::NoConvergence { .. })));
         assert_eq!(diag.retry_attempts(), 2);
-    }
-
-    #[test]
-    fn resilient_dc_succeeds_first_try_with_single_attempt_trail() {
-        use tranvar_circuit::{Circuit, NodeId, Waveform};
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(2.0));
-        ckt.add_resistor("R1", a, b, 1e3);
-        ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
-        let (res, diag) =
-            dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
-        let x = res.unwrap();
-        assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
-        assert_eq!(diag.stages(), vec!["dc:direct", "retry[0]:initial"]);
-        assert_eq!(diag.succeeded_stage(), Some("retry[0]:initial"));
-        assert_eq!(diag.retry_attempts(), 1);
     }
 }

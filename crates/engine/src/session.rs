@@ -6,7 +6,8 @@
 //! before this module every entry point (`dc_operating_point`, `transient`,
 //! `transient_with_sensitivities`, the PSS shooting loops) rebuilt its own
 //! staging buffers and re-ran the symbolic analysis per call. A [`Session`]
-//! owns that state instead:
+//! owns that state instead, and is the one implementation of the DC,
+//! transient and transient-sensitivity analyses:
 //!
 //! - the **solver choice** ([`SolverKind`]), applied to every analysis run
 //!   through the session (per-call `NewtonOptions::solver` is overridden),
@@ -19,27 +20,31 @@
 //! - [`SessionStats`] counters proving the reuse (a warm session performs
 //!   zero additional pattern builds or symbolic analyses per call).
 //!
-//! The existing free functions remain available as thin wrappers over a
-//! fresh session and are bit-identical to their pre-session behavior on
-//! the dense backend (the default, and the recommended choice for every
-//! shipped circuit). The sparse backend replays a pivot order once found
-//! for as long as it stays numerically acceptable, so wherever the session
-//! introduces sharing that did not exist before — DC homotopy stages
-//! within one call, an oscillator warm-up feeding the shooting loop, and
-//! any *reused* session — sparse results may differ from a fresh pivot
-//! analysis by a (equally valid) pivot order: identical to machine
-//! precision, not necessarily to the last bit.
+//! The free functions [`crate::dc::dc_operating_point`],
+//! [`crate::tran::transient`] and
+//! [`crate::transens::transient_with_sensitivities`] are one-line
+//! conveniences over a fresh session on the per-call solver, so they carry
+//! the same contract. On the dense backend (the default, and the
+//! recommended choice for every shipped circuit) a warm session is
+//! bit-identical to a fresh one. The sparse backend replays a pivot order
+//! once found for as long as it stays numerically acceptable, so wherever
+//! a session shares a workspace — DC homotopy stages within one call, an
+//! oscillator warm-up feeding the shooting loop, and any *reused* session
+//! — sparse results may differ from a fresh pivot analysis by a (equally
+//! valid) pivot order: identical to machine precision, not necessarily to
+//! the last bit.
 //!
 //! Sessions are the unit of worker-thread state in the scenario-campaign
 //! layer (`tranvar-core`): one session per worker, scenarios revalued onto
 //! the same sparsity pattern, every solve after the first a pure replay.
 
-use crate::dc::{dc_operating_point_traced, dc_operating_point_with, DcOptions};
+use crate::budget::SolveBudget;
+use crate::dc::{homotopy, DcOptions, NewtonOptions};
 use crate::error::EngineError;
 use crate::retry::{self, Escalation, RetryPolicy, SolveDiagnostics};
 use crate::solver::{JacobianWorkspace, SolverKind, SolverStats};
-use crate::tran::{transient_with, CycleWorkspace, TranOptions, TranResult};
-use crate::transens::{transient_with_sensitivities_with, SensInit, TranSensResult};
+use crate::tran::{CycleWorkspace, TranOptions, TranResult};
+use crate::transens::{SensInit, TranSensResult};
 use tranvar_circuit::Circuit;
 
 /// Construction options for a [`Session`].
@@ -100,9 +105,6 @@ pub struct Session {
     /// Workspace chain for the dynamic pattern `θ·G + C/h + gmin·I`
     /// (transient steps, cycle integrations, sensitivity windows).
     cycle: CycleWorkspace,
-    /// Retry-escalation attempts beyond the first, summed over every
-    /// resilient solve run through the session.
-    retries: u64,
 }
 
 impl Session {
@@ -113,7 +115,6 @@ impl Session {
             threads: opts.threads,
             static_ws: None,
             cycle: CycleWorkspace::new(),
-            retries: 0,
         }
     }
 
@@ -168,84 +169,92 @@ impl Session {
             .get_or_insert_with(|| JacobianWorkspace::new(solver))
     }
 
-    /// Rewrites per-call Newton options so the session's solver choice wins.
-    fn newton_for(&self, opts: &crate::dc::NewtonOptions) -> crate::dc::NewtonOptions {
-        crate::dc::NewtonOptions {
-            solver: self.solver,
-            ..opts.clone()
-        }
-    }
-
-    /// DC operating point through the session's static-pattern workspace.
+    /// DC operating point through the session's static-pattern workspace,
+    /// shared by every homotopy stage.
     ///
     /// # Errors
     ///
-    /// See [`crate::dc::dc_operating_point`].
+    /// Returns [`EngineError::NoConvergence`] if all homotopies fail.
     pub fn dc_operating_point(
         &mut self,
         ckt: &Circuit,
         opts: &DcOptions,
     ) -> Result<Vec<f64>, EngineError> {
-        let eff = DcOptions {
-            newton: self.newton_for(&opts.newton),
-            ..opts.clone()
-        };
-        let jws = self.static_workspace();
-        dc_operating_point_with(ckt, &eff, jws)
-    }
-
-    /// Retry-escalation attempts beyond the first, summed over every
-    /// resilient solve run through this session — the campaign-level
-    /// companion counter to the per-solve [`SolveDiagnostics`] trail.
-    pub fn retry_attempts(&self) -> u64 {
-        self.retries
+        homotopy(ckt, opts, self.static_workspace(), None)
     }
 
     /// [`Session::dc_operating_point`] with retry/fallback escalation (see
     /// [`crate::retry`]); returns the result together with the full attempt
-    /// trail.
+    /// trail, homotopy stages included.
     ///
-    /// Non-backend-switching attempts run through the session's cached
-    /// static workspace; the switch-backend rung uses a throwaway workspace
-    /// of the other [`SolverKind`] so the session's replayed pivot state is
-    /// never polluted by a rescue attempt.
+    /// Every rung runs through the session's cached workspaces except the
+    /// switch-backend rung, which runs on a throwaway session of the other
+    /// backend than the session's own [`SolverKind`], so a rescue attempt
+    /// never pollutes the session's replayed pivot state.
     pub fn dc_operating_point_resilient(
         &mut self,
         ckt: &Circuit,
         opts: &DcOptions,
         policy: &RetryPolicy,
     ) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
-        let mut diag = SolveDiagnostics::new();
-        let mut cur = DcOptions {
-            newton: self.newton_for(&opts.newton),
-            ..opts.clone()
-        };
+        let mut cur = opts.clone();
         let ladder = retry::dc_ladder(policy);
-        let budget = cur.newton.budget.clone();
+        self.run_ladder(&ladder, &opts.newton.budget, |s, esc, diag| {
+            retry::apply_dc(&mut cur, esc);
+            homotopy(ckt, &cur, s.static_workspace(), Some(diag))
+        })
+    }
+
+    /// Runs an engine retry ladder on this session, moving the
+    /// switch-backend rung onto a throwaway session of the other backend.
+    fn run_ladder<T>(
+        &mut self,
+        ladder: &[Escalation],
+        budget: &SolveBudget,
+        mut attempt: impl FnMut(
+            &mut Session,
+            Escalation,
+            &mut SolveDiagnostics,
+        ) -> Result<T, EngineError>,
+    ) -> (Result<T, EngineError>, SolveDiagnostics) {
+        let mut diag = SolveDiagnostics::new();
+        let rescue = SessionOptions {
+            solver: retry::flip_backend(self.solver),
+            threads: self.threads,
+        };
         let res = retry::run_ladder(
-            &ladder,
-            policy.max_attempts,
-            &budget,
+            ladder,
+            budget,
+            "retry ladder",
             &mut diag,
-            |esc, diag| {
-                if !matches!(esc, Escalation::Initial) {
-                    self.retries += 1;
-                }
-                retry::apply_dc(&mut cur, esc);
-                if matches!(esc, Escalation::SwitchBackend) {
-                    let mut ws = JacobianWorkspace::new(cur.newton.solver);
-                    dc_operating_point_traced(ckt, &cur, Some(&mut ws), diag)
-                } else {
-                    dc_operating_point_traced(ckt, &cur, Some(self.static_workspace()), diag)
-                }
+            retry::is_retryable,
+            EngineError::clone,
+            |esc, diag| match esc {
+                Escalation::SwitchBackend => attempt(&mut Session::new(rescue), esc, diag),
+                _ => attempt(self, esc, diag),
             },
         );
         (res, diag)
     }
 
+    /// Transient analysis through the session's dynamic-pattern workspace.
+    /// Without an explicit `opts.x0` the initial state is the session's DC
+    /// operating point.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC and per-step Newton failures.
+    pub fn transient(
+        &mut self,
+        ckt: &Circuit,
+        opts: &TranOptions,
+    ) -> Result<TranResult, EngineError> {
+        let (eff, x0) = self.resolve_x0(ckt, opts)?;
+        crate::tran::run(ckt, &mut self.cycle, &eff, x0)
+    }
+
     /// [`Session::transient`] with retry/fallback escalation; returns the
-    /// result together with the attempt trail. The switch-backend rung runs
-    /// on a throwaway workspace chain, like
+    /// result together with the attempt trail. Rungs run as in
     /// [`Session::dc_operating_point_resilient`].
     pub fn transient_resilient(
         &mut self,
@@ -253,91 +262,62 @@ impl Session {
         opts: &TranOptions,
         policy: &RetryPolicy,
     ) -> (Result<TranResult, EngineError>, SolveDiagnostics) {
-        let mut diag = SolveDiagnostics::new();
         let mut cur = opts.clone();
         let ladder = retry::tran_ladder(policy);
-        let budget = cur.newton.budget.clone();
-        let res = retry::run_ladder(
-            &ladder,
-            policy.max_attempts,
-            &budget,
-            &mut diag,
-            |esc, _diag| {
-                if !matches!(esc, Escalation::Initial) {
-                    self.retries += 1;
-                }
-                retry::apply_tran(&mut cur, esc);
-                if matches!(esc, Escalation::SwitchBackend) {
-                    let mut fresh = Session::new(SessionOptions {
-                        solver: cur.newton.solver,
-                        threads: self.threads,
-                    });
-                    fresh.transient(ckt, &cur)
-                } else {
-                    self.transient(ckt, &cur)
-                }
-            },
-        );
-        (res, diag)
+        self.run_ladder(&ladder, &opts.newton.budget, |s, esc, _| {
+            retry::apply_tran(&mut cur, esc);
+            s.transient(ckt, &cur)
+        })
     }
 
-    /// Transient analysis through the session's dynamic-pattern workspace.
+    /// Transient forward-sensitivity analysis through the session (see
+    /// [`crate::transens`]). Without an explicit `opts.x0` the initial
+    /// state is the session's DC operating point.
     ///
     /// # Errors
     ///
-    /// See [`crate::tran::transient`].
-    pub fn transient(
-        &mut self,
-        ckt: &Circuit,
-        opts: &TranOptions,
-    ) -> Result<TranResult, EngineError> {
-        let eff = self.tran_opts_with_x0(ckt, opts)?;
-        transient_with(ckt, &mut self.cycle, &eff)
-    }
-
-    /// Transient forward-sensitivity analysis through the session.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::transens::transient_with_sensitivities`].
+    /// Propagates DC and per-step Newton failures.
     pub fn transient_with_sensitivities(
         &mut self,
         ckt: &Circuit,
         opts: &TranOptions,
         init: SensInit,
     ) -> Result<TranSensResult, EngineError> {
-        let eff = self.tran_opts_with_x0(ckt, opts)?;
-        transient_with_sensitivities_with(ckt, &mut self.cycle, &eff, init)
+        let (eff, x0) = self.resolve_x0(ckt, opts)?;
+        crate::transens::run(ckt, &mut self.cycle, &eff, init, x0)
     }
 
-    fn tran_opts_for(&self, opts: &TranOptions) -> TranOptions {
-        TranOptions {
-            newton: self.newton_for(&opts.newton),
-            threads: self.effective_threads(opts.threads),
-            ..opts.clone()
-        }
-    }
-
-    /// Per-call options with the session policy applied and the initial
-    /// state resolved through the session's static workspace (mirroring the
-    /// per-call DC fallback of [`crate::tran::transient`] exactly).
-    fn tran_opts_with_x0(
+    /// Validates per-call transient options, applies the session policy
+    /// (solver, thread count) and resolves the initial state: `opts.x0`
+    /// when given, otherwise the DC operating point through the session's
+    /// static workspace. The one place a transient-style run finds its
+    /// starting point.
+    pub(crate) fn resolve_x0(
         &mut self,
         ckt: &Circuit,
         opts: &TranOptions,
-    ) -> Result<TranOptions, EngineError> {
-        // Reject invalid step configs before spending a DC solve, with the
-        // same error the per-call path raises.
+    ) -> Result<(TranOptions, Vec<f64>), EngineError> {
+        // Reject invalid step configs before spending a DC solve.
         crate::tran::validate_step_config(opts)?;
-        let mut eff = self.tran_opts_for(opts);
-        if eff.x0.is_none() {
-            let dc_opts = DcOptions {
-                newton: eff.newton.clone(),
-                ..DcOptions::default()
-            };
-            eff.x0 = Some(self.dc_operating_point(ckt, &dc_opts)?);
-        }
-        Ok(eff)
+        let eff = TranOptions {
+            newton: NewtonOptions {
+                solver: self.solver,
+                ..opts.newton.clone()
+            },
+            threads: self.effective_threads(opts.threads),
+            ..opts.clone()
+        };
+        let x0 = match &eff.x0 {
+            Some(x) => x.clone(),
+            None => {
+                let dc_opts = DcOptions {
+                    newton: eff.newton.clone(),
+                    ..DcOptions::default()
+                };
+                self.dc_operating_point(ckt, &dc_opts)?
+            }
+        };
+        Ok((eff, x0))
     }
 }
 

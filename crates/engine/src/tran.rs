@@ -65,9 +65,9 @@
 //! ([`StepRecord::h`], [`StepRecord::theta`]), so downstream consumers
 //! (sensitivity propagation, monodromy accumulation, LPTV) follow the
 //! accepted grid whether it is uniform or adaptive
-//! ([`integrate_cycle_adaptive_with`]).
+//! ([`integrate_cycle_adaptive`]).
 
-use crate::dc::{dc_operating_point, DcOptions, NewtonOptions};
+use crate::dc::NewtonOptions;
 use crate::error::EngineError;
 use crate::solver::{CombineStage, FactoredJacobian, JacobianWorkspace};
 use tranvar_circuit::{Circuit, NodeId};
@@ -273,8 +273,8 @@ impl TranResult {
     }
 }
 
-/// Shared validation for every transient-style run (plain, sensitivity,
-/// session): one copy of the config check and its error message.
+/// Validation for every transient-style run (plain and sensitivity), done
+/// once in the session before the initial state is resolved.
 ///
 /// Fixed mode additionally requires the rounded step count
 /// `((t_stop − t_start)/dt).round()` to be at least 1: a `dt` larger than
@@ -378,7 +378,7 @@ impl StepState {
     }
 }
 
-/// Reusable buffers for repeated [`integrate_cycle_with`] calls on one
+/// Reusable buffers for repeated [`integrate_cycle`] calls on one
 /// circuit: the assembly double-buffer, Newton vectors, factorization
 /// workspace (staged CSC/dense storage plus the sparse symbolic pivot
 /// analysis) and coupling-matrix stage all survive between cycles.
@@ -586,9 +586,9 @@ fn shrink_can_help(e: &EngineError) -> bool {
     )
 }
 
-/// The LTE-controlled stepping loop shared by [`transient_with`], the
+/// The LTE-controlled stepping loop shared by [`transient`], the
 /// adaptive sensitivity propagation ([`crate::transens`]) and
-/// [`integrate_cycle_adaptive_with`]: owns the integration state (`x`,
+/// [`integrate_cycle_adaptive`]: owns the integration state (`x`,
 /// `f_aug`, `q`), the accepted-state snapshots used to roll back rejected
 /// steps, and the predictor history. All users drive the *same* loop, so
 /// the nominal trajectory is bitwise identical across entry points.
@@ -886,7 +886,9 @@ impl AdaptiveDriver {
 }
 
 /// Runs a transient analysis (fixed-grid by default; see
-/// [`TranOptions::step_control`]).
+/// [`TranOptions::step_control`]). A one-line convenience over a fresh
+/// [`Session`](crate::session::Session) on `opts.newton.solver`; see
+/// [`Session::transient`](crate::session::Session::transient).
 ///
 /// # Errors
 ///
@@ -915,36 +917,19 @@ impl AdaptiveDriver {
 /// # Ok::<(), tranvar_engine::EngineError>(())
 /// ```
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult, EngineError> {
-    transient_with(ckt, &mut CycleWorkspace::new(), opts)
+    crate::session::Session::with_solver(opts.newton.solver).transient(ckt, opts)
 }
 
-/// [`transient`] with an explicit reusable workspace: repeated runs on one
-/// circuit (scenario campaigns, Monte-Carlo-style re-simulation loops) skip
-/// the per-call buffer allocation and — for the sparse backend — the
-/// symbolic pivot re-analysis, exactly like
-/// [`integrate_cycle_with`] does for cycle integrations. For the dense
-/// backend the results are bit-identical to a fresh per-call run.
-///
-/// # Errors
-///
-/// Propagates DC and per-step Newton failures.
-pub fn transient_with(
+/// The transient body behind [`Session::transient`](crate::session::Session::transient):
+/// integrates from the resolved initial state `x0` through the reusable
+/// workspace `ws`. Expects `opts` to be validated by the caller.
+pub(crate) fn run(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
     opts: &TranOptions,
+    x0: Vec<f64>,
 ) -> Result<TranResult, EngineError> {
-    validate_step_config(opts)?;
     let n_node = ckt.n_nodes() - 1;
-    let x0 = match &opts.x0 {
-        Some(x) => x.clone(),
-        None => dc_operating_point(
-            ckt,
-            &DcOptions {
-                newton: opts.newton.clone(),
-                ..DcOptions::default()
-            },
-        )?,
-    };
     if let StepControl::Adaptive(a) = opts.step_control {
         return transient_adaptive_detailed(ckt, ws, opts, &a, x0).map(|(res, _)| res);
     }
@@ -1026,50 +1011,17 @@ pub(crate) fn transient_adaptive_detailed(
 /// Integrates exactly one period of length `period` from `x0` at `t0`,
 /// optionally recording per-step factorizations for PSS/LPTV reuse.
 ///
-/// Allocates a fresh [`CycleWorkspace`] per call; shooting loops that
-/// integrate many cycles of the same circuit should hold one workspace and
-/// call [`integrate_cycle_with`] instead.
+/// Repeated cycles (shooting-Newton rounds, warm-up cycles) share one
+/// [`CycleWorkspace`] `ws`. On the dense backend a reused workspace is
+/// bit-identical to a fresh one; the sparse backend replays the first
+/// cycle's pivot order (identical to machine precision, see
+/// [`crate::session`]).
 ///
 /// # Errors
 ///
 /// Propagates per-step Newton failures.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_cycle(
-    ckt: &Circuit,
-    x0: &[f64],
-    t0: f64,
-    period: f64,
-    n_steps: usize,
-    method: Integrator,
-    newton: &NewtonOptions,
-    gmin: f64,
-    record: bool,
-) -> Result<CycleResult, EngineError> {
-    let mut ws = CycleWorkspace::new();
-    integrate_cycle_with(
-        ckt, &mut ws, x0, t0, period, n_steps, method, newton, gmin, record,
-    )
-}
-
-/// [`integrate_cycle`] with an explicit reusable workspace: repeated calls
-/// (shooting-Newton rounds, warm-up cycles)
-/// skip the per-call buffer allocation and — for the sparse backend — the
-/// symbolic pivot re-analysis.
-///
-/// For the dense backend the results are bit-identical to
-/// [`integrate_cycle`] (refactorization recomputes its pivots from the
-/// values). The sparse backend replays the pivot order found on the first
-/// cycle for as long as it stays numerically acceptable, exactly as it
-/// already does between the timesteps of one cycle, so a reused workspace
-/// may legitimately factor with a different (equally valid) pivot order
-/// than a fresh one — identical to machine precision, not necessarily to
-/// the last bit.
-///
-/// # Errors
-///
-/// Propagates per-step Newton failures.
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_cycle_with(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
     x0: &[f64],
@@ -1141,7 +1093,7 @@ pub fn integrate_cycle_with(
     })
 }
 
-/// [`integrate_cycle_with`] on an LTE-controlled adaptive grid: integrates
+/// [`integrate_cycle`] on an LTE-controlled adaptive grid: integrates
 /// exactly one period starting from step size `initial_dt`, accepting,
 /// shrinking and growing steps per `adaptive`, and lands exactly on
 /// `t0 + period` (the final step is stretched or shortened to the endpoint).
@@ -1149,7 +1101,7 @@ pub fn integrate_cycle_with(
 /// The first accepted steps are backward Euler (the adaptive startup — at
 /// least the first step, which the fixed-grid cycle also forces to BE so
 /// the monodromy stays free of unit algebraic eigenvalues; see
-/// [`integrate_cycle_with`]). Each [`StepRecord`] carries its own `h` and
+/// [`integrate_cycle`]). Each [`StepRecord`] carries its own `h` and
 /// `θ`, so monodromy accumulation and the LPTV solver consume the
 /// non-uniform record grid unchanged.
 ///
@@ -1157,7 +1109,7 @@ pub fn integrate_cycle_with(
 ///
 /// Propagates per-step Newton failures and budget exhaustion.
 #[allow(clippy::too_many_arguments)]
-pub fn integrate_cycle_adaptive_with(
+pub fn integrate_cycle_adaptive(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
     x0: &[f64],
@@ -1316,6 +1268,7 @@ mod tests {
         let period = 1e-4;
         let cyc = integrate_cycle(
             &ckt,
+            &mut CycleWorkspace::new(),
             &x0,
             0.0,
             period,
@@ -1348,6 +1301,7 @@ mod tests {
         let flow = |x0: &[f64]| {
             integrate_cycle(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 period,
@@ -1399,6 +1353,7 @@ mod tests {
         for (round, x0) in starts.iter().enumerate() {
             let fresh = integrate_cycle(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 period,
@@ -1409,7 +1364,7 @@ mod tests {
                 true,
             )
             .unwrap();
-            let reused = integrate_cycle_with(
+            let reused = integrate_cycle(
                 &ckt,
                 &mut ws,
                 x0,
@@ -1463,6 +1418,7 @@ mod tests {
             let per = period * (1.0 + 1e-6 * round as f64);
             let fresh = integrate_cycle(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 per,
@@ -1473,7 +1429,7 @@ mod tests {
                 false,
             )
             .unwrap();
-            let reused = integrate_cycle_with(
+            let reused = integrate_cycle(
                 &ckt,
                 &mut ws,
                 x0,
@@ -1622,7 +1578,7 @@ mod tests {
         let period = 1e-4;
         let a = AdaptiveOptions::default();
         let mut ws = CycleWorkspace::new();
-        let cyc = integrate_cycle_adaptive_with(
+        let cyc = integrate_cycle_adaptive(
             &ckt,
             &mut ws,
             &x0,
@@ -1762,6 +1718,7 @@ mod tests {
         assert!(matches!(
             integrate_cycle(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 &[0.0; 3],
                 0.0,
                 1.0,

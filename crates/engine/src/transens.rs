@@ -44,10 +44,10 @@
 //! that the window is filled by the LTE controller instead of a uniform
 //! step count).
 
-use crate::dc::{dc_operating_point, DcOptions};
 use crate::error::EngineError;
 use crate::par::effective_threads_for_work;
 use crate::sens::{dc_sensitivities, param_step_rhs};
+use crate::session::Session;
 use crate::solver::{combine, FactoredJacobian};
 use crate::tran::{StepControl, StepRecord, TranOptions, TranResult};
 use tranvar_circuit::{Circuit, ParamDeriv};
@@ -79,31 +79,17 @@ pub enum SensInit {
     Zero,
 }
 
-/// Shared preamble: validates options and computes the initial state and
-/// sensitivity.
-fn initial_state_and_sens(
+/// The sensitivity state at `t_start` from the resolved initial state `x0`.
+fn initial_sens(
     ckt: &Circuit,
+    x0: &[f64],
     opts: &TranOptions,
     init: SensInit,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), EngineError> {
-    crate::tran::validate_step_config(opts)?;
-    let n = ckt.n_unknowns();
-    let n_params = ckt.mismatch_params().len();
-    let x0 = match &opts.x0 {
-        Some(x) => x.clone(),
-        None => dc_operating_point(
-            ckt,
-            &DcOptions {
-                newton: opts.newton.clone(),
-                ..DcOptions::default()
-            },
-        )?,
-    };
-    let s0: Vec<Vec<f64>> = match init {
-        SensInit::FromDc => dc_sensitivities(ckt, &x0, opts.newton.solver)?,
-        SensInit::Zero => vec![vec![0.0; n]; n_params],
-    };
-    Ok((x0, s0))
+) -> Result<Vec<Vec<f64>>, EngineError> {
+    Ok(match init {
+        SensInit::FromDc => dc_sensitivities(ckt, x0, opts.newton.solver)?,
+        SensInit::Zero => vec![vec![0.0; ckt.n_unknowns()]; ckt.mismatch_params().len()],
+    })
 }
 
 /// Per-chunk worker state that persists across windows: the interleaved
@@ -188,6 +174,9 @@ fn propagate_window(
 /// per-parameter reference implementation see
 /// [`transient_with_sensitivities_seq`].
 ///
+/// A one-line convenience over a fresh [`Session`] on
+/// `opts.newton.solver`; see [`Session::transient_with_sensitivities`].
+///
 /// # Errors
 ///
 /// Propagates DC and per-step Newton failures.
@@ -196,25 +185,21 @@ pub fn transient_with_sensitivities(
     opts: &TranOptions,
     init: SensInit,
 ) -> Result<TranSensResult, EngineError> {
-    transient_with_sensitivities_with(ckt, &mut crate::tran::CycleWorkspace::new(), opts, init)
+    Session::with_solver(opts.newton.solver).transient_with_sensitivities(ckt, opts, init)
 }
 
-/// [`transient_with_sensitivities`] with an explicit reusable integration
-/// workspace: repeated runs on one circuit (scenario campaigns) skip the
-/// per-call buffer allocation and — for the sparse backend — the symbolic
-/// pivot re-analysis. For the dense backend the results are bit-identical
-/// to a fresh per-call run.
-///
-/// # Errors
-///
-/// See [`transient_with_sensitivities`].
-pub fn transient_with_sensitivities_with(
+/// The batched sensitivity body behind
+/// [`Session::transient_with_sensitivities`]: integrates from the resolved
+/// initial state `x0` through the reusable workspace `ws`. Expects `opts`
+/// to be validated by the caller.
+pub(crate) fn run(
     ckt: &Circuit,
     ws: &mut crate::tran::CycleWorkspace,
     opts: &TranOptions,
     init: SensInit,
+    x0: Vec<f64>,
 ) -> Result<TranSensResult, EngineError> {
-    let (x0, s0) = initial_state_and_sens(ckt, opts, init)?;
+    let s0 = initial_sens(ckt, &x0, opts, init)?;
     let n = ckt.n_unknowns();
     let n_node = ckt.n_nodes() - 1;
     let n_params = ckt.mismatch_params().len();
@@ -430,29 +415,19 @@ pub fn transient_with_sensitivities_seq(
     opts: &TranOptions,
     init: SensInit,
 ) -> Result<TranSensResult, EngineError> {
-    let (x0, s0) = initial_state_and_sens(ckt, opts, init)?;
+    let (eff, x0) = Session::with_solver(opts.newton.solver).resolve_x0(ckt, opts)?;
+    let opts = &eff;
+    let s0 = initial_sens(ckt, &x0, opts, init)?;
     // Fixed mode re-runs the plain transient; adaptive mode drives the same
     // LTE controller as the batched path (so the grids match bitwise) and
     // keeps the per-step θ, which BE startup and post-rejection BE retries
     // make state-dependent.
+    let ws = &mut crate::tran::CycleWorkspace::new();
     let (res, step_thetas) = match opts.step_control {
-        StepControl::Fixed => {
-            let res = crate::tran::transient(
-                ckt,
-                &TranOptions {
-                    x0: Some(x0),
-                    ..opts.clone()
-                },
-            )?;
-            (res, Vec::new())
+        StepControl::Fixed => (crate::tran::run(ckt, ws, opts, x0)?, Vec::new()),
+        StepControl::Adaptive(a) => {
+            crate::tran::transient_adaptive_detailed(ckt, ws, opts, &a, x0)?
         }
-        StepControl::Adaptive(a) => crate::tran::transient_adaptive_detailed(
-            ckt,
-            &mut crate::tran::CycleWorkspace::new(),
-            opts,
-            &a,
-            x0,
-        )?,
     };
     let fixed = matches!(opts.step_control, StepControl::Fixed);
     let n_node = ckt.n_nodes() - 1;

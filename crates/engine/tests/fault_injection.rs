@@ -8,13 +8,13 @@
 #![cfg(feature = "fault-inject")]
 
 use std::time::Duration;
-use tranvar_circuit::{Circuit, MosModel, MosType, NodeId, Waveform};
-use tranvar_engine::dc::{dc_operating_point, dc_operating_point_traced, DcOptions};
+use tranvar_circuit::{Circuit, MosModel, MosType, NodeId, Pulse, Waveform};
+use tranvar_engine::dc::{dc_operating_point, DcOptions};
 use tranvar_engine::fault::{sites, FaultAction, FaultPlan};
-use tranvar_engine::retry::{dc_operating_point_resilient, transient_resilient};
 use tranvar_engine::tran::transient;
 use tranvar_engine::{
-    BudgetKind, BudgetLimits, EngineError, RetryPolicy, SolveBudget, SolveDiagnostics, TranOptions,
+    BudgetKind, BudgetLimits, EngineError, RetryPolicy, Session, SolveBudget, SolveDiagnostics,
+    SolverKind, TranOptions,
 };
 use tranvar_num::NumError;
 
@@ -59,13 +59,67 @@ fn common_source() -> Circuit {
     ckt
 }
 
+/// A 3-stage CMOS inverter chain with 5 fF loads, driven by a pulse: dense
+/// and sparse transients of it differ in the last bits.
+fn inverter_chain() -> Circuit {
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let mut input = ckt.node("in");
+    ckt.add_vsource("VDD", vdd, NodeId::GROUND, Waveform::Dc(1.2));
+    ckt.add_vsource(
+        "VIN",
+        input,
+        NodeId::GROUND,
+        Waveform::Pulse(Pulse {
+            v0: 0.0,
+            v1: 1.2,
+            delay: 2e-10,
+            rise: 5e-11,
+            fall: 5e-11,
+            width: 5e-10,
+            period: 2e-9,
+        }),
+    );
+    for stage in 0..3 {
+        let out = ckt.node(&format!("out{stage}"));
+        for (ty, model, w, rail) in [
+            (MosType::Pmos, MosModel::pmos_013(), 2e-6, vdd),
+            (MosType::Nmos, MosModel::nmos_013(), 1e-6, NodeId::GROUND),
+        ] {
+            let label = format!("M{ty:?}{stage}");
+            ckt.add_mosfet(&label, out, input, rail, ty, model, w, 0.13e-6);
+        }
+        ckt.add_capacitor(&format!("C{stage}"), out, NodeId::GROUND, 5e-15);
+        input = out;
+    }
+    ckt
+}
+
+/// One successful DC solve on a fresh session with no escalation,
+/// returning the homotopy-stage trail (the single `retry[0]:initial` ladder
+/// record is checked and stripped).
+fn traced_dc(ckt: &Circuit, opts: &DcOptions) -> (Vec<f64>, SolveDiagnostics) {
+    let (res, mut diag) =
+        Session::default().dc_operating_point_resilient(ckt, opts, &RetryPolicy::none());
+    let ladder = diag.attempts.pop().map(|a| a.stage);
+    assert_eq!(ladder.as_deref(), Some("retry[0]:initial"));
+    (res.unwrap(), diag)
+}
+
+fn dc_resilient(
+    ckt: &Circuit,
+    opts: &DcOptions,
+    policy: &RetryPolicy,
+) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
+    Session::default().dc_operating_point_resilient(ckt, opts, policy)
+}
+
 // ── Homotopy-stage coverage: force each stage to be the one that converges ──
 
 #[test]
 fn direct_stage_converges_with_single_attempt_trail() {
     let ckt = divider();
-    let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let (x, diag) = traced_dc(&ckt, &DcOptions::default());
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert_eq!(diag.stages(), vec!["dc:direct"]);
@@ -78,9 +132,8 @@ fn gmin_stepping_rescues_failed_direct_stage() {
     let _guard = FaultPlan::new()
         .fail(sites::DC_STAGE, 0, FaultAction::NoConverge)
         .install();
-    let mut diag = SolveDiagnostics::new();
     let opts = DcOptions::default();
-    let x = dc_operating_point_traced(&ckt, &opts, None, &mut diag).unwrap();
+    let (x, diag) = traced_dc(&ckt, &opts);
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     let stages = diag.stages();
@@ -100,9 +153,8 @@ fn source_stepping_rescues_failed_gmin_walk() {
     let _guard = FaultPlan::new()
         .fail_range(sites::DC_STAGE, 0, 2, FaultAction::NoConverge)
         .install();
-    let mut diag = SolveDiagnostics::new();
     let opts = DcOptions::default();
-    let x = dc_operating_point_traced(&ckt, &opts, None, &mut diag).unwrap();
+    let (x, diag) = traced_dc(&ckt, &opts);
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     let stages = diag.stages();
@@ -122,8 +174,7 @@ fn injected_singular_factor_is_rescued_by_homotopy() {
     let _guard = FaultPlan::new()
         .fail(sites::FACTOR, 0, FaultAction::Singular)
         .install();
-    let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let (x, diag) = traced_dc(&ckt, &DcOptions::default());
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert!(matches!(
@@ -138,8 +189,7 @@ fn injected_non_finite_factor_is_distinct_from_singular() {
     let _guard = FaultPlan::new()
         .fail(sites::FACTOR, 0, FaultAction::NonFinite)
         .install();
-    let mut diag = SolveDiagnostics::new();
-    let _ = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let (_, diag) = traced_dc(&ckt, &DcOptions::default());
     assert!(matches!(
         diag.attempts[0].error,
         Some(EngineError::Num(NumError::NonFinite { .. }))
@@ -149,24 +199,6 @@ fn injected_non_finite_factor_is_distinct_from_singular() {
 // ── Non-finite guards fail fast instead of burning the iteration budget ──
 
 #[test]
-fn poisoned_dc_update_bails_on_first_iteration() {
-    let ckt = divider();
-    let guard = FaultPlan::new()
-        .fail(sites::DC_RESIDUAL, 0, FaultAction::PoisonNan)
-        .install();
-    let res = tranvar_engine::dc::solve_static(
-        &ckt,
-        0.0,
-        1e-12,
-        &vec![0.0; ckt.n_unknowns()],
-        &Default::default(),
-    );
-    assert!(matches!(res, Err(EngineError::NonFinite { .. })), "{res:?}");
-    // Exactly one iteration ran: the guard fired once, not max_iter times.
-    assert_eq!(guard.hits(sites::DC_RESIDUAL), 1);
-}
-
-#[test]
 fn poisoned_direct_stage_is_rescued_by_gmin_walk() {
     let ckt = divider();
     // Only the very first Newton iteration is poisoned: the direct stage
@@ -174,8 +206,7 @@ fn poisoned_direct_stage_is_rescued_by_gmin_walk() {
     let _guard = FaultPlan::new()
         .fail(sites::DC_RESIDUAL, 0, FaultAction::PoisonNan)
         .install();
-    let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let (x, diag) = traced_dc(&ckt, &DcOptions::default());
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert!(matches!(
@@ -266,8 +297,7 @@ fn dc_retry_reaches_every_rung_in_order() {
     let _guard = FaultPlan::new()
         .fail_range(sites::RETRY_ATTEMPT, 0, 3, FaultAction::NoConverge)
         .install();
-    let (res, diag) =
-        dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
+    let (res, diag) = dc_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
     let x = res.unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
@@ -295,8 +325,11 @@ fn tran_retry_reaches_switch_backend() {
     let _guard = FaultPlan::new()
         .fail_range(sites::RETRY_ATTEMPT, 0, 2, FaultAction::NoConverge)
         .install();
-    let (res, diag) =
-        transient_resilient(&ckt, &TranOptions::new(1e-7, 1e-9), &RetryPolicy::default());
+    let (res, diag) = Session::default().transient_resilient(
+        &ckt,
+        &TranOptions::new(1e-7, 1e-9),
+        &RetryPolicy::default(),
+    );
     assert!(res.is_ok(), "{:?}", res.err());
     assert_eq!(
         diag.stages(),
@@ -305,6 +338,34 @@ fn tran_retry_reaches_switch_backend() {
             "retry[1]:halve-dt",
             "retry[2]:switch-backend",
         ]
+    );
+}
+
+#[test]
+fn tran_switch_backend_rung_leaves_the_session_backend() {
+    let ckt = inverter_chain();
+    let opts = TranOptions::new(2e-9, 1e-11);
+    let bits = |r: tranvar_engine::TranResult| -> Vec<u64> {
+        r.states.iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    let plain = |kind| bits(Session::with_solver(kind).transient(&ckt, &opts).unwrap());
+    let (dense, sparse) = (plain(SolverKind::Dense), plain(SolverKind::Sparse));
+    assert!(dense != sparse, "the backends must be distinguishable here");
+    let _guard = FaultPlan::new()
+        .fail(sites::RETRY_ATTEMPT, 0, FaultAction::NoConverge)
+        .install();
+    let policy = RetryPolicy {
+        max_attempts: 2,
+        halve_timestep: false,
+        ..RetryPolicy::default()
+    };
+    let (res, diag) =
+        Session::with_solver(SolverKind::Sparse).transient_resilient(&ckt, &opts, &policy);
+    assert_eq!(diag.succeeded_stage(), Some("retry[1]:switch-backend"));
+    // The rescue ran on the other backend than the session's (Sparse).
+    assert!(
+        bits(res.unwrap()) == dense,
+        "the switch-backend rung did not run on the dense backend"
     );
 }
 
@@ -318,7 +379,7 @@ fn max_attempts_bounds_the_ladder() {
         max_attempts: 2,
         ..RetryPolicy::default()
     };
-    let (res, diag) = dc_operating_point_resilient(&ckt, &DcOptions::default(), &policy);
+    let (res, diag) = dc_resilient(&ckt, &DcOptions::default(), &policy);
     assert!(matches!(res, Err(EngineError::NoConvergence { .. })));
     assert_eq!(diag.retry_attempts(), 2);
 }
@@ -334,7 +395,7 @@ fn expired_deadline_short_circuits_the_ladder_before_any_attempt() {
         .install();
     let mut opts = DcOptions::default();
     opts.newton.budget = SolveBudget::new(BudgetLimits::default().deadline(Duration::from_secs(1)));
-    let (res, diag) = dc_operating_point_resilient(&ckt, &opts, &RetryPolicy::default());
+    let (res, diag) = dc_resilient(&ckt, &opts, &RetryPolicy::default());
     match res {
         Err(EngineError::BudgetExceeded { progress, .. }) => {
             assert_eq!(progress.exhausted, BudgetKind::Deadline);
@@ -349,7 +410,7 @@ fn budget_exhaustion_is_never_retried() {
     let ckt = common_source();
     let mut opts = DcOptions::default();
     opts.newton.budget = SolveBudget::new(BudgetLimits::default().max_newton_iters(1));
-    let (res, diag) = dc_operating_point_resilient(&ckt, &opts, &RetryPolicy::default());
+    let (res, diag) = dc_resilient(&ckt, &opts, &RetryPolicy::default());
     assert!(matches!(res, Err(EngineError::BudgetExceeded { .. })));
     // One homotopy stage record plus one ladder record — no escalation ran.
     assert_eq!(diag.stages(), vec!["dc:direct", "retry[0]:initial"]);

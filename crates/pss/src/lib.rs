@@ -24,6 +24,5 @@ pub mod shooting;
 pub use autonomous::{autonomous_pss, autonomous_pss_in, OscOptions};
 pub use error::PssError;
 pub use shooting::{
-    monodromy, monodromy_seq, monodromy_threaded, shooting_pss, shooting_pss_in, PssOptions,
-    PssSolution,
+    monodromy_seq, monodromy_threaded, shooting_pss, shooting_pss_in, PssOptions, PssSolution,
 };

@@ -15,7 +15,7 @@ use crate::error::PssError;
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_engine::dc::{DcOptions, NewtonOptions};
 use tranvar_engine::tran::{
-    integrate_cycle_adaptive_with, integrate_cycle_with, CycleResult, CycleWorkspace, Integrator,
+    integrate_cycle, integrate_cycle_adaptive, CycleResult, CycleWorkspace, Integrator,
     StepControl, StepRecord,
 };
 use tranvar_engine::{
@@ -113,7 +113,7 @@ pub(crate) fn integrate_pss_cycle(
     record: bool,
 ) -> Result<CycleResult, tranvar_engine::EngineError> {
     match opts.step_control {
-        StepControl::Fixed => integrate_cycle_with(
+        StepControl::Fixed => integrate_cycle(
             ckt,
             ws,
             x0,
@@ -125,7 +125,7 @@ pub(crate) fn integrate_pss_cycle(
             opts.gmin,
             record,
         ),
-        StepControl::Adaptive(a) => integrate_cycle_adaptive_with(
+        StepControl::Adaptive(a) => integrate_cycle_adaptive(
             ckt,
             ws,
             x0,
@@ -215,15 +215,8 @@ impl PssSolution {
     }
 }
 
-/// Propagates the monodromy matrix `M = ∏ J_k⁻¹ B_k` from cycle records.
-///
-/// Single-threaded convenience wrapper around [`monodromy_threaded`]; the
-/// shooting drivers pass [`PssOptions::threads`] through instead.
-pub fn monodromy(records: &[StepRecord], n: usize) -> DMat<f64> {
-    monodromy_threaded(records, n, 1)
-}
-
-/// Batched, threaded monodromy accumulation.
+/// Propagates the monodromy matrix `M = ∏ J_k⁻¹ B_k` from cycle records:
+/// batched, threaded accumulation.
 ///
 /// The `n` columns of `M` propagate independently through the record
 /// product, so they are split into contiguous chunks — one std scoped
@@ -585,7 +578,7 @@ mod tests {
         opts: &PssOptions,
         record: bool,
     ) -> CycleResult {
-        integrate_cycle_with(
+        integrate_cycle(
             ckt,
             ws,
             x0,

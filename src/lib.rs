@@ -95,8 +95,8 @@
 //!   [`engine::Session::transient_with_sensitivities`],
 //!   [`pss::shooting_pss_in`], [`pss::autonomous_pss_in`],
 //!   [`core::analyze_in`]) borrows from it instead of allocating per call;
-//!   the classic free functions remain as thin wrappers over a fresh
-//!   session, bit-identical to before on the dense backend (the sparse
+//!   the free functions are one-line conveniences over a fresh session,
+//!   bit-identical to a warm one on the dense backend (the sparse
 //!   backend's pivot-order replay is machine-precision identical — see
 //!   [`engine::session`]).
 //! - A [`core::Campaign`] evaluates named [`core::Scenario`]s — lists of
@@ -132,9 +132,10 @@
 //! - **Retry escalation** — [`engine::RetryPolicy`] re-attempts retryable
 //!   failures ([`engine::is_retryable`]) up a bounded ladder: denser gmin
 //!   schedule, more source steps, halved timestep, the other
-//!   [`engine::SolverKind`]. Every attempt (and every homotopy stage) is
-//!   recorded in [`engine::SolveDiagnostics`], so callers see exactly
-//!   which path rescued a solve. The default policy is
+//!   [`engine::SolverKind`], all through one loop
+//!   ([`engine::retry::run_ladder`]). Every attempt (and every homotopy
+//!   stage) is recorded in [`engine::SolveDiagnostics`], so callers see
+//!   exactly which path rescued a solve. The default policy is
 //!   [`engine::RetryPolicy::none`] — results stay bit-identical unless
 //!   you opt in (e.g. [`core::Campaign::with_retry`]).
 //! - **Panic isolation** — [`core::Campaign`] catches worker panics,
