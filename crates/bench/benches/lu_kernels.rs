@@ -25,7 +25,7 @@ use tranvar_num::{lanes_scratch_len, Csc, Triplets};
 
 /// Combined (G + C/h) Jacobian of a circuit at its DC operating point, the
 /// matrix every transient step factors.
-fn circuit_jacobian(ckt: &tranvar_circuit::Circuit) -> Csc<f64> {
+fn circuit_jacobian(ckt: &tranvar_circuit::Circuit) -> Csc {
     let x = dc_operating_point(ckt, &DcOptions::default()).expect("dc op");
     let asm = ckt.assemble(&x, 0.0);
     let nn = ckt.n_nodes() - 1;
@@ -35,7 +35,7 @@ fn circuit_jacobian(ckt: &tranvar_circuit::Circuit) -> Csc<f64> {
 
 /// Ladder-pattern test matrix (tridiagonal plus a bordered source row/col),
 /// the sparsity shape of the RC/DAC benchmark circuits.
-fn ladder_matrix(rng: &mut Rng64, n: usize) -> Csc<f64> {
+fn ladder_matrix(rng: &mut Rng64, n: usize) -> Csc {
     let mut t = Triplets::new(n, n);
     for i in 0..n {
         t.push(i, i, 4.0 + rng.uniform());

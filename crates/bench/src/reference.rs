@@ -20,7 +20,7 @@ use tranvar_num::{Lu, SparseLu};
 /// # Panics
 ///
 /// Panics if `block.len()` or `scratch.len()` differ from `lu.n() * n_rhs`.
-pub fn dense_solve_interleaved(lu: &Lu<f64>, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
+pub fn dense_solve_interleaved(lu: &Lu, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
     let n = lu.n();
     assert_eq!(block.len(), n * n_rhs, "block length mismatch");
     assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
@@ -79,7 +79,7 @@ pub fn dense_solve_interleaved(lu: &Lu<f64>, block: &mut [f64], n_rhs: usize, sc
 ///
 /// Panics if `block.len()` or `scratch.len()` differ from `lu.n() * n_rhs`.
 pub fn sparse_solve_interleaved(
-    lu: &SparseLu<f64>,
+    lu: &SparseLu,
     block: &mut [f64],
     n_rhs: usize,
     scratch: &mut [f64],

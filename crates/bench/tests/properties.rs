@@ -8,7 +8,7 @@ use tranvar_num::rng::Rng64;
 use tranvar_num::{lanes_scratch_len, Csc, Triplets};
 
 /// Deterministic random sparse-ish test matrix with a dominant diagonal.
-fn random_system(rng: &mut Rng64, n: usize, density: f64) -> Csc<f64> {
+fn random_system(rng: &mut Rng64, n: usize, density: f64) -> Csc {
     let mut t = Triplets::new(n, n);
     for i in 0..n {
         for j in 0..n {

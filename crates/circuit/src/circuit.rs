@@ -288,9 +288,9 @@ pub struct Assembly {
     /// Charge/flux vector `q(x)`.
     pub q: Vec<f64>,
     /// Jacobian `∂f/∂x` triplets.
-    pub g: Triplets<f64>,
+    pub g: Triplets,
     /// Jacobian `∂q/∂x` triplets.
-    pub c: Triplets<f64>,
+    pub c: Triplets,
     /// Operating point of each MOSFET, indexed by *device* index (entries
     /// for non-MOSFET devices are defaulted). Captured during assembly so
     /// sensitivity paths can reuse the expensive model evaluations instead

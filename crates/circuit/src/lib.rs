@@ -1,7 +1,7 @@
 //! # tranvar-circuit
 //!
-//! Netlist representation, MNA device stamps, and mismatch/noise descriptors
-//! for the `tranvar` workspace (reproduction of Kim/Jones/Horowitz,
+//! Netlist representation, MNA device stamps, and mismatch descriptors for
+//! the `tranvar` workspace (reproduction of Kim/Jones/Horowitz,
 //! *"Fast, Non-Monte-Carlo Estimation of Transient Performance Variation Due
 //! to Device Mismatch"*).
 //!
@@ -13,9 +13,6 @@
 //!   including the Pelgrom mismatch derivatives ∂I_D/∂V_T = −g_m and
 //!   ∂I_D/∂(δβ/β) = I_D (paper Fig. 4),
 //! - [`mismatch`]: Pelgrom descriptors (σ ∝ 1/√(WL), paper eqs. 4–5),
-//! - [`noise`]: unified noise-source descriptors — physical thermal/flicker
-//!   noise and the paper's mismatch *pseudo-noise* (PSD σ² at 1 Hz,
-//!   bias-dependent injection, paper Section III),
 //! - [`waveform`]: periodic/DC stimuli compatible with PSS analysis.
 //!
 //! # Examples
@@ -41,7 +38,6 @@ pub mod circuit;
 pub mod error;
 pub mod mismatch;
 pub mod mosfet;
-pub mod noise;
 pub mod waveform;
 
 pub use circuit::{
@@ -50,5 +46,4 @@ pub use circuit::{
 pub use error::CircuitError;
 pub use mismatch::{MismatchKind, MismatchParam, Pelgrom};
 pub use mosfet::{MosModel, MosOp, MosType};
-pub use noise::{NoiseKind, NoiseSource};
 pub use waveform::{Pulse, Waveform};

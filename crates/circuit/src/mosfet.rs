@@ -40,10 +40,6 @@ pub struct MosModel {
     pub cov: f64,
     /// Junction capacitance per width (F/m).
     pub cj: f64,
-    /// Thermal-noise excess factor γ (i²_n = 4kTγg_m).
-    pub gamma_noise: f64,
-    /// Flicker-noise coefficient (dimensionless, scaled by g_m²/(C_ox·W·L·f)).
-    pub kf: f64,
 }
 
 impl MosModel {
@@ -57,8 +53,6 @@ impl MosModel {
             cox: 1.2e-2,
             cov: 3.0e-10,
             cj: 8.0e-10,
-            gamma_noise: 1.0,
-            kf: 2.0e-25,
         }
     }
 
@@ -72,8 +66,6 @@ impl MosModel {
             cox: 1.2e-2,
             cov: 3.0e-10,
             cj: 8.0e-10,
-            gamma_noise: 1.0,
-            kf: 1.0e-25,
         }
     }
 }
@@ -97,10 +89,6 @@ pub struct MosOp {
     /// ∂ids/∂(δβ/β) — derivative w.r.t. relative current-factor mismatch.
     /// Always equals `ids` for a current ∝ β.
     pub di_dbeta_rel: f64,
-    /// |g_m| in the conducting frame (for 4kTγg_m thermal noise).
-    pub gm_abs: f64,
-    /// |I_DS| (for flicker / β-noise magnitudes).
-    pub id_abs: f64,
 }
 
 /// Local-frame square-law evaluation: `vgs`, `vds ≥ 0` with positive
@@ -205,8 +193,6 @@ pub fn eval_mosfet(
         di_dvs,
         di_dvt,
         di_dbeta_rel: ids,
-        gm_abs: gm_l.abs(),
-        id_abs: id_l.abs(),
     }
 }
 

@@ -16,8 +16,6 @@
 //!   breakdown, eqs. 10–13 — see [`report`],
 //! - **design-parameter sensitivities** `∂σ²/∂W` for yield optimization,
 //!   eqs. 14–16 — see [`sensitivity`],
-//! - the PSD-domain interpretations of Section V (eqs. 7–9) — see
-//!   [`interpret`],
 //! - the DC-match baseline it generalizes (refs. \[8\],\[9\]) — see [`dcmatch`],
 //! - the Gaussian-mixture extension for non-Gaussian mismatch (Fig. 13) —
 //!   see [`mixture`].
@@ -56,7 +54,6 @@ pub mod analysis;
 pub mod campaign;
 pub mod dcmatch;
 pub mod error;
-pub mod interpret;
 pub mod metric;
 pub mod mixture;
 pub mod report;

@@ -7,8 +7,6 @@
 //! - [`tran`]: BE/trapezoidal transient on a fixed or LTE-controlled
 //!   adaptive grid ([`tran::StepControl`]), plus the one-period integrator
 //!   with per-step factorization records reused by PSS and LPTV,
-//! - [`ac`]: small-signal analysis (the LTI limit the LPTV solver must
-//!   reduce to),
 //! - [`sens`]: DC sensitivities (`.SENS`, paper refs. \[20\],\[26\]) and the
 //!   shared θ-method parameter RHS,
 //! - [`transens`]: transient forward sensitivity — the expensive baseline
@@ -34,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ac;
 pub mod budget;
 pub mod dc;
 pub mod error;

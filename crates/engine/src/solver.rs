@@ -57,9 +57,9 @@ pub enum SolverKind {
 #[derive(Clone, Debug)]
 pub enum FactoredJacobian {
     /// Dense factorization.
-    Dense(Lu<f64>),
+    Dense(Lu),
     /// Sparse factorization.
-    Sparse(SparseLu<f64>),
+    Sparse(SparseLu),
 }
 
 impl FactoredJacobian {
@@ -143,8 +143,8 @@ impl FactoredJacobian {
 /// updated without re-sorting (per-timestep coupling-matrix hot path).
 #[derive(Debug)]
 pub struct CombineStage {
-    tr: Triplets<f64>,
-    csc: Option<Csc<f64>>,
+    tr: Triplets,
+    csc: Option<Csc>,
 }
 
 impl Default for CombineStage {
@@ -172,7 +172,7 @@ impl CombineStage {
         alpha_c: f64,
         gmin: f64,
         n_node_unknowns: usize,
-    ) -> &Csc<f64> {
+    ) -> &Csc {
         combine_into(
             asm,
             alpha_g,
@@ -242,10 +242,10 @@ impl SolverStats {
 #[derive(Debug)]
 pub struct JacobianWorkspace {
     kind: SolverKind,
-    tr: Triplets<f64>,
-    csc: Option<Csc<f64>>,
+    tr: Triplets,
+    csc: Option<Csc>,
     symbolic: Option<SparseSymbolic>,
-    dense: Option<DMat<f64>>,
+    dense: Option<DMat>,
     cached: Option<FactoredJacobian>,
     /// Snapshot of the values the cached factorization was computed from.
     /// A step's accepted-point Jacobian and the next step's warm-started
@@ -417,7 +417,7 @@ impl JacobianWorkspace {
 /// Fills `tr` with `alpha_g·G + alpha_c·C (+ gmin·I on node rows)` triplets,
 /// retaining its allocation.
 fn fill_combined_triplets(
-    tr: &mut Triplets<f64>,
+    tr: &mut Triplets,
     asm: &Assembly,
     alpha_g: f64,
     alpha_c: f64,
@@ -447,7 +447,7 @@ fn fill_combined_triplets(
 
 /// Fills a dense matrix with the same combination, retaining its allocation.
 fn fill_combined_dense(
-    m: &mut DMat<f64>,
+    m: &mut DMat,
     asm: &Assembly,
     alpha_g: f64,
     alpha_c: f64,
@@ -479,7 +479,7 @@ pub fn combine(
     alpha_c: f64,
     gmin: f64,
     n_node_unknowns: usize,
-) -> Csc<f64> {
+) -> Csc {
     let mut t = Triplets::new(asm.n, asm.n);
     fill_combined_triplets(&mut t, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
     t.to_csc()
@@ -494,8 +494,8 @@ pub fn combine_into(
     alpha_c: f64,
     gmin: f64,
     n_node_unknowns: usize,
-    tr: &mut Triplets<f64>,
-    out: &mut Option<Csc<f64>>,
+    tr: &mut Triplets,
+    out: &mut Option<Csc>,
 ) {
     fill_combined_triplets(tr, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
     if let Some(csc) = out.as_mut() {
@@ -513,7 +513,7 @@ pub fn combine_dense(
     alpha_c: f64,
     gmin: f64,
     n_node_unknowns: usize,
-) -> DMat<f64> {
+) -> DMat {
     combine(asm, alpha_g, alpha_c, gmin, n_node_unknowns).to_dense()
 }
 
@@ -604,7 +604,7 @@ mod tests {
         let ckt = rc();
         let nn = ckt.n_nodes() - 1;
         let mut tr = Triplets::new(0, 0);
-        let mut staged: Option<Csc<f64>> = None;
+        let mut staged: Option<Csc> = None;
         for trial in 0..3 {
             let x = vec![0.1 * trial as f64, 0.2, -1e-3];
             let asm = ckt.assemble(&x, 0.0);

@@ -317,7 +317,7 @@ pub struct StepRecord {
     pub lu: FactoredJacobian,
     /// Coupling to the previous state: `B = C₀/h − (1−θ)·G₀`, so that
     /// `∂x₁/∂x₀ = J⁻¹·B`.
-    pub b: Csc<f64>,
+    pub b: Csc,
     /// MOSFET operating points at the accepted state (device-indexed),
     /// captured from the final assembly so sensitivity sources can be built
     /// without re-evaluating any device model
@@ -1281,7 +1281,7 @@ mod tests {
         .unwrap();
         assert_eq!(cyc.records.len(), 8);
         // Monodromy via records.
-        let mut m = tranvar_num::DMat::<f64>::identity(n);
+        let mut m = tranvar_num::DMat::identity(n);
         for rec in &cyc.records {
             let bm = rec.b.to_dense();
             let mut cols = Vec::new();
@@ -1289,7 +1289,7 @@ mod tests {
                 let col: Vec<f64> = (0..n).map(|i| bm[(i, j)]).collect();
                 cols.push(rec.lu.solve(&col));
             }
-            let mut a = tranvar_num::DMat::<f64>::zeros(n, n);
+            let mut a = tranvar_num::DMat::zeros(n, n);
             for (j, col) in cols.iter().enumerate() {
                 for i in 0..n {
                     a[(i, j)] = col[i];

@@ -6,7 +6,7 @@ use tranvar_circuit::CircuitError;
 use tranvar_engine::EngineError;
 use tranvar_num::{FailureClass, NumError, WireFault};
 
-/// Errors produced by the LPTV periodic solver and noise analyses.
+/// Errors produced by the LPTV periodic solver.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum LptvError {

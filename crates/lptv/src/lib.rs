@@ -1,32 +1,22 @@
 //! # tranvar-lptv
 //!
-//! Linear periodically time-varying (LPTV) small-signal and cyclostationary
-//! noise analysis — the machinery the paper borrows from RF simulators'
-//! PNOISE (refs. \[12\]–\[17\]) and the computational heart of the pseudo-noise
-//! mismatch method.
+//! Linear periodically time-varying (LPTV) small-signal analysis — the
+//! machinery the paper borrows from RF simulators' PNOISE (refs.
+//! \[12\]–\[17\]) and the computational heart of the pseudo-noise mismatch
+//! method.
 //!
 //! - [`periodic`]: the periodic linear BVP solver. Each mismatch parameter's
 //!   quasi-DC pseudo-noise response costs `2N` triangular sweeps on
 //!   factorizations already paid for by the PSS solve, plus one shared
 //!   boundary factorization — the whole speedup story of the paper in one
 //!   module. Autonomous orbits are bordered with the phase condition and
-//!   yield the period sensitivity `δT` directly.
-//! - [`harmonic`]: quasi-periodic transfers `H_N(f)` at arbitrary offset
-//!   frequency (noise folding across sidebands).
-//! - [`pnoise`]: cyclostationary output PSDs per sideband with per-source
-//!   breakdowns (the input to the paper's Section V interpretation), and the
-//!   Fig. 8 statistical waveform.
+//!   yield the period sensitivity `δT` directly. The same responses give
+//!   the Fig. 8 statistical waveform ([`statistical_waveform`]).
 
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod harmonic;
 pub mod periodic;
-pub mod pnoise;
 
 pub use error::LptvError;
-pub use harmonic::{harmonic_transfer, QuasiPeriodicBoundary};
-pub use periodic::{LptvOptions, PeriodicResponse, PeriodicSolver};
-pub use pnoise::{
-    pnoise_sideband, statistical_waveform, NoiseContribution, PnoiseOptions, SidebandPsd,
-};
+pub use periodic::{statistical_waveform, LptvOptions, PeriodicResponse, PeriodicSolver};

@@ -32,7 +32,7 @@
 //! [`StepControl::Adaptive`]: tranvar_engine::tran::StepControl::Adaptive
 
 use crate::error::LptvError;
-use tranvar_circuit::{Circuit, ParamDeriv};
+use tranvar_circuit::{Circuit, NodeId, ParamDeriv};
 use tranvar_engine::sens::param_step_rhs;
 use tranvar_engine::{effective_threads_for_work, map_scoped, Session, SolveBudget};
 use tranvar_num::dense::vecops;
@@ -72,7 +72,7 @@ pub struct PeriodicResponse {
 
 impl PeriodicResponse {
     /// Extracts one node's perturbation waveform.
-    pub fn node_waveform(&self, ckt: &Circuit, node: tranvar_circuit::NodeId) -> Vec<f64> {
+    pub fn node_waveform(&self, ckt: &Circuit, node: NodeId) -> Vec<f64> {
         self.dx.iter().map(|x| ckt.voltage(x, node)).collect()
     }
 }
@@ -84,7 +84,7 @@ pub struct PeriodicSolver<'a> {
     sol: &'a PssSolution,
     /// Factored `(I − M)` for driven, or the bordered `(n+1)` system for
     /// autonomous orbits.
-    boundary: Lu<f64>,
+    boundary: Lu,
     autonomous: bool,
     opts: LptvOptions,
 }
@@ -149,7 +149,7 @@ impl<'a> PeriodicSolver<'a> {
                 .as_ref()
                 .ok_or(LptvError::MissingAutonomousData)?;
             let pi = sol.phase_unknown.ok_or(LptvError::MissingAutonomousData)?;
-            let mut a = DMat::<f64>::zeros(n + 1, n + 1);
+            let mut a = DMat::zeros(n + 1, n + 1);
             for i in 0..n {
                 for j in 0..n {
                     a[(i, j)] = -sol.monodromy[(i, j)];
@@ -160,7 +160,7 @@ impl<'a> PeriodicSolver<'a> {
             a[(n, pi)] = 1.0;
             a.lu()?
         } else {
-            let mut a = DMat::<f64>::zeros(n, n);
+            let mut a = DMat::zeros(n, n);
             for i in 0..n {
                 for j in 0..n {
                     a[(i, j)] = -sol.monodromy[(i, j)];
@@ -427,10 +427,44 @@ impl<'a> PeriodicSolver<'a> {
     }
 }
 
+/// The paper's Fig. 8 "statistical waveform": the nominal PSS waveform of a
+/// node together with the 1-σ mismatch envelope
+/// `σ(t)² = Σ_src (σ_src·δv_src(t))²`, computed from the periodic responses
+/// of every mismatch parameter (quasi-DC pseudo-noise → the mismatch acts as
+/// a random constant, so the per-time standard deviation is the RSS of the
+/// per-source periodic responses).
+///
+/// Returns `(times, nominal, sigma)` sampled on the PSS grid.
+///
+/// # Errors
+///
+/// Propagates periodic-solver failures.
+pub fn statistical_waveform(
+    ckt: &Circuit,
+    solver: &PeriodicSolver<'_>,
+    node: NodeId,
+) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), LptvError> {
+    let sol = solver.pss();
+    let nominal = sol.node_waveform(ckt, node);
+    let sigmas = ckt.mismatch_sigmas();
+    let mut var = vec![0.0; nominal.len()];
+    // One batched propagation for every parameter (multi-RHS over the
+    // shared PSS factorizations) instead of a per-source solve loop.
+    let responses = solver.all_param_responses()?;
+    for (sigma, resp) in sigmas.iter().zip(responses.iter()) {
+        let w = resp.node_waveform(ckt, node);
+        for (v, dv) in var.iter_mut().zip(w.iter()) {
+            *v += (sigma * dv) * (sigma * dv);
+        }
+    }
+    let sigma_t = var.iter().map(|v| v.sqrt()).collect();
+    Ok((sol.times.clone(), nominal, sigma_t))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tranvar_circuit::{NodeId, Waveform};
+    use tranvar_circuit::Waveform;
     use tranvar_pss::{shooting_pss, PssOptions};
 
     /// Driven divider + cap with resistor mismatch: at DC drive, the periodic
@@ -597,5 +631,30 @@ mod tests {
             PeriodicSolver::new(&ckt, &sol),
             Err(LptvError::MissingRecords)
         ));
+    }
+
+    #[test]
+    fn statistical_waveform_rss() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(2.0));
+        let r1 = ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-12);
+        ckt.annotate_resistor_mismatch(r1, 10.0);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 32;
+        let sol = shooting_pss(&ckt, 1e-6, &opts).unwrap();
+        let solver = PeriodicSolver::new(&ckt, &sol).unwrap();
+        let bnode = ckt.find_node("b").unwrap();
+        let (times, nominal, sigma) = statistical_waveform(&ckt, &solver, bnode).unwrap();
+        assert_eq!(times.len(), nominal.len());
+        assert_eq!(times.len(), sigma.len());
+        // Static circuit: nominal 1.0 V, σ = |∂vb/∂R1|·10 = 5 mV everywhere.
+        for (v, s) in nominal.iter().zip(sigma.iter()) {
+            assert!((v - 1.0).abs() < 1e-6);
+            assert!((s - 5e-3).abs() < 1e-6, "sigma(t) = {s}");
+        }
     }
 }

@@ -302,8 +302,6 @@ impl Elaborator {
                 "cox" => model.cox = v,
                 "cov" => model.cov = v,
                 "cj" => model.cj = v,
-                "gamma_noise" => model.gamma_noise = v,
-                "kf" => model.kf = v,
                 _ => {
                     return Err(NetlistError::Syntax {
                         span: key.span,

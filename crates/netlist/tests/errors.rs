@@ -69,6 +69,13 @@ const ROWS: &[Row] = &[
         message_has: "r0",
     },
     Row {
+        case: "noise key on a model card (the MOSFET model has none)",
+        deck: "t\n.model m nmos kf=2e-25\nV1 a 0 1.0\nR1 a 0 1e3\n",
+        code: "netlist.syntax",
+        span: Span::new(2, 15),
+        message_has: "unknown model parameter `kf`",
+    },
+    Row {
         case: "model defined twice",
         deck: "t\n.model m nmos\n.model m pmos\nV1 a 0 1.0\nR1 a 0 1e3\n",
         code: "netlist.duplicate-model",

@@ -29,7 +29,7 @@ use crate::error::NumError;
 /// assert!((back[(0, 1)] - 2.0).abs() < 1e-12);
 /// # Ok::<(), tranvar_num::NumError>(())
 /// ```
-pub fn cholesky(c: &DMat<f64>, ridge: f64) -> Result<DMat<f64>, NumError> {
+pub fn cholesky(c: &DMat, ridge: f64) -> Result<DMat, NumError> {
     if !c.is_square() {
         return Err(NumError::NotSquare {
             rows: c.rows(),
@@ -39,7 +39,7 @@ pub fn cholesky(c: &DMat<f64>, ridge: f64) -> Result<DMat<f64>, NumError> {
     let n = c.rows();
     let scale = c.max_abs().max(1.0);
     let tol = -1e-12 * scale;
-    let mut l = DMat::<f64>::zeros(n, n);
+    let mut l = DMat::zeros(n, n);
     for i in 0..n {
         for j in 0..=i {
             let mut sum = c[(i, j)] + if i == j { ridge } else { 0.0 };
@@ -66,7 +66,7 @@ pub fn cholesky(c: &DMat<f64>, ridge: f64) -> Result<DMat<f64>, NumError> {
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn covariance_from_correlation(sigmas: &[f64], rho: &DMat<f64>) -> DMat<f64> {
+pub fn covariance_from_correlation(sigmas: &[f64], rho: &DMat) -> DMat {
     assert_eq!(rho.rows(), sigmas.len());
     assert_eq!(rho.cols(), sigmas.len());
     DMat::from_fn(sigmas.len(), sigmas.len(), |i, j| {

@@ -5,38 +5,37 @@
 //! workhorse for monodromy matrices and shooting-Newton updates. Larger
 //! per-timestep Jacobians can use the sparse kernels in [`crate::sparse`].
 
-use crate::complex::Scalar;
 use crate::error::NumError;
 use crate::lanes::as_lane_blocks_mut;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// A dense row-major matrix over a [`Scalar`] field.
+/// A dense row-major `f64` matrix.
 ///
 /// # Examples
 ///
 /// ```
 /// use tranvar_num::DMat;
-/// let mut m = DMat::<f64>::zeros(2, 2);
+/// let mut m = DMat::zeros(2, 2);
 /// m[(0, 0)] = 2.0;
 /// m[(1, 1)] = 3.0;
 /// let y = m.mat_vec(&[1.0, 1.0]);
 /// assert_eq!(y, vec![2.0, 3.0]);
 /// ```
 #[derive(Clone, PartialEq)]
-pub struct DMat<T> {
+pub struct DMat {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Vec<f64>,
 }
 
-impl<T: Scalar> DMat<T> {
+impl DMat {
     /// Creates a `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DMat {
             rows,
             cols,
-            data: vec![T::zero(); rows * cols],
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -44,7 +43,7 @@ impl<T: Scalar> DMat<T> {
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = T::one();
+            m[(i, i)] = 1.0;
         }
         m
     }
@@ -54,13 +53,13 @@ impl<T: Scalar> DMat<T> {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "dense matrix data length mismatch");
         DMat { rows, cols, data }
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -90,25 +89,25 @@ impl<T: Scalar> DMat<T> {
 
     /// Borrows the underlying row-major storage.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Borrows one row as a slice.
     #[inline]
-    pub fn row(&self, i: usize) -> &[T] {
+    pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutably borrows one row as a slice.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Sets every entry to zero, retaining the allocation.
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = T::zero());
+        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Matrix–vector product `A·x`.
@@ -116,12 +115,12 @@ impl<T: Scalar> DMat<T> {
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
-    pub fn mat_vec(&self, x: &[T]) -> Vec<T> {
+    pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "mat_vec dimension mismatch");
-        let mut y = vec![T::zero(); self.rows];
+        let mut y = vec![0.0; self.rows];
         for i in 0..self.rows {
             let row = self.row(i);
-            let mut acc = T::zero();
+            let mut acc = 0.0;
             for (a, b) in row.iter().zip(x.iter()) {
                 acc += *a * *b;
             }
@@ -135,13 +134,13 @@ impl<T: Scalar> DMat<T> {
     /// # Panics
     ///
     /// Panics if `self.cols() != b.rows()`.
-    pub fn mat_mul(&self, b: &DMat<T>) -> DMat<T> {
+    pub fn mat_mul(&self, b: &DMat) -> DMat {
         assert_eq!(self.cols, b.rows, "mat_mul dimension mismatch");
         let mut c = DMat::zeros(self.rows, b.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let aik = self.row(i)[k];
-                if aik == T::zero() {
+                if aik == 0.0 {
                     continue;
                 }
                 let brow = b.row(k);
@@ -155,7 +154,7 @@ impl<T: Scalar> DMat<T> {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> DMat<T> {
+    pub fn transpose(&self) -> DMat {
         DMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
@@ -164,7 +163,7 @@ impl<T: Scalar> DMat<T> {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn axpy(&mut self, k: T, b: &DMat<T>) {
+    pub fn axpy(&mut self, k: f64, b: &DMat) {
         assert_eq!(self.rows, b.rows);
         assert_eq!(self.cols, b.cols);
         for (d, s) in self.data.iter_mut().zip(b.data.iter()) {
@@ -174,7 +173,7 @@ impl<T: Scalar> DMat<T> {
 
     /// Maximum entry magnitude (∞-like norm over all entries).
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|v| v.magnitude()).fold(0.0, f64::max)
+        self.data.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
 
     /// Factorizes the matrix as `P·A = L·U` with partial pivoting.
@@ -183,7 +182,7 @@ impl<T: Scalar> DMat<T> {
     ///
     /// Returns [`NumError::Singular`] when a pivot column is numerically zero,
     /// and [`NumError::NotSquare`] for non-square inputs.
-    pub fn lu(&self) -> Result<Lu<T>, NumError> {
+    pub fn lu(&self) -> Result<Lu, NumError> {
         Lu::factor(self.clone())
     }
 
@@ -192,29 +191,29 @@ impl<T: Scalar> DMat<T> {
     /// # Errors
     ///
     /// Propagates factorization errors; see [`DMat::lu`].
-    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, NumError> {
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumError> {
         Ok(self.lu()?.solve(b))
     }
 }
 
-impl<T: Scalar> Index<(usize, usize)> for DMat<T> {
-    type Output = T;
+impl Index<(usize, usize)> for DMat {
+    type Output = f64;
     #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &T {
+    fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &self.data[i * self.cols + j]
     }
 }
 
-impl<T: Scalar> IndexMut<(usize, usize)> for DMat<T> {
+impl IndexMut<(usize, usize)> for DMat {
     #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for DMat<T> {
+impl fmt::Debug for DMat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "DMat {}x{} [", self.rows, self.cols)?;
         for i in 0..self.rows.min(8) {
@@ -233,21 +232,21 @@ impl<T: fmt::Debug> fmt::Debug for DMat<T> {
 /// LPTV analysis exploits heavily (one factorization per timestep, one pair of
 /// triangular solves per noise source).
 #[derive(Clone, Debug)]
-pub struct Lu<T> {
+pub struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper) factors.
-    lu: DMat<T>,
+    lu: DMat,
     /// Row permutation: `perm[i]` is the original row in position `i`.
     perm: Vec<usize>,
 }
 
-impl<T: Scalar> Lu<T> {
+impl Lu {
     /// Factorizes `a` in place (consumes the matrix).
     ///
     /// # Errors
     ///
     /// Returns [`NumError::NotSquare`] if `a` is not square and
     /// [`NumError::Singular`] if a zero pivot is encountered.
-    pub fn factor(a: DMat<T>) -> Result<Self, NumError> {
+    pub fn factor(a: DMat) -> Result<Self, NumError> {
         let mut lu = Lu {
             lu: a,
             perm: Vec::new(),
@@ -263,7 +262,7 @@ impl<T: Scalar> Lu<T> {
     /// # Errors
     ///
     /// Same as [`Lu::factor`]. On error the contents are unspecified.
-    pub fn refactor(&mut self, a: &DMat<T>) -> Result<(), NumError> {
+    pub fn refactor(&mut self, a: &DMat) -> Result<(), NumError> {
         if self.lu.rows == a.rows && self.lu.cols == a.cols {
             self.lu.data.copy_from_slice(&a.data);
         } else {
@@ -290,12 +289,12 @@ impl<T: Scalar> Lu<T> {
             // pivot, so finiteness is checked per candidate, not just on the
             // winner.
             let mut p = k;
-            let mut pmag = a[(k, k)].magnitude();
+            let mut pmag = a[(k, k)].abs();
             if !pmag.is_finite() {
                 return Err(NumError::NonFinite { col: k });
             }
             for i in (k + 1)..n {
-                let m = a[(i, k)].magnitude();
+                let m = a[(i, k)].abs();
                 if !m.is_finite() {
                     return Err(NumError::NonFinite { col: k });
                 }
@@ -319,7 +318,7 @@ impl<T: Scalar> Lu<T> {
             for i in (k + 1)..n {
                 let m = a[(i, k)] / pivot;
                 a[(i, k)] = m;
-                if m == T::zero() {
+                if m == 0.0 {
                     continue;
                 }
                 // Row update uses split_at_mut to satisfy the borrow checker
@@ -353,7 +352,7 @@ impl<T: Scalar> Lu<T> {
     /// strictly below the diagonal (its unit diagonal implicit), `U` on and
     /// above it.
     #[inline]
-    pub fn factors(&self) -> &DMat<T> {
+    pub fn factors(&self) -> &DMat {
         &self.lu
     }
 
@@ -362,9 +361,9 @@ impl<T: Scalar> Lu<T> {
     /// # Panics
     ///
     /// Panics if `b.len() != self.n()`.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut out = vec![T::zero(); self.n()];
-        self.solve_into(b, &mut out, &mut vec![T::zero(); self.n()]);
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n()];
+        self.solve_into(b, &mut out, &mut vec![0.0; self.n()]);
         out
     }
 
@@ -376,7 +375,7 @@ impl<T: Scalar> Lu<T> {
     /// # Panics
     ///
     /// Panics if any slice length differs from `self.n()`.
-    pub fn solve_into(&self, b: &[T], out: &mut [T], scratch: &mut [T]) {
+    pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         out.copy_from_slice(b);
         self.solve_arr::<1>(as_lane_blocks_mut(out), as_lane_blocks_mut(scratch));
     }
@@ -394,7 +393,7 @@ impl<T: Scalar> Lu<T> {
     /// # Panics
     ///
     /// Panics if `block.len()` or `scratch.len()` differ from `self.n()`.
-    pub fn solve_arr<const N: usize>(&self, block: &mut [[T; N]], scratch: &mut [[T; N]]) {
+    pub fn solve_arr<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
         let n = self.n();
         assert_eq!(block.len(), n, "lane block length mismatch");
         assert_eq!(scratch.len(), n, "lane scratch length mismatch");
@@ -404,13 +403,13 @@ impl<T: Scalar> Lu<T> {
         // the back sweep reads `y` from `scratch` and writes solutions into
         // `block` (every input row has been consumed by then). Factor
         // entries that are exactly zero are skipped, and the accumulator row
-        // lives in a local `[T; N]` so all `N` lanes stay in registers across
+        // lives in a local `[f64; N]` so all `N` lanes stay in registers across
         // the whole dot-product sweep.
         for i in 0..n {
             let row = self.lu.row(i);
             let mut acc = block[self.perm[i]];
             for (&lij, yj) in row[..i].iter().zip(&scratch[..i]) {
-                if lij == T::zero() {
+                if lij == 0.0 {
                     continue;
                 }
                 for (a, b) in acc.iter_mut().zip(yj.iter()) {
@@ -425,7 +424,7 @@ impl<T: Scalar> Lu<T> {
             let row = self.lu.row(i);
             let mut acc = scratch[i];
             for (&uij, xj) in row[i + 1..].iter().zip(&block[i + 1..]) {
-                if uij == T::zero() {
+                if uij == 0.0 {
                     continue;
                 }
                 for (a, b) in acc.iter_mut().zip(xj.iter()) {
@@ -434,7 +433,7 @@ impl<T: Scalar> Lu<T> {
             }
             let diag = row[i];
             for a in acc.iter_mut() {
-                *a = *a / diag;
+                *a /= diag;
             }
             block[i] = acc;
         }
@@ -447,33 +446,32 @@ impl<T: Scalar> Lu<T> {
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
     /// Per-RHS results are bit-for-bit identical to [`Lu::solve_into`].
-    pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
+    pub fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
         crate::lanes::solve_lanes_dispatch(self, self.n(), block, n_rhs, scratch);
     }
 }
 
-impl<T: Scalar> crate::lanes::LaneSolver<T> for Lu<T> {
-    fn solve_lane<const N: usize>(&self, block: &mut [[T; N]], scratch: &mut [[T; N]]) {
+impl crate::lanes::LaneSolver for Lu {
+    fn solve_lane<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
         self.solve_arr(block, scratch);
     }
 }
 
 /// Dense vector helpers used across the workspace.
 pub mod vecops {
-    use super::Scalar;
 
     /// `y += k·x`.
-    pub fn axpy<T: Scalar>(y: &mut [T], k: T, x: &[T]) {
+    pub fn axpy(y: &mut [f64], k: f64, x: &[f64]) {
         debug_assert_eq!(y.len(), x.len());
         for (yi, xi) in y.iter_mut().zip(x.iter()) {
             *yi += k * *xi;
         }
     }
 
-    /// Dot product `Σ xᵢ·yᵢ` (no conjugation).
-    pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+    /// Dot product `Σ xᵢ·yᵢ`.
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), y.len());
-        let mut acc = T::zero();
+        let mut acc = 0.0;
         for (a, b) in x.iter().zip(y.iter()) {
             acc += *a * *b;
         }
@@ -481,25 +479,25 @@ pub mod vecops {
     }
 
     /// Infinity norm `max |xᵢ|`.
-    pub fn norm_inf<T: Scalar>(x: &[T]) -> f64 {
-        x.iter().map(|v| v.magnitude()).fold(0.0, f64::max)
+    pub fn norm_inf(x: &[f64]) -> f64 {
+        x.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
 
-    /// Euclidean norm for real vectors.
+    /// Euclidean norm.
     pub fn norm2(x: &[f64]) -> f64 {
         x.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Elementwise difference `a - b`.
-    pub fn sub<T: Scalar>(a: &[T], b: &[T]) -> Vec<T> {
+    pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
         debug_assert_eq!(a.len(), b.len());
         a.iter().zip(b.iter()).map(|(x, y)| *x - *y).collect()
     }
 
     /// Scales a vector in place.
-    pub fn scale<T: Scalar>(x: &mut [T], k: T) {
+    pub fn scale(x: &mut [f64], k: f64) {
         for v in x.iter_mut() {
-            *v = *v * k;
+            *v *= k;
         }
     }
 }
@@ -507,11 +505,10 @@ pub mod vecops {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::Complex;
 
     #[test]
     fn identity_solve_is_identity() {
-        let i = DMat::<f64>::identity(4);
+        let i = DMat::identity(4);
         let b = vec![1.0, -2.0, 3.0, 0.5];
         let x = i.solve(&b).unwrap();
         assert_eq!(x, b);
@@ -562,7 +559,7 @@ mod tests {
 
     #[test]
     fn non_square_reports_error() {
-        let a = DMat::<f64>::zeros(2, 3);
+        let a = DMat::zeros(2, 3);
         assert!(matches!(a.lu(), Err(NumError::NotSquare { .. })));
     }
 
@@ -582,14 +579,6 @@ mod tests {
         let x = a.solve(&b).unwrap();
         let r = vecops::sub(&a.mat_vec(&x), &b);
         assert!(vecops::norm_inf(&r) < 1e-10, "residual too large");
-    }
-
-    #[test]
-    fn complex_solve_matches_manual() {
-        // (1+j)·x = 2 -> x = 1 - j
-        let a = DMat::from_vec(1, 1, vec![Complex::new(1.0, 1.0)]);
-        let x = a.solve(&[Complex::new(2.0, 0.0)]).unwrap();
-        assert!((x[0] - Complex::new(1.0, -1.0)).abs() < 1e-14);
     }
 
     #[test]

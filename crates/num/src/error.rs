@@ -89,11 +89,6 @@ pub enum NumError {
         /// Row/column at which a negative pivot appeared.
         index: usize,
     },
-    /// An FFT was requested with a length that is not a power of two.
-    FftLength {
-        /// The offending length.
-        len: usize,
-    },
     /// Generic dimension mismatch between operands.
     DimensionMismatch {
         /// Expected size.
@@ -129,9 +124,6 @@ impl fmt::Display for NumError {
             NumError::NotPositiveDefinite { index } => {
                 write!(f, "matrix is not positive definite (row {index})")
             }
-            NumError::FftLength { len } => {
-                write!(f, "fft length {len} is not a power of two")
-            }
             NumError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
@@ -161,7 +153,6 @@ impl NumError {
             // Shape/usage violations are caller bugs, not data-dependent
             // solve failures: surface them as internal.
             NumError::NotSquare { .. } => WireFault::new("num.not-square", Internal),
-            NumError::FftLength { .. } => WireFault::new("num.fft-length", Internal),
             NumError::DimensionMismatch { .. } => {
                 WireFault::new("num.dimension-mismatch", Internal)
             }
@@ -184,7 +175,6 @@ mod tests {
             NumError::NonFinite { col: 3 },
             NumError::NotSquare { rows: 2, cols: 3 },
             NumError::NotPositiveDefinite { index: 1 },
-            NumError::FftLength { len: 12 },
             NumError::DimensionMismatch {
                 expected: 4,
                 actual: 5,

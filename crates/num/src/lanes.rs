@@ -3,7 +3,7 @@
 //!
 //! Each factorization ([`crate::dense::Lu`], [`crate::sparse::SparseLu`])
 //! has exactly one triangular-solve kernel, `solve_arr::<N>`: a block of
-//! `N` right-hand sides is a `[[T; N]]` slice, and every factor entry
+//! `N` right-hand sides is a `[[f64; N]]` slice, and every factor entry
 //! becomes a fixed-`N` axpy the compiler fully unrolls into straight-line
 //! SIMD. The single solve `solve_into` is the width-1 case, and
 //! [`solve_lanes_dispatch`] decomposes an arbitrary `n_rhs` into lane groups
@@ -13,8 +13,6 @@
 //! share its group, so multi-RHS solves are **bit-for-bit identical per
 //! RHS** to `solve_into` — signed zeros included — the property every
 //! `max_abs_diff == 0` bench gate relies on.
-
-use crate::complex::Scalar;
 
 /// Lane widths with a dedicated monomorphized kernel, widest first. The
 /// powers of two map onto whole SIMD registers and let the dispatcher
@@ -26,7 +24,7 @@ pub const LANE_WIDTHS: [usize; 7] = [40, 32, 16, 8, 4, 2, 1];
 
 /// Reinterprets a flat scalar slice as a slice of `N`-wide lane blocks.
 ///
-/// `[T; N]` has the same alignment as `T` and size `N · size_of::<T>()`, so
+/// `[f64; N]` has the same alignment as `f64` and size `N · size_of::<f64>()`, so
 /// a slice of `len / N` arrays covers exactly the same memory as the flat
 /// slice — the cast is purely a type-level regrouping.
 ///
@@ -34,15 +32,15 @@ pub const LANE_WIDTHS: [usize; 7] = [40, 32, 16, 8, 4, 2, 1];
 ///
 /// Panics if `s.len()` is not a multiple of `N`, or if `N == 0`.
 #[inline]
-pub fn as_lane_blocks_mut<T: Scalar, const N: usize>(s: &mut [T]) -> &mut [[T; N]] {
+pub fn as_lane_blocks_mut<const N: usize>(s: &mut [f64]) -> &mut [[f64; N]] {
     assert!(N > 0, "lane width must be nonzero");
     assert_eq!(s.len() % N, 0, "slice length not a multiple of lane width");
     let blocks = s.len() / N;
-    // SAFETY: `[T; N]` is layout-identical to `N` consecutive `T`s with the
-    // alignment of `T`, the element count is exact (checked above), and the
+    // SAFETY: `[f64; N]` is layout-identical to `N` consecutive `f64`s with the
+    // alignment of `f64`, the element count is exact (checked above), and the
     // returned borrow has the same lifetime and mutability as the input, so
     // no aliasing or out-of-bounds access is possible.
-    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<[T; N]>(), blocks) }
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<[f64; N]>(), blocks) }
 }
 
 /// A factorization that can solve an `N`-lane RHS block in place.
@@ -50,11 +48,11 @@ pub fn as_lane_blocks_mut<T: Scalar, const N: usize>(s: &mut [T]) -> &mut [[T; N
 /// Implemented by [`crate::dense::Lu`] and [`crate::sparse::SparseLu`]; the
 /// shared dispatcher [`solve_lanes_dispatch`] drives it so the lane-group
 /// decomposition logic exists once.
-pub trait LaneSolver<T: Scalar> {
+pub trait LaneSolver {
     /// Solves `A·X = B` for an `N`-lane block in place: `block[i]` holds row
     /// `i` of all `N` right-hand sides and is overwritten with the
     /// solutions; `scratch` is an equally sized workspace.
-    fn solve_lane<const N: usize>(&self, block: &mut [[T; N]], scratch: &mut [[T; N]]);
+    fn solve_lane<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]);
 }
 
 /// Scratch length required by [`solve_lanes_dispatch`] for an `n × n_rhs`
@@ -85,12 +83,12 @@ pub fn lanes_scratch_len(n: usize, n_rhs: usize) -> usize {
 ///
 /// Panics if `block.len() != n * n_rhs` or
 /// `scratch.len() < lanes_scratch_len(n, n_rhs)`.
-pub fn solve_lanes_dispatch<T: Scalar, S: LaneSolver<T>>(
+pub fn solve_lanes_dispatch<S: LaneSolver>(
     solver: &S,
     n: usize,
-    block: &mut [T],
+    block: &mut [f64],
     n_rhs: usize,
-    scratch: &mut [T],
+    scratch: &mut [f64],
 ) {
     assert_eq!(block.len(), n * n_rhs, "block length mismatch");
     assert!(
@@ -105,13 +103,13 @@ pub fn solve_lanes_dispatch<T: Scalar, S: LaneSolver<T>>(
     // Exact-width fast path: reinterpret the interleaved block in place, no
     // staging copies at all.
     match n_rhs {
-        1 => return solve_exact::<T, S, 1>(solver, block, scratch),
-        2 => return solve_exact::<T, S, 2>(solver, block, scratch),
-        4 => return solve_exact::<T, S, 4>(solver, block, scratch),
-        8 => return solve_exact::<T, S, 8>(solver, block, scratch),
-        16 => return solve_exact::<T, S, 16>(solver, block, scratch),
-        32 => return solve_exact::<T, S, 32>(solver, block, scratch),
-        40 => return solve_exact::<T, S, 40>(solver, block, scratch),
+        1 => return solve_exact::<S, 1>(solver, block, scratch),
+        2 => return solve_exact::<S, 2>(solver, block, scratch),
+        4 => return solve_exact::<S, 4>(solver, block, scratch),
+        8 => return solve_exact::<S, 8>(solver, block, scratch),
+        16 => return solve_exact::<S, 16>(solver, block, scratch),
+        32 => return solve_exact::<S, 32>(solver, block, scratch),
+        40 => return solve_exact::<S, 40>(solver, block, scratch),
         _ => {}
     }
     // General path: greedy lane groups, each gathered into contiguous
@@ -123,24 +121,20 @@ pub fn solve_lanes_dispatch<T: Scalar, S: LaneSolver<T>>(
         let rem = n_rhs - k0;
         let width = LANE_WIDTHS.iter().copied().find(|&w| w <= rem).unwrap_or(1);
         match width {
-            40 => solve_group::<T, S, 40>(solver, n, block, n_rhs, k0, gather, work),
-            32 => solve_group::<T, S, 32>(solver, n, block, n_rhs, k0, gather, work),
-            16 => solve_group::<T, S, 16>(solver, n, block, n_rhs, k0, gather, work),
-            8 => solve_group::<T, S, 8>(solver, n, block, n_rhs, k0, gather, work),
-            4 => solve_group::<T, S, 4>(solver, n, block, n_rhs, k0, gather, work),
-            2 => solve_group::<T, S, 2>(solver, n, block, n_rhs, k0, gather, work),
-            _ => solve_group::<T, S, 1>(solver, n, block, n_rhs, k0, gather, work),
+            40 => solve_group::<S, 40>(solver, n, block, n_rhs, k0, gather, work),
+            32 => solve_group::<S, 32>(solver, n, block, n_rhs, k0, gather, work),
+            16 => solve_group::<S, 16>(solver, n, block, n_rhs, k0, gather, work),
+            8 => solve_group::<S, 8>(solver, n, block, n_rhs, k0, gather, work),
+            4 => solve_group::<S, 4>(solver, n, block, n_rhs, k0, gather, work),
+            2 => solve_group::<S, 2>(solver, n, block, n_rhs, k0, gather, work),
+            _ => solve_group::<S, 1>(solver, n, block, n_rhs, k0, gather, work),
         }
         k0 += width;
     }
 }
 
 #[inline]
-fn solve_exact<T: Scalar, S: LaneSolver<T>, const N: usize>(
-    solver: &S,
-    block: &mut [T],
-    scratch: &mut [T],
-) {
+fn solve_exact<S: LaneSolver, const N: usize>(solver: &S, block: &mut [f64], scratch: &mut [f64]) {
     let blocks = block.len();
     solver.solve_lane::<N>(
         as_lane_blocks_mut(block),
@@ -149,17 +143,17 @@ fn solve_exact<T: Scalar, S: LaneSolver<T>, const N: usize>(
 }
 
 #[inline]
-fn solve_group<T: Scalar, S: LaneSolver<T>, const N: usize>(
+fn solve_group<S: LaneSolver, const N: usize>(
     solver: &S,
     n: usize,
-    block: &mut [T],
+    block: &mut [f64],
     n_rhs: usize,
     k0: usize,
-    gather: &mut [T],
-    work: &mut [T],
+    gather: &mut [f64],
+    work: &mut [f64],
 ) {
-    let g = as_lane_blocks_mut::<T, N>(&mut gather[..n * N]);
-    let w = as_lane_blocks_mut::<T, N>(&mut work[..n * N]);
+    let g = as_lane_blocks_mut::<N>(&mut gather[..n * N]);
+    let w = as_lane_blocks_mut::<N>(&mut work[..n * N]);
     for (i, gi) in g.iter_mut().enumerate() {
         gi.copy_from_slice(&block[i * n_rhs + k0..i * n_rhs + k0 + N]);
     }
@@ -176,7 +170,7 @@ mod tests {
     #[test]
     fn lane_blocks_roundtrip() {
         let mut v: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let blocks = as_lane_blocks_mut::<f64, 4>(&mut v);
+        let blocks = as_lane_blocks_mut::<4>(&mut v);
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[1], [4.0, 5.0, 6.0, 7.0]);
         blocks[2][3] = -1.0;
@@ -187,7 +181,7 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn lane_blocks_reject_ragged() {
         let mut v = vec![0.0f64; 10];
-        let _ = as_lane_blocks_mut::<f64, 4>(&mut v);
+        let _ = as_lane_blocks_mut::<4>(&mut v);
     }
 
     /// Bits of `solve`, `solve_into` and every lane of `solve_multi_lanes`
@@ -244,7 +238,7 @@ mod tests {
         }
 
         // Dense I₂ with b = [-1, -0].
-        let dense = DMat::<f64>::identity(2).lu().unwrap();
+        let dense = DMat::identity(2).lu().unwrap();
         let got = all_solve_bits(
             2,
             &[-1.0, -0.0],

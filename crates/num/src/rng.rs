@@ -94,7 +94,7 @@ pub fn standard_normal_vec(rng: &mut Rng64, n: usize) -> Vec<f64> {
 /// covariance matrix, realized as `y = L·x` with `C = L·Lᵀ` (paper eq. 6).
 #[derive(Clone, Debug)]
 pub struct CorrelatedNormal {
-    factor: DMat<f64>,
+    factor: DMat,
 }
 
 impl CorrelatedNormal {
@@ -103,7 +103,7 @@ impl CorrelatedNormal {
     /// # Errors
     ///
     /// Returns an error if the covariance is not positive semi-definite.
-    pub fn from_covariance(cov: &DMat<f64>) -> Result<Self, NumError> {
+    pub fn from_covariance(cov: &DMat) -> Result<Self, NumError> {
         Ok(CorrelatedNormal {
             factor: cholesky(cov, 0.0)?,
         })
@@ -112,7 +112,7 @@ impl CorrelatedNormal {
     /// Builds the sampler directly from a mixing matrix `A` (so samples are
     /// `A·x`, covariance `A·Aᵀ`), matching the paper's construction of
     /// correlated pseudo-noise sources.
-    pub fn from_mixing(a: DMat<f64>) -> Self {
+    pub fn from_mixing(a: DMat) -> Self {
         CorrelatedNormal { factor: a }
     }
 

@@ -29,7 +29,6 @@
 //! right-hand side — where the transient-sensitivity and LPTV layers get
 //! their throughput.
 
-use crate::complex::Scalar;
 use crate::error::NumError;
 use crate::lanes::as_lane_blocks_mut;
 
@@ -54,20 +53,20 @@ pub const DEFAULT_MARKOWITZ_TAU: f64 = 0.1;
 ///
 /// ```
 /// use tranvar_num::sparse::Triplets;
-/// let mut t = Triplets::<f64>::new(2, 2);
+/// let mut t = Triplets::new(2, 2);
 /// t.push(0, 0, 1.0);
 /// t.push(0, 0, 2.0); // duplicates sum
 /// let csc = t.to_csc();
 /// assert_eq!(csc.get(0, 0), 3.0);
 /// ```
 #[derive(Clone, Debug)]
-pub struct Triplets<T> {
+pub struct Triplets {
     rows: usize,
     cols: usize,
-    entries: Vec<(usize, usize, T)>,
+    entries: Vec<(usize, usize, f64)>,
 }
 
-impl<T: Scalar> Triplets<T> {
+impl Triplets {
     /// Creates an empty builder for a `rows × cols` matrix.
     pub fn new(rows: usize, cols: usize) -> Self {
         Triplets {
@@ -83,7 +82,7 @@ impl<T: Scalar> Triplets<T> {
     ///
     /// Panics if the coordinates are out of range.
     #[inline]
-    pub fn push(&mut self, row: usize, col: usize, value: T) {
+    pub fn push(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.rows && col < self.cols, "triplet out of range");
         self.entries.push((row, col, value));
     }
@@ -111,7 +110,7 @@ impl<T: Scalar> Triplets<T> {
     }
 
     /// Iterates over the raw (row, col, value) triplets.
-    pub fn iter(&self) -> impl Iterator<Item = &(usize, usize, T)> {
+    pub fn iter(&self) -> impl Iterator<Item = &(usize, usize, f64)> {
         self.entries.iter()
     }
 
@@ -122,7 +121,7 @@ impl<T: Scalar> Triplets<T> {
 
     /// Copies another builder's shape and entries into this one, retaining
     /// this builder's allocation (hot-loop assembly reuse).
-    pub fn copy_from(&mut self, other: &Triplets<T>) {
+    pub fn copy_from(&mut self, other: &Triplets) {
         self.rows = other.rows;
         self.cols = other.cols;
         self.entries.clear();
@@ -130,7 +129,7 @@ impl<T: Scalar> Triplets<T> {
     }
 
     /// Compresses to CSC, summing duplicates.
-    pub fn to_csc(&self) -> Csc<T> {
+    pub fn to_csc(&self) -> Csc {
         // Count entries per column.
         let mut counts = vec![0usize; self.cols];
         for &(_, c, _) in &self.entries {
@@ -142,7 +141,7 @@ impl<T: Scalar> Triplets<T> {
         }
         let nnz = col_ptr[self.cols];
         let mut row_idx = vec![0usize; nnz];
-        let mut values = vec![T::zero(); nnz];
+        let mut values = vec![0.0; nnz];
         let mut next = col_ptr.clone();
         for &(r, c, v) in &self.entries {
             let slot = next[c];
@@ -154,7 +153,7 @@ impl<T: Scalar> Triplets<T> {
         let mut out_ptr = vec![0usize; self.cols + 1];
         let mut out_rows = Vec::with_capacity(nnz);
         let mut out_vals = Vec::with_capacity(nnz);
-        let mut scratch: Vec<(usize, T)> = Vec::new();
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
         for c in 0..self.cols {
             scratch.clear();
             for k in col_ptr[c]..col_ptr[c + 1] {
@@ -188,15 +187,15 @@ impl<T: Scalar> Triplets<T> {
 
 /// A compressed-sparse-column matrix.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Csc<T> {
+pub struct Csc {
     rows: usize,
     cols: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
-    values: Vec<T>,
+    values: Vec<f64>,
 }
 
-impl<T: Scalar> Csc<T> {
+impl Csc {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -218,17 +217,17 @@ impl<T: Scalar> Csc<T> {
     /// Borrows the stored values in column-major pattern order (pairs with
     /// the fixed pattern for cheap change detection between refills).
     #[inline]
-    pub fn values(&self) -> &[T] {
+    pub fn values(&self) -> &[f64] {
         &self.values
     }
 
     /// Returns the entry at `(row, col)`, or zero if not stored.
-    pub fn get(&self, row: usize, col: usize) -> T {
+    pub fn get(&self, row: usize, col: usize) -> f64 {
         let lo = self.col_ptr[col];
         let hi = self.col_ptr[col + 1];
         match self.row_idx[lo..hi].binary_search(&row) {
             Ok(k) => self.values[lo + k],
-            Err(_) => T::zero(),
+            Err(_) => 0.0,
         }
     }
 
@@ -244,14 +243,14 @@ impl<T: Scalar> Csc<T> {
     /// shape disagreement. On error the stored values are unspecified
     /// (partially refilled) — discard the matrix and rebuild with
     /// [`Triplets::to_csc`].
-    pub fn refill_from(&mut self, t: &Triplets<T>) -> Result<(), NumError> {
+    pub fn refill_from(&mut self, t: &Triplets) -> Result<(), NumError> {
         if t.rows != self.rows || t.cols != self.cols {
             return Err(NumError::DimensionMismatch {
                 expected: self.rows,
                 actual: t.rows,
             });
         }
-        self.values.iter_mut().for_each(|v| *v = T::zero());
+        self.values.iter_mut().for_each(|v| *v = 0.0);
         for &(r, c, v) in &t.entries {
             let lo = self.col_ptr[c];
             let hi = self.col_ptr[c + 1];
@@ -268,8 +267,8 @@ impl<T: Scalar> Csc<T> {
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
-    pub fn mat_vec(&self, x: &[T]) -> Vec<T> {
-        let mut y = vec![T::zero(); self.rows];
+    pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows];
         self.mat_vec_into(x, &mut y);
         y
     }
@@ -280,13 +279,13 @@ impl<T: Scalar> Csc<T> {
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    pub fn mat_vec_into(&self, x: &[T], y: &mut [T]) {
+    pub fn mat_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mat_vec dimension mismatch");
         assert_eq!(y.len(), self.rows, "mat_vec output dimension mismatch");
-        y.iter_mut().for_each(|v| *v = T::zero());
+        y.iter_mut().for_each(|v| *v = 0.0);
         for c in 0..self.cols {
             let xc = x[c];
-            if xc == T::zero() {
+            if xc == 0.0 {
                 continue;
             }
             for k in self.col_ptr[c]..self.col_ptr[c + 1] {
@@ -306,10 +305,10 @@ impl<T: Scalar> Csc<T> {
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn mat_vec_interleaved(&self, x: &[T], y: &mut [T], width: usize) {
+    pub fn mat_vec_interleaved(&self, x: &[f64], y: &mut [f64], width: usize) {
         assert_eq!(x.len(), self.cols * width, "interleaved x length mismatch");
         assert_eq!(y.len(), self.rows * width, "interleaved y length mismatch");
-        y.iter_mut().for_each(|v| *v = T::zero());
+        y.iter_mut().for_each(|v| *v = 0.0);
         for c in 0..self.cols {
             let xc = &x[c * width..(c + 1) * width];
             for k in self.col_ptr[c]..self.col_ptr[c + 1] {
@@ -323,7 +322,7 @@ impl<T: Scalar> Csc<T> {
     }
 
     /// Converts to dense form (small systems, tests, monodromy assembly).
-    pub fn to_dense(&self) -> crate::dense::DMat<T> {
+    pub fn to_dense(&self) -> crate::dense::DMat {
         let mut m = crate::dense::DMat::zeros(self.rows, self.cols);
         for c in 0..self.cols {
             for k in self.col_ptr[c]..self.col_ptr[c + 1] {
@@ -343,7 +342,7 @@ impl<T: Scalar> Csc<T> {
     /// # Errors
     ///
     /// Returns [`NumError::NotSquare`] or [`NumError::Singular`].
-    pub fn lu(&self) -> Result<SparseLu<T>, NumError> {
+    pub fn lu(&self) -> Result<SparseLu, NumError> {
         let mut f = SparseLu::empty(self.rows);
         f.factor_core(self, None)?;
         Ok(f)
@@ -357,7 +356,7 @@ impl<T: Scalar> Csc<T> {
     ///
     /// Returns [`NumError::Singular`] if a replayed pivot is numerically
     /// unacceptable on the new values — re-run [`Csc::lu`] to re-pivot.
-    pub fn lu_with(&self, symbolic: &SparseSymbolic) -> Result<SparseLu<T>, NumError> {
+    pub fn lu_with(&self, symbolic: &SparseSymbolic) -> Result<SparseLu, NumError> {
         if symbolic.perm.len() != self.rows {
             return Err(NumError::DimensionMismatch {
                 expected: self.rows,
@@ -392,7 +391,7 @@ impl<T: Scalar> Csc<T> {
             });
         }
         let n = self.rows;
-        let mut w = vec![T::zero(); n * n];
+        let mut w = vec![0.0; n * n];
         for c in 0..n {
             for k in self.col_ptr[c]..self.col_ptr[c + 1] {
                 w[self.row_idx[k] * n + c] = self.values[k];
@@ -413,7 +412,7 @@ impl<T: Scalar> Csc<T> {
                     continue;
                 }
                 for c in 0..n {
-                    if col_active[c] && w[r * n + c] != T::zero() {
+                    if col_active[c] && w[r * n + c] != 0.0 {
                         row_cnt[r] += 1;
                         col_cnt[c] += 1;
                     }
@@ -431,7 +430,7 @@ impl<T: Scalar> Csc<T> {
                     if !row_active[r] {
                         continue;
                     }
-                    let m = w[r * n + c].magnitude();
+                    let m = w[r * n + c].abs();
                     if !m.is_finite() {
                         return Err(NumError::NonFinite { col: c });
                     }
@@ -445,7 +444,7 @@ impl<T: Scalar> Csc<T> {
                     if !row_active[r] {
                         continue;
                     }
-                    let m = w[r * n + c].magnitude();
+                    let m = w[r * n + c].abs();
                     if m == 0.0 || m < thresh {
                         continue;
                     }
@@ -467,14 +466,14 @@ impl<T: Scalar> Csc<T> {
             // Right-looking update of the active submatrix.
             let pivot = w[pr * n + pc];
             for r in 0..n {
-                if !row_active[r] || w[r * n + pc] == T::zero() {
+                if !row_active[r] || w[r * n + pc] == 0.0 {
                     continue;
                 }
                 let f = w[r * n + pc] / pivot;
                 for c in 0..n {
                     if col_active[c] {
                         let u = w[pr * n + c];
-                        if u != T::zero() {
+                        if u != 0.0 {
                             w[r * n + c] -= f * u;
                         }
                     }
@@ -490,7 +489,7 @@ impl<T: Scalar> Csc<T> {
     /// # Errors
     ///
     /// Propagates analysis and factorization errors.
-    pub fn lu_markowitz(&self) -> Result<SparseLu<T>, NumError> {
+    pub fn lu_markowitz(&self) -> Result<SparseLu, NumError> {
         let sym = self.analyze_markowitz(DEFAULT_MARKOWITZ_TAU)?;
         self.lu_with(&sym)
     }
@@ -539,7 +538,7 @@ impl SparseSymbolic {
 /// table, so numeric refactorizations and triangular solves stream through
 /// two flat arrays instead of chasing one heap allocation per column.
 #[derive(Clone, Debug)]
-pub struct SparseLu<T> {
+pub struct SparseLu {
     n: usize,
     /// perm[step] = original row chosen as pivot for elimination step `step`.
     perm: Vec<usize>,
@@ -551,21 +550,21 @@ pub struct SparseLu<T> {
     /// (original row, multiplier) pairs sorted by row.
     l_ptr: Vec<usize>,
     l_idx: Vec<usize>,
-    l_val: Vec<T>,
+    l_val: Vec<f64>,
     /// Flattened U in pivot-step coordinates: row `j` occupies
     /// `u_idx/u_val[u_ptr[j]..u_ptr[j+1]]` as (step, value) pairs sorted
     /// ascending, diagonal at step == j.
     u_ptr: Vec<usize>,
     u_idx: Vec<usize>,
-    u_val: Vec<T>,
+    u_val: Vec<f64>,
     /// Per-step build staging, retained across refactorizations. U rows
     /// receive entries out of row order during the left-looking sweep, so
     /// they are staged here and flattened once per factorization.
-    l_build: Vec<Vec<(usize, T)>>,
-    u_build: Vec<Vec<(usize, T)>>,
+    l_build: Vec<Vec<(usize, f64)>>,
+    u_build: Vec<Vec<(usize, f64)>>,
 }
 
-impl<T: Scalar> SparseLu<T> {
+impl SparseLu {
     fn empty(n: usize) -> Self {
         SparseLu {
             n,
@@ -613,7 +612,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Returns [`NumError::Singular`] if a replayed pivot is numerically
     /// unacceptable; the factorization contents are unspecified afterwards
     /// and the caller should fall back to a fresh [`Csc::lu`].
-    pub fn refactor(&mut self, a: &Csc<T>) -> Result<(), NumError> {
+    pub fn refactor(&mut self, a: &Csc) -> Result<(), NumError> {
         if a.rows != self.n || a.cols != self.n {
             return Err(NumError::DimensionMismatch {
                 expected: self.n,
@@ -639,7 +638,7 @@ impl<T: Scalar> SparseLu<T> {
     /// and reused.
     fn factor_core(
         &mut self,
-        a: &Csc<T>,
+        a: &Csc,
         fixed: Option<(&[usize], &[usize])>,
     ) -> Result<(), NumError> {
         if a.rows != a.cols {
@@ -682,7 +681,7 @@ impl<T: Scalar> SparseLu<T> {
         self.u_build.truncate(n);
 
         // Dense scatter workspace indexed by *original* row.
-        let mut work = vec![T::zero(); n];
+        let mut work = vec![0.0; n];
         let mut touched: Vec<usize> = Vec::with_capacity(n);
 
         for step in 0..n {
@@ -706,26 +705,26 @@ impl<T: Scalar> SparseLu<T> {
             for j in 0..step {
                 let pr = self.perm[j]; // original row holding pivot j
                 let ujc = work[pr];
-                if ujc == T::zero() {
+                if ujc == 0.0 {
                     continue;
                 }
                 // Record U entry (pivot row j, pivot-step coordinate `step`).
                 self.u_build[j].push((step, ujc));
                 // work -= ujc * L[:, j]
                 for &(orig_row, lv) in &self.l_build[j] {
-                    if work[orig_row] == T::zero() {
+                    if work[orig_row] == 0.0 {
                         touched.push(orig_row);
                     }
                     work[orig_row] -= lv * ujc;
                 }
-                work[pr] = T::zero();
+                work[pr] = 0.0;
             }
             // Pivot selection: replay a fixed order, or search for the
             // largest magnitude among unassigned original rows.
             let prow = match fixed {
                 Some((order, _)) => {
                     let prow = order[step];
-                    let pmag = work[prow].magnitude();
+                    let pmag = work[prow].abs();
                     if !pmag.is_finite() {
                         return Err(NumError::NonFinite { col });
                     }
@@ -739,7 +738,7 @@ impl<T: Scalar> SparseLu<T> {
                     let mut colmax = 0.0f64;
                     for &r in touched.iter() {
                         if pinv[r] == usize::MAX {
-                            let m = work[r].magnitude();
+                            let m = work[r].abs();
                             if !m.is_finite() {
                                 return Err(NumError::NonFinite { col });
                             }
@@ -758,7 +757,7 @@ impl<T: Scalar> SparseLu<T> {
                         if pinv[r] != usize::MAX {
                             continue;
                         }
-                        let m = work[r].magnitude();
+                        let m = work[r].abs();
                         if !m.is_finite() {
                             return Err(NumError::NonFinite { col });
                         }
@@ -773,7 +772,7 @@ impl<T: Scalar> SparseLu<T> {
                     if prow == usize::MAX || pmag == 0.0 {
                         for r in 0..n {
                             if pinv[r] == usize::MAX {
-                                let m = work[r].magnitude();
+                                let m = work[r].abs();
                                 if !m.is_finite() {
                                     return Err(NumError::NonFinite { col });
                                 }
@@ -798,7 +797,7 @@ impl<T: Scalar> SparseLu<T> {
             let lcol = &mut self.l_build[step];
             for &r in touched.iter() {
                 let v = work[r];
-                if v == T::zero() {
+                if v == 0.0 {
                     continue;
                 }
                 if r == prow {
@@ -811,9 +810,9 @@ impl<T: Scalar> SparseLu<T> {
                     // This row was already pivotal: belongs to U.
                     self.u_build[pinv[r]].push((step, v));
                 }
-                work[r] = T::zero();
+                work[r] = 0.0;
             }
-            work[prow] = T::zero();
+            work[prow] = 0.0;
             // Deduplicate L entries (duplicate `touched` rows leave zeros
             // behind, which we already skipped; dedupe defensively).
             lcol.sort_by_key(|&(r, _)| r);
@@ -882,7 +881,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Step `j`'s column of the unit-lower factor `L` (diagonal implicit):
     /// original row indices and multipliers, sorted by row.
     #[inline]
-    pub fn l_col(&self, j: usize) -> (&[usize], &[T]) {
+    pub fn l_col(&self, j: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.l_ptr[j], self.l_ptr[j + 1]);
         (&self.l_idx[lo..hi], &self.l_val[lo..hi])
     }
@@ -890,7 +889,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Pivot row `j` of the upper factor `U` in pivot-step coordinates:
     /// step indices and values sorted ascending, diagonal at step `j`.
     #[inline]
-    pub fn u_row(&self, j: usize) -> (&[usize], &[T]) {
+    pub fn u_row(&self, j: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
         (&self.u_idx[lo..hi], &self.u_val[lo..hi])
     }
@@ -900,9 +899,9 @@ impl<T: Scalar> SparseLu<T> {
     /// # Panics
     ///
     /// Panics if `b.len() != self.n()`.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut out = vec![T::zero(); self.n];
-        self.solve_into(b, &mut out, &mut vec![T::zero(); self.n]);
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n];
+        self.solve_into(b, &mut out, &mut vec![0.0; self.n]);
         out
     }
 
@@ -914,7 +913,7 @@ impl<T: Scalar> SparseLu<T> {
     /// # Panics
     ///
     /// Panics if any slice length differs from `self.n()`.
-    pub fn solve_into(&self, b: &[T], out: &mut [T], scratch: &mut [T]) {
+    pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         out.copy_from_slice(b);
         self.solve_arr::<1>(as_lane_blocks_mut(out), as_lane_blocks_mut(scratch));
     }
@@ -931,7 +930,7 @@ impl<T: Scalar> SparseLu<T> {
     /// # Panics
     ///
     /// Panics if `block.len()` or `scratch.len()` differ from `self.n()`.
-    pub fn solve_arr<const N: usize>(&self, block: &mut [[T; N]], scratch: &mut [[T; N]]) {
+    pub fn solve_arr<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
         let n = self.n;
         assert_eq!(block.len(), n, "lane block length mismatch");
         assert_eq!(scratch.len(), n, "lane scratch length mismatch");
@@ -954,11 +953,11 @@ impl<T: Scalar> SparseLu<T> {
         // `scratch` and each solution row is written straight to its final
         // original-column position in `block` (every input row has been
         // consumed by the forward pass), so no post-scatter pass is needed.
-        // The accumulator row lives in a local `[T; N]` so all `N` lanes
+        // The accumulator row lives in a local `[f64; N]` so all `N` lanes
         // stay in registers across the row's update sweep.
         let ordered = !self.col_order.is_empty();
         for j in (0..n).rev() {
-            let mut diag = T::zero();
+            let mut diag = 0.0;
             let mut acc = scratch[j];
             let (steps, vals) = self.u_row(j);
             for (&c, &v) in steps.iter().zip(vals) {
@@ -972,7 +971,7 @@ impl<T: Scalar> SparseLu<T> {
                 }
             }
             for a in acc.iter_mut() {
-                *a = *a / diag;
+                *a /= diag;
             }
             block[if ordered { self.col_order[j] } else { j }] = acc;
         }
@@ -985,13 +984,13 @@ impl<T: Scalar> SparseLu<T> {
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
     /// Per-RHS results are bit-for-bit identical to [`SparseLu::solve_into`].
-    pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
+    pub fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
         crate::lanes::solve_lanes_dispatch(self, self.n, block, n_rhs, scratch);
     }
 }
 
-impl<T: Scalar> crate::lanes::LaneSolver<T> for SparseLu<T> {
-    fn solve_lane<const N: usize>(&self, block: &mut [[T; N]], scratch: &mut [[T; N]]) {
+impl crate::lanes::LaneSolver for SparseLu {
+    fn solve_lane<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
         self.solve_arr(block, scratch);
     }
 }
@@ -1001,7 +1000,7 @@ mod tests {
     use super::*;
     use crate::dense::{vecops, DMat};
 
-    fn dense_random(n: usize, seed: &mut u64, density: f64) -> (Csc<f64>, DMat<f64>) {
+    fn dense_random(n: usize, seed: &mut u64, density: f64) -> (Csc, DMat) {
         let rnd = move |seed: &mut u64| {
             *seed = seed
                 .wrapping_mul(6364136223846793005)
@@ -1028,7 +1027,7 @@ mod tests {
 
     #[test]
     fn triplets_sum_duplicates() {
-        let mut t = Triplets::<f64>::new(3, 3);
+        let mut t = Triplets::new(3, 3);
         t.push(1, 1, 2.0);
         t.push(1, 1, 3.0);
         t.push(0, 2, -1.0);
@@ -1079,7 +1078,7 @@ mod tests {
 
     #[test]
     fn pivoting_zero_diagonal() {
-        let mut t = Triplets::<f64>::new(2, 2);
+        let mut t = Triplets::new(2, 2);
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
         let x = t.to_csc().lu().unwrap().solve(&[3.0, 7.0]);
@@ -1089,7 +1088,7 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let mut t = Triplets::<f64>::new(2, 2);
+        let mut t = Triplets::new(2, 2);
         t.push(0, 0, 1.0);
         t.push(1, 0, 1.0);
         // column 1 empty -> singular
@@ -1098,7 +1097,7 @@ mod tests {
 
     #[test]
     fn nan_value_detected_as_non_finite() {
-        let mut t = Triplets::<f64>::new(2, 2);
+        let mut t = Triplets::new(2, 2);
         t.push(0, 0, f64::NAN);
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
@@ -1114,13 +1113,13 @@ mod tests {
         // Factor a healthy matrix, then refactor (fixed pivot replay) with a
         // NaN in the same sparsity pattern: the replay branch must report
         // NonFinite, not Singular.
-        let mut t = Triplets::<f64>::new(2, 2);
+        let mut t = Triplets::new(2, 2);
         t.push(0, 0, 4.0);
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
         t.push(1, 1, 3.0);
         let mut lu = t.to_csc().lu().unwrap();
-        let mut t2 = Triplets::<f64>::new(2, 2);
+        let mut t2 = Triplets::new(2, 2);
         t2.push(0, 0, f64::NAN);
         t2.push(0, 1, 1.0);
         t2.push(1, 0, 1.0);
@@ -1135,7 +1134,7 @@ mod tests {
     fn structurally_dense_column_ok() {
         // Arrow matrix: dense last row/col, diagonal elsewhere.
         let n = 15;
-        let mut t = Triplets::<f64>::new(n, n);
+        let mut t = Triplets::new(n, n);
         for i in 0..n {
             t.push(i, i, 3.0);
             if i + 1 < n {
@@ -1152,7 +1151,7 @@ mod tests {
 
     #[test]
     fn to_dense_roundtrip() {
-        let mut t = Triplets::<f64>::new(2, 3);
+        let mut t = Triplets::new(2, 3);
         t.push(0, 0, 1.0);
         t.push(1, 2, 5.0);
         let d = t.to_csc().to_dense();
@@ -1229,13 +1228,13 @@ mod tests {
     #[test]
     fn refactor_rejects_stale_pivots() {
         // First matrix pivots on the diagonal; second zeroes that entry.
-        let mut t1 = Triplets::<f64>::new(2, 2);
+        let mut t1 = Triplets::new(2, 2);
         t1.push(0, 0, 5.0);
         t1.push(0, 1, 1.0);
         t1.push(1, 0, 1.0);
         t1.push(1, 1, 5.0);
         let mut lu = t1.to_csc().lu().unwrap();
-        let mut t2 = Triplets::<f64>::new(2, 2);
+        let mut t2 = Triplets::new(2, 2);
         t2.push(0, 0, 0.0);
         t2.push(0, 1, 1.0);
         t2.push(1, 0, 1.0);
@@ -1298,10 +1297,10 @@ mod tests {
         }
     }
 
-    /// Reference solve replicating the pre-flatten `Vec<Vec<(usize, T)>>`
+    /// Reference solve replicating the pre-flatten `Vec<Vec<(usize, f64)>>`
     /// factor walk (same arithmetic order): the flattened storage must be a
     /// pure layout change, bit-for-bit.
-    fn reference_solve_preflatten(lu: &SparseLu<f64>, b: &[f64]) -> Vec<f64> {
+    fn reference_solve_preflatten(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
         let n = lu.n();
         // Rebuild nested factor storage from the flat arrays.
         let nested = |(idx, val): (&[usize], &[f64])| -> Vec<(usize, f64)> {
@@ -1411,7 +1410,7 @@ mod tests {
         // eliminate the dense column first, filling in the whole matrix;
         // Markowitz defers it and keeps the factors O(n).
         let n = 40;
-        let mut t = Triplets::<f64>::new(n, n);
+        let mut t = Triplets::new(n, n);
         for i in 0..n {
             t.push(i, i, 4.0);
             if i > 0 {
@@ -1473,12 +1472,12 @@ mod tests {
 
     #[test]
     fn refill_from_updates_values_in_place() {
-        let mut t = Triplets::<f64>::new(3, 3);
+        let mut t = Triplets::new(3, 3);
         t.push(0, 0, 1.0);
         t.push(1, 1, 2.0);
         t.push(2, 0, 3.0);
         let mut m = t.to_csc();
-        let mut t2 = Triplets::<f64>::new(3, 3);
+        let mut t2 = Triplets::new(3, 3);
         t2.push(0, 0, 4.0);
         t2.push(0, 0, 0.5); // duplicate sums
         t2.push(1, 1, -2.0);
@@ -1489,7 +1488,7 @@ mod tests {
         assert_eq!(m.get(2, 0), 0.0);
         assert_eq!(m.nnz(), 3);
         // A triplet outside the pattern is a PatternMismatch.
-        let mut t3 = Triplets::<f64>::new(3, 3);
+        let mut t3 = Triplets::new(3, 3);
         t3.push(2, 2, 1.0);
         assert!(matches!(m.refill_from(&t3), Err(NumError::PatternMismatch)));
     }

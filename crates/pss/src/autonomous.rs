@@ -284,7 +284,7 @@ pub fn autonomous_pss_in(
         }
 
         // Bordered Newton system.
-        let mut a = DMat::<f64>::zeros(n + 1, n + 1);
+        let mut a = DMat::zeros(n + 1, n + 1);
         for i in 0..n {
             for j in 0..n {
                 a[(i, j)] = -m[(i, j)];

@@ -156,7 +156,7 @@ pub struct PssSolution {
     /// its own `h`/`θ`).
     pub records: Vec<StepRecord>,
     /// Monodromy matrix `∂Φ_T/∂x₀`.
-    pub monodromy: DMat<f64>,
+    pub monodromy: DMat,
     /// Integration scheme used (θ needed by the LPTV source terms).
     pub method: Integrator,
     /// `∂Φ/∂T` — only present for autonomous solutions.
@@ -232,8 +232,8 @@ impl PssSolution {
 /// Per-column arithmetic is independent of the chunking, so the result is
 /// bit-for-bit identical for any thread count and to the per-column
 /// sequential reference [`monodromy_seq`].
-pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> DMat<f64> {
-    let mut m = DMat::<f64>::identity(n);
+pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> DMat {
+    let mut m = DMat::identity(n);
     if n == 0 {
         return m;
     }
@@ -276,11 +276,11 @@ pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> D
 /// allocating solve per column per record — the pre-batching behavior,
 /// retained for validation and as the benchmark baseline
 /// (`BENCH_pss.json`).
-pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat<f64> {
-    let mut m = DMat::<f64>::identity(n);
+pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat {
+    let mut m = DMat::identity(n);
     let mut col = vec![0.0; n];
     for rec in records {
-        let mut next = DMat::<f64>::zeros(n, n);
+        let mut next = DMat::zeros(n, n);
         for j in 0..n {
             for (i, c) in col.iter_mut().enumerate() {
                 *c = m[(i, j)];
@@ -435,7 +435,7 @@ pub fn shooting_pss_in(
 pub(crate) fn finish(
     cyc: CycleResult,
     period: f64,
-    monodromy: DMat<f64>,
+    monodromy: DMat,
     method: Integrator,
     dphi_dt: Option<Vec<f64>>,
     phase_unknown: Option<usize>,
@@ -510,8 +510,16 @@ mod tests {
         let sol = shooting_pss(&ckt, 1.0 / freq, &opts).unwrap();
         assert!(sol.residual < 1e-9);
         // |H| at the corner = 1/√2; amplitude of b's waveform should match.
+        // Fundamental amplitude A = 2·|c₁|, c₁ by a direct DFT of one period.
         let w = sol.node_waveform(&ckt, b);
-        let amp = tranvar_num::fft::fundamental_amplitude(&w[..w.len() - 1]);
+        let n = w.len() - 1;
+        let (mut re, mut im) = (0.0, 0.0);
+        for (i, v) in w[..n].iter().enumerate() {
+            let phi = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+            re += v * phi.cos();
+            im -= v * phi.sin();
+        }
+        let amp = 2.0 * re.hypot(im) / n as f64;
         assert!((amp - 1.0 / 2.0_f64.sqrt()).abs() < 2e-3, "amplitude {amp}");
     }
 

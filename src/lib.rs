@@ -5,7 +5,7 @@
 //! Horowitz (DAC 2007; extended in IEEE TCAS-I 57(7), 2010,
 //! doi:10.1109/TCSI.2009.2035418), including the entire simulator substrate
 //! the paper assumes: MNA circuit simulation, periodic steady-state shooting,
-//! LPTV/PNOISE analysis, and a parallel Monte-Carlo reference.
+//! time-domain LPTV analysis, and a parallel Monte-Carlo reference.
 //!
 //! ## The method in one paragraph
 //!
@@ -26,11 +26,11 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | [`num`] | dense/sparse LU, FFT, Cholesky, normal RNG, statistics |
-//! | [`circuit`] | netlist, MNA stamps, MOSFET model, Pelgrom mismatch, noise descriptors, numeric-only scenario overrides |
-//! | [`engine`] | DC/AC/transient, DC & transient sensitivity, Monte-Carlo driver, analysis sessions |
+//! | [`num`] | f64 dense/sparse LU and lane solves, Cholesky, normal RNG, statistics |
+//! | [`circuit`] | netlist, MNA stamps, MOSFET model, Pelgrom mismatch, numeric-only scenario overrides |
+//! | [`engine`] | DC/transient, DC & transient sensitivity, Monte-Carlo driver, analysis sessions |
 //! | [`pss`] | shooting-Newton PSS (driven + autonomous) |
-//! | [`lptv`] | periodic BVP solver, harmonic transfers, PNOISE, statistical waveforms |
+//! | [`lptv`] | periodic BVP solver (per-parameter mismatch responses), statistical waveforms |
 //! | [`core`] | the paper's flow: metrics, reports, correlations, yield sensitivities, mixtures, scenario campaigns |
 //! | [`circuits`] | StrongARM comparator, logic path, ring oscillator, DAC, technology |
 //! | [`netlist`] | SPICE deck frontend: parse + elaborate text netlists into circuits and campaigns |

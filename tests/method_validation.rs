@@ -3,7 +3,7 @@
 //! and Monte-Carlo.
 
 use tranvar::circuit::{Circuit, NodeId, Pulse, Waveform};
-use tranvar::circuits::{RingOsc, Tech};
+use tranvar::circuits::{RingOsc, StrongArm, Tech};
 use tranvar::engine::dc::{dc_operating_point, DcOptions};
 use tranvar::engine::mc::{monte_carlo, McOptions};
 use tranvar::engine::transens::{transient_with_sensitivities, SensInit};
@@ -139,10 +139,38 @@ fn lptv_delay_matches_transient_sensitivity() {
     );
 }
 
-/// `Metric::Frequency` oracle: the LPTV frequency sensitivity of a ring's
-/// dominant mismatch parameter matches a central difference of the
-/// re-solved nominal frequency (bordered shooting through its exact
-/// `∂Φ/∂T`), at a fraction of the cost of the MC σ checks.
+/// Finite-difference oracle for one metric: the LPTV sensitivity of the
+/// dominant (largest-variance) mismatch parameter matches a central
+/// difference of the nominal metric re-solved at ±0.1σ, within 2%.
+fn dominant_sensitivity_matches_fd(circuit: &Circuit, config: &PssConfig, spec: &MetricSpec) {
+    let specs = std::slice::from_ref(spec);
+    let res = analyze(circuit, config, specs).unwrap();
+    let top = res.reports[0]
+        .contributions
+        .iter()
+        .max_by(|a, b| a.variance().total_cmp(&b.variance()))
+        .unwrap();
+    let h = 0.1 * top.sigma;
+    let nominal = |delta: f64| {
+        let mut ckt = circuit.clone();
+        let mut deltas = vec![0.0; ckt.mismatch_params().len()];
+        deltas[top.param_index] = delta;
+        ckt.apply_mismatch(&deltas);
+        analyze(&ckt, config, specs).unwrap().reports[0].nominal
+    };
+    let fd = (nominal(h) - nominal(-h)) / (2.0 * h);
+    assert!(
+        (fd - top.sensitivity).abs() < 0.02 * top.sensitivity.abs(),
+        "{} {}: lptv {:.4e} vs fd {fd:.4e}",
+        spec.name,
+        top.label,
+        top.sensitivity
+    );
+}
+
+/// `Metric::Frequency` oracle on a ring oscillator: the re-solve is
+/// bordered shooting through its exact `∂Φ/∂T`, at a fraction of the cost
+/// of the MC σ checks.
 #[test]
 fn ring_frequency_sensitivity_matches_fd() {
     let ring = RingOsc::new(&Tech::t013(), 3, 10e-15);
@@ -153,30 +181,19 @@ fn ring_frequency_sensitivity_matches_fd() {
         opts: ring.osc_options(),
     };
     let spec = MetricSpec::new("f0", Metric::Frequency);
-    let res = analyze(&ring.circuit, &config, std::slice::from_ref(&spec)).unwrap();
-    let top = res.reports[0]
-        .contributions
-        .iter()
-        .max_by(|a, b| a.variance().total_cmp(&b.variance()))
-        .unwrap();
-    let h = 0.1 * top.sigma;
-    let f0 = |delta: f64| {
-        let mut ckt = ring.circuit.clone();
-        let mut deltas = vec![0.0; ckt.mismatch_params().len()];
-        deltas[top.param_index] = delta;
-        ckt.apply_mismatch(&deltas);
-        analyze(&ckt, &config, std::slice::from_ref(&spec))
-            .unwrap()
-            .reports[0]
-            .nominal
+    dominant_sensitivity_matches_fd(&ring.circuit, &config, &spec);
+}
+
+/// `Metric::DcAverage` oracle on a switching circuit: the StrongARM offset,
+/// re-solved as the metastable orbit of the Fig. 6 feedback testbench.
+#[test]
+fn strongarm_offset_sensitivity_matches_fd() {
+    let sa = StrongArm::paper(&Tech::t013());
+    let config = PssConfig::Driven {
+        period: sa.period,
+        opts: sa.pss_options(),
     };
-    let fd = (f0(h) - f0(-h)) / (2.0 * h);
-    assert!(
-        (fd - top.sensitivity).abs() < 0.02 * top.sensitivity.abs(),
-        "{}: lptv {:.4e} vs fd {fd:.4e}",
-        top.label,
-        top.sensitivity
-    );
+    dominant_sensitivity_matches_fd(&sa.circuit, &config, &sa.offset_metric());
 }
 
 /// Correlated mismatch: sampling through a mixing matrix A (paper eq. 6)
