@@ -9,7 +9,7 @@ use tranvar_circuits::{ArrivalOrder, LogicPath, Tech};
 use tranvar_core::prelude::*;
 use tranvar_core::solve_pss;
 use tranvar_engine::transens::{transient_with_sensitivities, SensInit};
-use tranvar_engine::{SolverKind, TranOptions};
+use tranvar_engine::{Session, SolverKind, TranOptions};
 use tranvar_lptv::PeriodicSolver;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     });
 
     let pss = solve_pss(&path.circuit, &config).unwrap();
-    let solver = PeriodicSolver::new(&path.circuit, &pss).unwrap();
+    let solver = PeriodicSolver::with_session(&path.circuit, &pss, &Session::default()).unwrap();
     bench_report("lptv_marginal/one_source_response", || {
         solver.param_response(0).unwrap();
     });

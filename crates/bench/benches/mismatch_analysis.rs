@@ -12,11 +12,12 @@ use std::io::Write;
 use tranvar_bench::{bench_report, bench_times, fmt_time, median};
 use tranvar_circuits::{ArrivalOrder, LogicPath, RingOsc, StrongArm, Tech};
 use tranvar_core::prelude::*;
-use tranvar_core::{analyze_with_pss, solve_pss};
+use tranvar_core::{reports_from_responses, solve_pss};
 use tranvar_engine::transens::{
     transient_with_sensitivities, transient_with_sensitivities_seq, SensInit,
 };
-use tranvar_engine::TranOptions;
+use tranvar_engine::{Session, TranOptions};
+use tranvar_lptv::PeriodicSolver;
 
 fn bench_comparator() {
     let tech = Tech::t013();
@@ -29,8 +30,13 @@ fn bench_comparator() {
         solve_pss(&sa.circuit, &config).unwrap();
     });
     let pss = solve_pss(&sa.circuit, &config).unwrap();
+    let session = Session::default();
     bench_report("comparator_offset/lptv+metrics", || {
-        analyze_with_pss(&sa.circuit, pss.clone(), &[sa.offset_metric()]).unwrap();
+        let responses = PeriodicSolver::with_session(&sa.circuit, &pss, &session)
+            .unwrap()
+            .all_param_responses()
+            .unwrap();
+        reports_from_responses(&sa.circuit, &pss, &responses, &[sa.offset_metric()]).unwrap();
     });
     bench_report("comparator_offset/full", || {
         analyze(&sa.circuit, &config, &[sa.offset_metric()]).unwrap();
@@ -75,8 +81,9 @@ fn bench_transens() {
         n_params >= 10,
         "logic path must expose >= 10 mismatch parameters, has {n_params}"
     );
-    let mut opts = TranOptions::new(path.period, path.period / 400.0);
-    opts.threads = 0; // all cores for the batched path
+    // The free function runs on a fresh automatic-threading session: all
+    // cores for the batched path.
+    let opts = TranOptions::new(path.period, path.period / 400.0);
 
     // Correctness gate first: the two paths must agree to machine precision.
     let batched = transient_with_sensitivities(&path.circuit, &opts, SensInit::FromDc).unwrap();

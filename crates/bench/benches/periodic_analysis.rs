@@ -13,7 +13,8 @@
 use std::io::Write;
 use tranvar_bench::{bench_times, fmt_time, median};
 use tranvar_circuits::{RingOsc, StrongArm, Tech};
-use tranvar_lptv::{LptvOptions, PeriodicSolver};
+use tranvar_engine::Session;
+use tranvar_lptv::PeriodicSolver;
 use tranvar_pss::{autonomous_pss, monodromy_seq, monodromy_threaded, shooting_pss};
 
 struct Comparison {
@@ -125,15 +126,8 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
         "StrongARM must expose >= 10 mismatch parameters, has {n_params}"
     );
     let sol = shooting_pss(&sa.circuit, sa.period, &sa.pss_options()).expect("StrongARM PSS");
-    let solver = PeriodicSolver::with_options(
-        &sa.circuit,
-        &sol,
-        LptvOptions {
-            threads: 0,
-            ..LptvOptions::default()
-        },
-    )
-    .unwrap();
+    // An automatic-threading session: all cores for the batched pass.
+    let solver = PeriodicSolver::with_session(&sa.circuit, &sol, &Session::default()).unwrap();
 
     // Correctness gate: batched/threaded vs sequential reference.
     let batched = solver.all_param_responses().unwrap();

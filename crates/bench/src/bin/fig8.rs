@@ -4,6 +4,7 @@
 use tranvar_circuits::{ArrivalOrder, LogicPath, Tech};
 use tranvar_core::solve_pss;
 use tranvar_core::PssConfig;
+use tranvar_engine::Session;
 use tranvar_lptv::{statistical_waveform, PeriodicSolver};
 
 fn main() {
@@ -17,7 +18,8 @@ fn main() {
         },
     )
     .expect("pss");
-    let solver = PeriodicSolver::new(&path.circuit, &pss).expect("lptv");
+    let solver =
+        PeriodicSolver::with_session(&path.circuit, &pss, &Session::default()).expect("lptv");
     let (times, nominal, sigma) =
         statistical_waveform(&path.circuit, &solver, path.out_a).expect("waveform");
     println!("Fig. 8: statistical waveform of logic-path output A");

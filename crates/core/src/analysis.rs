@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::metric::Metric;
 use crate::report::{Contribution, VariationReport};
 use tranvar_circuit::{Circuit, NodeId};
-use tranvar_engine::Session;
+use tranvar_engine::{Session, SolveBudget};
 use tranvar_lptv::{PeriodicResponse, PeriodicSolver};
 use tranvar_pss::{autonomous_pss_in, shooting_pss_in, OscOptions, PssOptions, PssSolution};
 
@@ -146,10 +146,7 @@ pub fn analyze_in(
     config: &PssConfig,
     metrics: &[MetricSpec],
 ) -> Result<AnalysisResult, CoreError> {
-    let pss = solve_pss_in(session, ckt, config)?;
-    let solver = PeriodicSolver::with_session(ckt, &pss, session)?;
-    let responses = solver.all_param_responses()?;
-    drop(solver);
+    let (pss, responses) = solve_responses(session, ckt, config)?;
     let reports = reports_from_responses(ckt, &pss, &responses, metrics)?;
     Ok(AnalysisResult {
         pss,
@@ -158,11 +155,36 @@ pub fn analyze_in(
     })
 }
 
+/// The solve half of the flow on `session`: the PSS orbit, then every
+/// unit-parameter periodic response. The configuration's budget is checked
+/// at the boundary between the two stages, so the LPTV stage never starts
+/// on an exhausted budget. Shared by [`analyze_in`] and the campaign's
+/// unique solves.
+pub(crate) fn solve_responses(
+    session: &mut Session,
+    ckt: &Circuit,
+    config: &PssConfig,
+) -> Result<(PssSolution, Vec<PeriodicResponse>), CoreError> {
+    let pss = solve_pss_in(session, ckt, config)?;
+    budget_of(config).checkpoint("lptv")?;
+    let responses = PeriodicSolver::with_session(ckt, &pss, session)?.all_param_responses()?;
+    Ok((pss, responses))
+}
+
 /// The linear-solver backend a configuration asks for.
 pub(crate) fn solver_of(config: &PssConfig) -> tranvar_engine::SolverKind {
     match config {
         PssConfig::Driven { opts, .. } => opts.newton.solver,
         PssConfig::Autonomous { opts, .. } => opts.pss.newton.solver,
+    }
+}
+
+/// The solve budget the configuration's Newton options carry (shared by
+/// every stage of the periodic solve).
+pub(crate) fn budget_of(config: &PssConfig) -> SolveBudget {
+    match config {
+        PssConfig::Driven { opts, .. } => opts.newton.budget.clone(),
+        PssConfig::Autonomous { opts, .. } => opts.pss.newton.budget.clone(),
     }
 }
 
@@ -200,27 +222,6 @@ pub fn solve_pss_in(
             phase_value,
             opts,
         } => autonomous_pss_in(session, ckt, *period_hint, *phase_node, *phase_value, opts)?,
-    })
-}
-
-/// Runs the LPTV + metric-extraction stage on an existing PSS solution.
-///
-/// # Errors
-///
-/// Propagates LPTV and metric failures.
-pub fn analyze_with_pss(
-    ckt: &Circuit,
-    pss: PssSolution,
-    metrics: &[MetricSpec],
-) -> Result<AnalysisResult, CoreError> {
-    let solver = PeriodicSolver::new(ckt, &pss)?;
-    let responses = solver.all_param_responses()?;
-    drop(solver);
-    let reports = reports_from_responses(ckt, &pss, &responses, metrics)?;
-    Ok(AnalysisResult {
-        pss,
-        responses,
-        reports,
     })
 }
 
@@ -372,6 +373,71 @@ mod tests {
             (got - analytic).abs() < 1e-2 * analytic,
             "lptv {got} vs analytic {analytic}"
         );
+    }
+
+    /// A pulse-driven RC divider on 64 steps per period whose solve
+    /// charges a budget of at most `max_factorizations`.
+    fn budgeted_divider(max_factorizations: u64) -> (Circuit, PssConfig, MetricSpec) {
+        let period = 10e-6;
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource(
+            "V1",
+            a,
+            NodeId::GROUND,
+            Waveform::Pulse(Pulse {
+                v0: 0.0,
+                v1: 1.0,
+                delay: 1e-6,
+                rise: 1e-8,
+                fall: 1e-8,
+                width: 4e-6,
+                period,
+            }),
+        );
+        let r1 = ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        ckt.annotate_resistor_mismatch(r1, 10.0);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 64;
+        opts.newton.budget = SolveBudget::new(
+            tranvar_engine::BudgetLimits::default().max_factorizations(max_factorizations),
+        );
+        let spec = MetricSpec::new("vout", Metric::DcAverage { node: b });
+        (ckt, PssConfig::Driven { period, opts }, spec)
+    }
+
+    /// The LPTV stage starts only inside the budget. The last factorization
+    /// of the PSS stage lands after its last Newton-iteration check, so a
+    /// limit one short of what the PSS stage spends is caught only at the
+    /// stage boundary — in `analyze` and in a campaign scenario alike.
+    #[test]
+    fn lptv_stage_checks_the_budget() {
+        use crate::campaign::{Campaign, Scenario};
+        use tranvar_engine::{BudgetKind, EngineError};
+        let (ckt, config, spec) = budgeted_divider(u64::MAX);
+        analyze(&ckt, &config, std::slice::from_ref(&spec)).unwrap();
+        let spent = budget_of(&config).factorizations();
+        let expect_trip = |res: Result<AnalysisResult, CoreError>| match res {
+            Err(CoreError::Engine(EngineError::BudgetExceeded { analysis, progress })) => {
+                assert_eq!(analysis, "lptv");
+                assert_eq!(progress.exhausted, BudgetKind::Factorizations);
+                assert_eq!(progress.factorizations, spent);
+            }
+            other => panic!("expected an lptv budget trip, got {other:?}"),
+        };
+
+        let (ckt, config, spec) = budgeted_divider(spent - 1);
+        expect_trip(analyze(&ckt, &config, std::slice::from_ref(&spec)));
+
+        let (ckt, config, spec) = budgeted_divider(spent - 1);
+        let res = Campaign::new(config, vec![spec])
+            .run(&ckt, &[Scenario::new("nominal", vec![])])
+            .unwrap();
+        let outcome = res.outcomes.into_iter().next().unwrap();
+        expect_trip(outcome.result);
     }
 
     #[test]

@@ -33,16 +33,19 @@
 //! orders across a worker's scenarios; see [`tranvar_engine::session`] for
 //! its machine-precision caveat.)
 
-use crate::analysis::{analyze, reports_from_responses, AnalysisResult, MetricSpec, PssConfig};
+use crate::analysis::{
+    analyze, budget_of, reports_from_responses, solve_responses, AnalysisResult, MetricSpec,
+    PssConfig,
+};
 use crate::error::CoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tranvar_circuit::{Circuit, CircuitOverride};
 use tranvar_engine::retry::{flip_backend, run_ladder, tran_ladder};
 use tranvar_engine::{
     chunk_ranges, effective_threads, fault, is_retryable, map_scoped, Escalation, RetryPolicy,
-    Session, SessionOptions, SessionStats, SolveBudget, SolveDiagnostics,
+    Session, SessionOptions, SessionStats, SolveDiagnostics,
 };
-use tranvar_lptv::{LptvError, PeriodicResponse, PeriodicSolver};
+use tranvar_lptv::{LptvError, PeriodicResponse};
 use tranvar_num::NumError;
 use tranvar_pss::{PssError, PssSolution};
 
@@ -302,10 +305,7 @@ fn solve_variant(
     fault::panic_at(fault::sites::SCENARIO, solve_index);
     let mut ckt = base.clone();
     ckt.revalue(solve_overrides)?;
-    let pss = crate::analysis::solve_pss_in(session, &ckt, config)?;
-    let lptv = PeriodicSolver::with_session(&ckt, &pss, session)?;
-    let responses = lptv.all_param_responses()?;
-    Ok((pss, responses))
+    solve_responses(session, &ckt, config)
 }
 
 /// The result of one unique solve run through [`solve_unique`]: the
@@ -384,15 +384,6 @@ pub fn solve_unique(
         outcome,
         diagnostics: diag,
         poisoned,
-    }
-}
-
-/// The solve budget the configuration's Newton options carry (shared by
-/// every stage of the periodic solve).
-fn budget_of(config: &PssConfig) -> SolveBudget {
-    match config {
-        PssConfig::Driven { opts, .. } => opts.newton.budget.clone(),
-        PssConfig::Autonomous { opts, .. } => opts.pss.newton.budget.clone(),
     }
 }
 

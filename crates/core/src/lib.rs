@@ -60,8 +60,8 @@ pub mod report;
 pub mod sensitivity;
 
 pub use analysis::{
-    analyze, analyze_in, analyze_with_pss, reports_from_responses, solve_pss, solve_pss_in,
-    AnalysisResult, MetricSpec, PssConfig,
+    analyze, analyze_in, reports_from_responses, solve_pss, solve_pss_in, AnalysisResult,
+    MetricSpec, PssConfig,
 };
 pub use campaign::{
     run_scenarios_per_call, scenario_reports, solve_groups, solve_unique, Campaign, CampaignResult,

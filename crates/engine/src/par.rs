@@ -14,11 +14,12 @@
 //! combined result is bit-identical for any thread count. A single job runs
 //! inline on the calling thread with no scope at all.
 
-/// Resolves a worker-thread count in the `TranOptions::threads` convention
-/// shared by every batched analysis (transient sensitivities, the PSS
-/// monodromy accumulation, the LPTV parameter responses, scenario
-/// campaigns): `0` means all available cores, and the count never exceeds
-/// `n_jobs` independent work items (so no worker is ever spawned idle).
+/// Resolves a worker-thread count in the convention shared by every
+/// batched analysis (transient sensitivities, the PSS monodromy
+/// accumulation and the LPTV parameter responses, all at their session's
+/// [`crate::SessionOptions::threads`], and scenario campaigns): `0` means
+/// all available cores, and the count never exceeds `n_jobs` independent
+/// work items (so no worker is ever spawned idle).
 pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism()

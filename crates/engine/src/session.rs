@@ -15,8 +15,10 @@
 //!   [`JacobianWorkspace`] per pattern class (static solves, dynamic
 //!   integration), each retaining its staged structure, factor storage and
 //!   — for the sparse backend — the replayed pivot analysis across calls,
-//! - the **thread policy**: a default worker count inherited by analyses
-//!   whose per-call options leave `threads` in automatic (`0`) mode,
+//! - the **thread policy**: the one worker count of every batched kernel
+//!   run on the session — the transient-sensitivity propagation, the PSS
+//!   monodromy accumulation and the LPTV parameter responses; no per-call
+//!   option overrides it,
 //! - [`SessionStats`] counters proving the reuse (a warm session performs
 //!   zero additional pattern builds or symbolic analyses per call).
 //!
@@ -55,13 +57,12 @@ pub struct SessionOptions {
     /// [`SolverKind::SparseOrdered`] backend is worthwhile for large sparse
     /// substrates.
     pub solver: SolverKind,
-    /// Default worker-thread count for batched analyses run through the
-    /// session, in the [`TranOptions::threads`] convention (`0` = all
-    /// cores); applied whenever the per-call options leave `threads` at the
-    /// automatic `0`. Explicit per-call values win. Within one session the
-    /// batched analyses are bit-identical for any count; across *sessions*
-    /// the dense backend is bit-identical too, while the sparse backend
-    /// carries the pivot-replay caveat of the [module docs](self).
+    /// Worker-thread count of every batched analysis run through the
+    /// session (`0` = all cores, `1` = single-threaded; see
+    /// [`crate::par::effective_threads`]). Within one session the batched
+    /// analyses are bit-identical for any count; across *sessions* the
+    /// dense backend is bit-identical too, while the sparse backend carries
+    /// the pivot-replay caveat of the [module docs](self).
     pub threads: usize,
 }
 
@@ -128,20 +129,9 @@ impl Session {
         self.solver
     }
 
-    /// The session's default worker-thread count (`0` = all cores).
+    /// The session's worker-thread count (`0` = all cores).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Resolves a per-call `threads` request against the session policy:
-    /// explicit nonzero requests win, automatic (`0`) requests inherit the
-    /// session default.
-    pub fn effective_threads(&self, requested: usize) -> usize {
-        if requested != 0 {
-            requested
-        } else {
-            self.threads
-        }
     }
 
     /// The reusable cycle-integration workspace (dynamic MNA pattern), for
@@ -284,14 +274,13 @@ impl Session {
         init: SensInit,
     ) -> Result<TranSensResult, EngineError> {
         let (eff, x0) = self.resolve_x0(ckt, opts)?;
-        crate::transens::run(ckt, &mut self.cycle, &eff, init, x0)
+        crate::transens::run(ckt, &mut self.cycle, &eff, init, x0, self.threads)
     }
 
-    /// Validates per-call transient options, applies the session policy
-    /// (solver, thread count) and resolves the initial state: `opts.x0`
-    /// when given, otherwise the DC operating point through the session's
-    /// static workspace. The one place a transient-style run finds its
-    /// starting point.
+    /// Validates per-call transient options, applies the session's solver
+    /// and resolves the initial state: `opts.x0` when given, otherwise the
+    /// DC operating point through the session's static workspace. The one
+    /// place a transient-style run finds its starting point.
     pub(crate) fn resolve_x0(
         &mut self,
         ckt: &Circuit,
@@ -304,7 +293,6 @@ impl Session {
                 solver: self.solver,
                 ..opts.newton.clone()
             },
-            threads: self.effective_threads(opts.threads),
             ..opts.clone()
         };
         let x0 = match &eff.x0 {
@@ -417,17 +405,5 @@ mod tests {
         assert_eq!(after.pattern_builds, warm.pattern_builds);
         assert_eq!(after.symbolic_analyses, warm.symbolic_analyses);
         assert!(after.numeric_factorizations > warm.numeric_factorizations);
-    }
-
-    /// Thread policy: explicit per-call requests win, automatic inherits.
-    #[test]
-    fn thread_policy_resolution() {
-        let s = Session::new(SessionOptions {
-            solver: SolverKind::Dense,
-            threads: 3,
-        });
-        assert_eq!(s.effective_threads(0), 3);
-        assert_eq!(s.effective_threads(2), 2);
-        assert_eq!(Session::default().effective_threads(0), 0);
     }
 }

@@ -210,11 +210,6 @@ pub struct TranOptions {
     pub gmin: f64,
     /// Initial state; `None` computes the DC operating point at `t_start`.
     pub x0: Option<Vec<f64>>,
-    /// Worker threads for the batched sensitivity propagation
-    /// (`transient_with_sensitivities`): `0` uses all available cores, `1`
-    /// runs single-threaded. Results are identical for any thread count —
-    /// each parameter's arithmetic is independent of the partitioning.
-    pub threads: usize,
     /// Fixed-grid vs LTE-controlled adaptive stepping.
     pub step_control: StepControl,
 }
@@ -230,7 +225,6 @@ impl TranOptions {
             newton: NewtonOptions::default(),
             gmin: 1e-12,
             x0: None,
-            threads: 0,
             step_control: StepControl::Fixed,
         }
     }

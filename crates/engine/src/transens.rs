@@ -21,7 +21,8 @@
 //!    across all steps ([`crate::solver::JacobianWorkspace`]) because the
 //!    MNA pattern never changes.
 //! 2. *Propagate phase* (parallel): the mismatch parameters are split into
-//!    contiguous chunks, one worker thread per chunk ([`TranOptions::threads`]).
+//!    contiguous chunks, one worker thread per chunk (the session's
+//!    [`Session::threads`]).
 //!    Each worker advances its chunk through the window with a single
 //!    multi-RHS lane solve per step
 //!    ([`crate::solver::FactoredJacobian::solve_multi_lanes`]) over
@@ -169,13 +170,14 @@ fn propagate_window(
 /// Runs a transient with forward parameter sensitivities for every mismatch
 /// parameter of the circuit.
 ///
-/// This is the batched, parallel path (see the module docs); use
-/// [`TranOptions::threads`] to control the worker count. For the
+/// This is the batched, parallel path (see the module docs). For the
 /// per-parameter reference implementation see
 /// [`transient_with_sensitivities_seq`].
 ///
 /// A one-line convenience over a fresh [`Session`] on
-/// `opts.newton.solver`; see [`Session::transient_with_sensitivities`].
+/// `opts.newton.solver` with automatic threading; to set the worker count,
+/// run [`Session::transient_with_sensitivities`] on a session built with
+/// it.
 ///
 /// # Errors
 ///
@@ -190,14 +192,16 @@ pub fn transient_with_sensitivities(
 
 /// The batched sensitivity body behind
 /// [`Session::transient_with_sensitivities`]: integrates from the resolved
-/// initial state `x0` through the reusable workspace `ws`. Expects `opts`
-/// to be validated by the caller.
+/// initial state `x0` through the reusable workspace `ws`, propagating on
+/// up to `threads` workers (`0` = all cores). Expects `opts` to be
+/// validated by the caller.
 pub(crate) fn run(
     ckt: &Circuit,
     ws: &mut crate::tran::CycleWorkspace,
     opts: &TranOptions,
     init: SensInit,
     x0: Vec<f64>,
+    threads: usize,
 ) -> Result<TranSensResult, EngineError> {
     let s0 = initial_sens(ckt, &x0, opts, init)?;
     let n = ckt.n_unknowns();
@@ -225,8 +229,7 @@ pub(crate) fn run(
     // Auto mode stays single-threaded when the whole propagation is too
     // small to amortize the per-window thread spawns (work proxy: one
     // triangular sweep per step per parameter ≈ steps·n²·p flops).
-    let threads =
-        effective_threads_for_work(opts.threads, n_params, n_steps * n * n * n_params.max(1));
+    let threads = effective_threads_for_work(threads, n_params, n_steps * n * n * n_params.max(1));
     let chunk = n_params.div_ceil(threads.max(1)).max(1);
     let mut chunk_states: Vec<ChunkState> = sens
         .chunks(chunk)
@@ -481,7 +484,24 @@ pub fn transient_with_sensitivities_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionOptions;
+    use crate::solver::SolverKind;
     use tranvar_circuit::{NodeId, Waveform};
+
+    /// The batched path on a session with `threads` workers.
+    fn batched_on(
+        ckt: &Circuit,
+        opts: &TranOptions,
+        init: SensInit,
+        threads: usize,
+    ) -> TranSensResult {
+        Session::new(SessionOptions {
+            solver: SolverKind::Dense,
+            threads,
+        })
+        .transient_with_sensitivities(ckt, opts, init)
+        .unwrap()
+    }
 
     fn rc_with_mismatch() -> Circuit {
         let mut ckt = Circuit::new();
@@ -565,9 +585,7 @@ mod tests {
         base.x0 = Some(vec![1.0, 0.0, -1e-3]);
         let seq = transient_with_sensitivities_seq(&ckt, &base, SensInit::FromDc).unwrap();
         for threads in [1usize, 2, 3, 8] {
-            let mut opts = base.clone();
-            opts.threads = threads;
-            let par = transient_with_sensitivities(&ckt, &opts, SensInit::FromDc).unwrap();
+            let par = batched_on(&ckt, &base, SensInit::FromDc, threads);
             assert_eq!(par.sens.len(), seq.sens.len());
             let mut max_diff = 0.0f64;
             for (pk, sk) in par.sens.iter().zip(seq.sens.iter()) {
@@ -599,9 +617,7 @@ mod tests {
         let seq = transient_with_sensitivities_seq(&ckt, &base, SensInit::FromDc).unwrap();
         let mut reference: Option<TranSensResult> = None;
         for threads in [1usize, 2, 3, 8] {
-            let mut opts = base.clone();
-            opts.threads = threads;
-            let par = transient_with_sensitivities(&ckt, &opts, SensInit::FromDc).unwrap();
+            let par = batched_on(&ckt, &base, SensInit::FromDc, threads);
             // The nominal grids must agree bitwise: all paths drive the
             // same LTE controller.
             assert_eq!(par.tran.times.len(), seq.tran.times.len());
@@ -708,8 +724,7 @@ mod tests {
         // 200 steps: crosses the 64-step window boundary three times.
         let mut opts = TranOptions::new(4e-4, 2e-6);
         opts.x0 = Some(vec![1.0, 0.0, -1e-3]);
-        opts.threads = 2;
-        let par = transient_with_sensitivities(&ckt, &opts, SensInit::Zero).unwrap();
+        let par = batched_on(&ckt, &opts, SensInit::Zero, 2);
         let seq = transient_with_sensitivities_seq(&ckt, &opts, SensInit::Zero).unwrap();
         assert_eq!(par.sens[0].len(), 201);
         for step in [63usize, 64, 65, 127, 128, 129, 200] {

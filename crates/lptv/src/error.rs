@@ -14,8 +14,6 @@ pub enum LptvError {
     MissingRecords,
     /// An autonomous solution lacks `∂Φ/∂T`/phase data.
     MissingAutonomousData,
-    /// Invalid configuration.
-    BadConfig(String),
     /// Underlying numerical failure.
     Num(NumError),
     /// Underlying engine failure.
@@ -33,7 +31,6 @@ impl fmt::Display for LptvError {
             LptvError::MissingAutonomousData => {
                 write!(f, "autonomous analysis needs dΦ/dT and a phase condition")
             }
-            LptvError::BadConfig(msg) => write!(f, "invalid configuration: {msg}"),
             LptvError::Num(e) => write!(f, "numerical failure: {e}"),
             LptvError::Engine(e) => write!(f, "engine failure: {e}"),
             LptvError::Circuit(e) => write!(f, "circuit failure: {e}"),
@@ -53,7 +50,6 @@ impl LptvError {
             LptvError::MissingAutonomousData => {
                 WireFault::new("lptv.missing-autonomous-data", BadInput)
             }
-            LptvError::BadConfig(_) => WireFault::new("lptv.bad-config", BadInput),
             LptvError::Num(e) => e.wire_fault(),
             LptvError::Engine(e) => e.wire_fault(),
             LptvError::Circuit(e) => e.wire_fault(),

@@ -19,4 +19,4 @@ pub mod error;
 pub mod periodic;
 
 pub use error::LptvError;
-pub use periodic::{statistical_waveform, LptvOptions, PeriodicResponse, PeriodicSolver};
+pub use periodic::{statistical_waveform, PeriodicResponse, PeriodicSolver};

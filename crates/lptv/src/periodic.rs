@@ -34,31 +34,10 @@
 use crate::error::LptvError;
 use tranvar_circuit::{Circuit, NodeId, ParamDeriv};
 use tranvar_engine::sens::param_step_rhs;
-use tranvar_engine::{effective_threads_for_work, map_scoped, Session, SolveBudget};
+use tranvar_engine::{effective_threads_for_work, map_scoped, Session};
 use tranvar_num::dense::vecops;
 use tranvar_num::{DMat, Lu};
 use tranvar_pss::PssSolution;
-
-/// Controls for the batched LPTV parameter propagation.
-///
-/// The default (`threads: 0`) chunks the parameters across all available
-/// cores.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LptvOptions {
-    /// Worker threads for [`PeriodicSolver::all_param_responses`]: the
-    /// mismatch parameters are split into contiguous chunks, one std scoped
-    /// worker per chunk. `0` uses all available cores, `1` runs
-    /// single-threaded. Results are bit-identical for any thread count —
-    /// each parameter's arithmetic is independent of the partitioning
-    /// (mirrors [`tranvar_engine::TranOptions::threads`]).
-    pub threads: usize,
-    /// Cooperative solve budget checked once per periodic BVP pass (each
-    /// [`PeriodicSolver::solve_rhs`] call and each per-chunk batched
-    /// propagation). The LPTV passes reuse the PSS factorizations and never
-    /// factor, so only the wall-clock deadline can trip here; the default
-    /// unlimited budget adds a single `Option` test per pass.
-    pub budget: SolveBudget,
-}
 
 /// The periodic response of the circuit to a unit value of one quasi-DC
 /// parameter (or σ-scaled pseudo-noise source).
@@ -86,12 +65,18 @@ pub struct PeriodicSolver<'a> {
     /// autonomous orbits.
     boundary: Lu,
     autonomous: bool,
-    opts: LptvOptions,
+    /// Worker threads of [`PeriodicSolver::all_param_responses`], taken
+    /// from the session (`0` = all cores).
+    threads: usize,
 }
 
 impl<'a> PeriodicSolver<'a> {
-    /// Prepares the boundary factorization for a PSS solution with default
-    /// [`LptvOptions`] (all cores for the batched propagation).
+    /// Prepares the boundary factorization for a PSS solution. The batched
+    /// parameter propagation runs on the analysis [`Session`]'s worker
+    /// count ([`Session::threads`]). The boundary factorization is
+    /// per-orbit state and is always computed here; the per-step
+    /// factorizations come from the PSS records, which the session-run PSS
+    /// solve already reused.
     ///
     /// # Errors
     ///
@@ -100,43 +85,10 @@ impl<'a> PeriodicSolver<'a> {
     ///   the phase/period data,
     /// - numerical errors if the boundary matrix is singular (e.g. a driven
     ///   circuit with an undamped mode).
-    pub fn new(ckt: &'a Circuit, sol: &'a PssSolution) -> Result<Self, LptvError> {
-        PeriodicSolver::with_options(ckt, sol, LptvOptions::default())
-    }
-
-    /// [`PeriodicSolver::new`] inheriting an analysis [`Session`]'s thread
-    /// policy (the batched parameter propagation uses the session's default
-    /// worker count). The boundary factorization itself is per-orbit state
-    /// and is always computed here; the per-step factorizations come from
-    /// the PSS records, which the session-run PSS solve already reused.
-    ///
-    /// # Errors
-    ///
-    /// See [`PeriodicSolver::new`].
     pub fn with_session(
         ckt: &'a Circuit,
         sol: &'a PssSolution,
         session: &Session,
-    ) -> Result<Self, LptvError> {
-        PeriodicSolver::with_options(
-            ckt,
-            sol,
-            LptvOptions {
-                threads: session.threads(),
-                ..LptvOptions::default()
-            },
-        )
-    }
-
-    /// [`PeriodicSolver::new`] with explicit [`LptvOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PeriodicSolver::new`].
-    pub fn with_options(
-        ckt: &'a Circuit,
-        sol: &'a PssSolution,
-        opts: LptvOptions,
     ) -> Result<Self, LptvError> {
         if sol.records.is_empty() {
             return Err(LptvError::MissingRecords);
@@ -174,7 +126,7 @@ impl<'a> PeriodicSolver<'a> {
             sol,
             boundary,
             autonomous,
-            opts,
+            threads: session.threads(),
         })
     }
 
@@ -183,17 +135,8 @@ impl<'a> PeriodicSolver<'a> {
         self.sol
     }
 
-    /// `true` if the orbit is autonomous (oscillator).
-    pub fn is_autonomous(&self) -> bool {
-        self.autonomous
-    }
-
     /// Builds the per-step source terms `w_k` for mismatch parameter `k`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-lookup failures.
-    pub fn param_rhs(&self, k: usize) -> Result<Vec<Vec<f64>>, LptvError> {
+    fn param_rhs(&self, k: usize) -> Result<Vec<Vec<f64>>, LptvError> {
         let recs = &self.sol.records;
         let mut out = Vec::with_capacity(recs.len());
         for (s, rec) in recs.iter().enumerate() {
@@ -204,22 +147,10 @@ impl<'a> PeriodicSolver<'a> {
         Ok(out)
     }
 
-    /// Solves the periodic BVP for arbitrary per-step sources `w`
-    /// (length `n_steps`, each of length `n_unknowns`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LptvError::BadConfig`] on a length mismatch.
-    pub fn solve_rhs(&self, w: &[Vec<f64>]) -> Result<PeriodicResponse, LptvError> {
-        self.opts.budget.checkpoint("lptv pass")?;
+    /// Solves the periodic BVP for the per-step sources `w` (one per
+    /// record, each of length `n_unknowns`).
+    fn solve_rhs(&self, w: &[Vec<f64>]) -> PeriodicResponse {
         let recs = &self.sol.records;
-        if w.len() != recs.len() {
-            return Err(LptvError::BadConfig(format!(
-                "rhs has {} steps, pss has {}",
-                w.len(),
-                recs.len()
-            )));
-        }
         let n = self.ckt.n_unknowns();
         // Particular solution from zero initial state; all buffers are
         // preallocated and every per-step solve is allocation-free.
@@ -250,7 +181,7 @@ impl<'a> PeriodicSolver<'a> {
             rec.lu.solve_into(&rhs, &mut cur, &mut scratch);
             dx.push(cur.clone());
         }
-        Ok(PeriodicResponse { dx, dperiod })
+        PeriodicResponse { dx, dperiod }
     }
 
     /// Periodic response to a *unit* value of mismatch parameter `k`
@@ -258,10 +189,10 @@ impl<'a> PeriodicSolver<'a> {
     ///
     /// # Errors
     ///
-    /// See [`PeriodicSolver::solve_rhs`].
+    /// Propagates parameter-lookup failures.
     pub fn param_response(&self, k: usize) -> Result<PeriodicResponse, LptvError> {
         let w = self.param_rhs(k)?;
-        self.solve_rhs(&w)
+        Ok(self.solve_rhs(&w))
     }
 
     /// Responses for every registered mismatch parameter, reusing all
@@ -269,8 +200,7 @@ impl<'a> PeriodicSolver<'a> {
     ///
     /// All parameters are propagated *together and in parallel*: the
     /// parameter set is split into contiguous chunks, one std scoped worker
-    /// per chunk ([`LptvOptions::threads`], mirroring
-    /// [`tranvar_engine::TranOptions::threads`]). Each worker stages its
+    /// per chunk (up to the session's [`Session::threads`]). Each worker stages its
     /// chunk's per-step source terms as RHS-interleaved blocks and runs the
     /// particular pass, the boundary solve and the periodic re-propagation
     /// as single
@@ -299,7 +229,7 @@ impl<'a> PeriodicSolver<'a> {
         // `effective_threads_for_work`).
         let n = self.ckt.n_unknowns();
         let work = self.sol.records.len() * n * n * p_total;
-        let threads = effective_threads_for_work(self.opts.threads, p_total, work);
+        let threads = effective_threads_for_work(self.threads, p_total, work);
         let chunk = p_total.div_ceil(threads).max(1);
         let mut out: Vec<PeriodicResponse> = (0..p_total)
             .map(|_| PeriodicResponse {
@@ -338,7 +268,6 @@ impl<'a> PeriodicSolver<'a> {
     /// with interleaved multi-RHS sweeps, writing each parameter's periodic
     /// response into its `out` slot.
     fn respond_chunk(&self, k0: usize, out: &mut [PeriodicResponse]) -> Result<(), LptvError> {
-        self.opts.budget.checkpoint("lptv pass")?;
         let recs = &self.sol.records;
         let n = self.ckt.n_unknowns();
         let p = out.len();
@@ -465,7 +394,16 @@ pub fn statistical_waveform(
 mod tests {
     use super::*;
     use tranvar_circuit::Waveform;
+    use tranvar_engine::{SessionOptions, SolverKind};
     use tranvar_pss::{shooting_pss, PssOptions};
+
+    /// A solver on a default (automatic-threading) session.
+    fn solver_for<'a>(
+        ckt: &'a Circuit,
+        sol: &'a PssSolution,
+    ) -> Result<PeriodicSolver<'a>, LptvError> {
+        PeriodicSolver::with_session(ckt, sol, &Session::default())
+    }
 
     /// Driven divider + cap with resistor mismatch: at DC drive, the periodic
     /// response must equal the DC sensitivity.
@@ -482,7 +420,7 @@ mod tests {
         let mut opts = PssOptions::default();
         opts.n_steps = 32;
         let sol = shooting_pss(&ckt, 1e-6, &opts).unwrap();
-        let solver = PeriodicSolver::new(&ckt, &sol).unwrap();
+        let solver = solver_for(&ckt, &sol).unwrap();
         let resp = solver.param_response(0).unwrap();
         let ib = ckt.unknown_of_node(b).unwrap();
         // Analytic ∂vb/∂R1 = −V·R2/(R1+R2)² = −0.5 mV/Ω.
@@ -494,7 +432,7 @@ mod tests {
             );
         }
         assert_eq!(resp.dperiod, 0.0);
-        assert!(!solver.is_autonomous());
+        assert!(solver.pss().dphi_dt.is_none());
     }
 
     /// The periodic response to a parameter must match finite-difference
@@ -527,7 +465,7 @@ mod tests {
         let mut opts = PssOptions::default();
         opts.n_steps = 200;
         let sol = shooting_pss(&ckt, period, &opts).unwrap();
-        let solver = PeriodicSolver::new(&ckt, &sol).unwrap();
+        let solver = solver_for(&ckt, &sol).unwrap();
         let ib = ckt.unknown_of_node(b).unwrap();
 
         for (k, h) in [(0usize, 1.0), (1usize, 1e-13)] {
@@ -587,11 +525,11 @@ mod tests {
         opts.n_steps = 64;
         let sol = shooting_pss(&ckt, period, &opts).unwrap();
         for threads in [1usize, 2, 3, 8] {
-            let opts = LptvOptions {
+            let session = Session::new(SessionOptions {
+                solver: SolverKind::Dense,
                 threads,
-                ..LptvOptions::default()
-            };
-            let solver = PeriodicSolver::with_options(&ckt, &sol, opts).unwrap();
+            });
+            let solver = PeriodicSolver::with_session(&ckt, &sol, &session).unwrap();
             let batched = solver.all_param_responses().unwrap();
             let seq = solver.all_param_responses_seq().unwrap();
             assert_eq!(batched.len(), 3);
@@ -628,7 +566,7 @@ mod tests {
         let mut sol = shooting_pss(&ckt, 1e-6, &opts).unwrap();
         sol.records.clear();
         assert!(matches!(
-            PeriodicSolver::new(&ckt, &sol),
+            solver_for(&ckt, &sol),
             Err(LptvError::MissingRecords)
         ));
     }
@@ -646,7 +584,7 @@ mod tests {
         let mut opts = PssOptions::default();
         opts.n_steps = 32;
         let sol = shooting_pss(&ckt, 1e-6, &opts).unwrap();
-        let solver = PeriodicSolver::new(&ckt, &sol).unwrap();
+        let solver = solver_for(&ckt, &sol).unwrap();
         let bnode = ckt.find_node("b").unwrap();
         let (times, nominal, sigma) = statistical_waveform(&ckt, &solver, bnode).unwrap();
         assert_eq!(times.len(), nominal.len());

@@ -26,12 +26,12 @@
 use crate::error::PssError;
 use crate::shooting::{
     finish, first_source_where, integrate_pss_cycle, last_state, monodromy_threaded, PssOptions,
-    PssSolution,
+    PssSolution, MAX_ITER, UPDATE_LIMIT,
 };
 use tranvar_circuit::{Assembly, Circuit, NodeId, Waveform};
 use tranvar_engine::dc::DcOptions;
 use tranvar_engine::tran::CycleResult;
-use tranvar_engine::{NewtonOptions, Session, SessionOptions};
+use tranvar_engine::{NewtonOptions, Session};
 use tranvar_num::dense::vecops;
 use tranvar_num::interp::{crossings, nearest_index, Edge};
 use tranvar_num::DMat;
@@ -49,11 +49,6 @@ pub struct OscOptions {
     /// Too short a cap to see four crossings is
     /// [`PssError::NoOscillation`].
     pub settle_periods: f64,
-    /// Initial-condition kick (V) applied to the phase node to break the
-    /// symmetric latch-up equilibrium.
-    pub kick: f64,
-    /// Relative clamp on period updates per Newton iteration.
-    pub period_update_limit: f64,
 }
 
 impl Default for OscOptions {
@@ -65,11 +60,16 @@ impl Default for OscOptions {
         OscOptions {
             pss,
             settle_periods: 12.0,
-            kick: 0.1,
-            period_update_limit: 0.1,
         }
     }
 }
+
+/// Initial-condition kick (V) applied to the phase node to break the
+/// symmetric latch-up equilibrium.
+const KICK: f64 = 0.1;
+
+/// Relative clamp on the period update of one bordered-Newton round.
+const PERIOD_UPDATE_LIMIT: f64 = 0.1;
 
 /// Periods the warm-up period estimate averages over (it needs one more
 /// rising crossing than this).
@@ -105,7 +105,7 @@ fn warm_up(
         },
     )?;
     if let Some(i) = ckt.unknown_of_node(phase_node) {
-        x[i] += opts.kick;
+        x[i] += KICK;
     }
     let ws = session.cycle_workspace();
     let max_chunks = opts.settle_periods.ceil() as usize;
@@ -187,6 +187,9 @@ fn period_derivative(
 /// - [`PssError::NoOscillation`] if the warm-up never oscillates,
 /// - [`PssError::NoConvergence`] if bordered shooting stalls,
 /// - engine/numerical errors from the inner solves.
+///
+/// A one-line convenience over a fresh [`Session`] on
+/// `opts.pss.newton.solver`; see [`autonomous_pss_in`].
 pub fn autonomous_pss(
     ckt: &Circuit,
     period_hint: f64,
@@ -195,10 +198,7 @@ pub fn autonomous_pss(
     opts: &OscOptions,
 ) -> Result<PssSolution, PssError> {
     autonomous_pss_in(
-        &mut Session::new(SessionOptions {
-            solver: opts.pss.newton.solver,
-            threads: opts.pss.threads,
-        }),
+        &mut Session::with_solver(opts.pss.newton.solver),
         ckt,
         period_hint,
         phase_node,
@@ -239,7 +239,7 @@ pub fn autonomous_pss_in(
         solver: session.solver(),
         ..opts.pss.newton.clone()
     };
-    let threads = session.effective_threads(opts.pss.threads);
+    let threads = session.threads();
 
     let warm = warm_up(
         session,
@@ -261,7 +261,7 @@ pub fn autonomous_pss_in(
     let ws = session.cycle_workspace();
     let mut asm = ckt.assemble(&x0, 0.0);
     let mut last_residual = f64::INFINITY;
-    for _iter in 0..opts.pss.max_iter {
+    for _iter in 0..MAX_ITER {
         // One bordered-Newton round per iteration, charged to the shared
         // budget alongside its inner cycle integration.
         newton.budget.begin_iteration("autonomous shooting")?;
@@ -303,12 +303,12 @@ pub fn autonomous_pss_in(
         let mut dt = sol[n];
         // Limiting.
         let dmax = vecops::norm_inf(&dx);
-        if dmax > opts.pss.update_limit {
-            let k = opts.pss.update_limit / dmax;
+        if dmax > UPDATE_LIMIT {
+            let k = UPDATE_LIMIT / dmax;
             vecops::scale(&mut dx, k);
             dt *= k;
         }
-        let dt_cap = opts.period_update_limit * period;
+        let dt_cap = PERIOD_UPDATE_LIMIT * period;
         if dt.abs() > dt_cap {
             let k = dt_cap / dt.abs();
             dt *= k;
@@ -327,10 +327,7 @@ pub fn autonomous_pss_in(
     }
     Err(PssError::NoConvergence {
         analysis: "autonomous shooting".into(),
-        detail: format!(
-            "residual {last_residual:.3e} after {} iterations",
-            opts.pss.max_iter
-        ),
+        detail: format!("residual {last_residual:.3e} after {MAX_ITER} iterations"),
     })
 }
 

@@ -18,9 +18,7 @@ use tranvar_engine::tran::{
     integrate_cycle, integrate_cycle_adaptive, CycleResult, CycleWorkspace, Integrator,
     StepControl, StepRecord,
 };
-use tranvar_engine::{
-    chunk_ranges, effective_threads_for_work, map_scoped, Session, SessionOptions,
-};
+use tranvar_engine::{chunk_ranges, effective_threads_for_work, map_scoped, Session};
 use tranvar_num::dense::vecops;
 use tranvar_num::{DMat, NumError};
 
@@ -33,13 +31,17 @@ pub(crate) fn last_state(cyc: &CycleResult) -> Result<&Vec<f64>, PssError> {
     }))
 }
 
+/// Cap on shooting-Newton rounds after the warm-up cycles.
+pub(crate) const MAX_ITER: usize = 40;
+
+/// Clamp on the ∞-norm of one shooting-Newton state update.
+pub(crate) const UPDATE_LIMIT: f64 = 0.6;
+
 /// PSS analysis controls.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PssOptions {
     /// Time steps per period.
     pub n_steps: usize,
-    /// Maximum shooting-Newton iterations.
-    pub max_iter: usize,
     /// Convergence tolerance on `|Φ(x₀) − x₀|_∞`.
     pub tol: f64,
     /// Integration scheme (trapezoidal recommended for oscillators).
@@ -55,14 +57,6 @@ pub struct PssOptions {
     ///
     /// [`tol`]: PssOptions::tol
     pub warmup_cycles: usize,
-    /// Clamp on the shooting update ∞-norm.
-    pub update_limit: f64,
-    /// Worker threads for the monodromy column propagation
-    /// ([`monodromy_threaded`]): `0` uses all available cores, `1` runs
-    /// single-threaded. Results are bit-identical for any thread count —
-    /// each state-space column's arithmetic is independent of the
-    /// partitioning (mirrors [`tranvar_engine::TranOptions::threads`]).
-    pub threads: usize,
     /// Cycle-grid selection: [`StepControl::Fixed`] integrates every cycle
     /// on the uniform `period / n_steps` grid (the bit-identical reference
     /// path); [`StepControl::Adaptive`] lets the LTE controller pick the
@@ -83,14 +77,11 @@ impl Default for PssOptions {
     fn default() -> Self {
         PssOptions {
             n_steps: 256,
-            max_iter: 40,
             tol: 1e-9,
             method: Integrator::BackwardEuler,
             newton: NewtonOptions::default(),
             gmin: 1e-12,
             warmup_cycles: 2,
-            update_limit: 0.6,
-            threads: 0,
             step_control: StepControl::Fixed,
         }
     }
@@ -220,8 +211,9 @@ impl PssSolution {
 ///
 /// The `n` columns of `M` propagate independently through the record
 /// product, so they are split into contiguous chunks — one std scoped
-/// worker per chunk (`threads` in the [`tranvar_engine::TranOptions::threads`]
-/// convention: `0` = all cores). Each worker stages its chunk as an
+/// worker per chunk (`threads` as in [`tranvar_engine::effective_threads`]:
+/// `0` = all cores; the shooting drivers pass their session's
+/// [`Session::threads`]). Each worker stages its chunk as an
 /// RHS-interleaved block and advances it with one
 /// [`tranvar_engine::FactoredJacobian::solve_multi_lanes`] sweep per
 /// record: every factor entry becomes a chunk-wide contiguous axpy through
@@ -310,16 +302,16 @@ pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat {
 /// - [`PssError::NotPeriodic`] if a source is incompatible with `period`,
 /// - [`PssError::NoConvergence`] if shooting stalls,
 /// - engine errors from the inner integrations.
+///
+/// A one-line convenience over a fresh [`Session`] on
+/// `opts.newton.solver`; see [`shooting_pss_in`].
 pub fn shooting_pss(
     ckt: &Circuit,
     period: f64,
     opts: &PssOptions,
 ) -> Result<PssSolution, PssError> {
     shooting_pss_in(
-        &mut Session::new(SessionOptions {
-            solver: opts.newton.solver,
-            threads: opts.threads,
-        }),
+        &mut Session::with_solver(opts.newton.solver),
         ckt,
         period,
         opts,
@@ -331,7 +323,8 @@ pub fn shooting_pss(
 /// workspaces, so repeated solves on one circuit (scenario campaigns,
 /// corner sweeps) perform no per-call allocation or symbolic re-analysis.
 /// The session's solver choice overrides [`NewtonOptions::solver`], and its
-/// thread policy is applied when [`PssOptions::threads`] is automatic (`0`).
+/// [`Session::threads`] sets the workers of the monodromy accumulation
+/// ([`monodromy_threaded`]).
 ///
 /// A fresh session reproduces [`shooting_pss`] bit-for-bit; a reused one
 /// is bit-identical on the dense backend. On the sparse backend the
@@ -354,7 +347,7 @@ pub fn shooting_pss_in(
         solver: session.solver(),
         ..opts.newton.clone()
     };
-    let threads = session.effective_threads(opts.threads);
+    let threads = session.threads();
 
     // Initial guess: the DC operating point.
     let mut x0 = session.dc_operating_point(
@@ -378,7 +371,7 @@ pub fn shooting_pss_in(
     // seed is a forward cycle only: the DC point is not on a driven orbit,
     // so it runs unrecorded and is never checked.
     let mut last_residual = f64::INFINITY;
-    for k in 0..opts.warmup_cycles + opts.max_iter {
+    for k in 0..opts.warmup_cycles + MAX_ITER {
         let forward = k < opts.warmup_cycles;
         let from_dc = k == 0 && forward;
         if !forward {
@@ -415,8 +408,8 @@ pub fn shooting_pss_in(
         let mut delta = a.lu()?.solve(&r);
         vecops::scale(&mut delta, -1.0);
         let dmax = vecops::norm_inf(&delta);
-        if dmax > opts.update_limit {
-            let k = opts.update_limit / dmax;
+        if dmax > UPDATE_LIMIT {
+            let k = UPDATE_LIMIT / dmax;
             vecops::scale(&mut delta, k);
         }
         for (xi, di) in x0.iter_mut().zip(delta.iter()) {
@@ -426,8 +419,8 @@ pub fn shooting_pss_in(
     Err(PssError::NoConvergence {
         analysis: "shooting".into(),
         detail: format!(
-            "residual {last_residual:.3e} after {} iterations (tol {:.1e})",
-            opts.max_iter, opts.tol
+            "residual {last_residual:.3e} after {MAX_ITER} iterations (tol {:.1e})",
+            opts.tol
         ),
     })
 }
@@ -658,8 +651,8 @@ mod tests {
                 let mut delta = a.lu().unwrap().solve(&r);
                 vecops::scale(&mut delta, -1.0);
                 let dmax = vecops::norm_inf(&delta);
-                if dmax > opts.update_limit {
-                    vecops::scale(&mut delta, opts.update_limit / dmax);
+                if dmax > UPDATE_LIMIT {
+                    vecops::scale(&mut delta, UPDATE_LIMIT / dmax);
                 }
                 for (xi, di) in x0.iter_mut().zip(delta.iter()) {
                     *xi += di;

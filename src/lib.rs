@@ -78,8 +78,8 @@
 //! solve `solve_into` and which `solve_multi_lanes` drives for multi-RHS
 //! blocks, bit-for-bit identical per RHS — and the transient sensitivity
 //! engine propagates all mismatch
-//! parameters as one batched block across worker threads
-//! ([`engine::TranOptions::threads`]). See ROADMAP.md's "Performance"
+//! parameters as one batched block across worker threads (the session's
+//! [`engine::SessionOptions::threads`]). See ROADMAP.md's "Performance"
 //! section and `BENCH_transens.json` for the measured trajectory.
 //!
 //! ## Sessions & campaigns

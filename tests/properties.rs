@@ -358,7 +358,8 @@ fn monodromy_is_bit_identical_for_any_thread_count() {
 /// threads, on randomized PSS orbits.
 #[test]
 fn lptv_param_responses_are_bit_identical_for_any_thread_count() {
-    use tranvar::lptv::{LptvOptions, PeriodicSolver};
+    use tranvar::engine::{Session, SessionOptions, SolverKind};
+    use tranvar::lptv::PeriodicSolver;
     use tranvar::pss::shooting_pss;
     let mut rng = Rng64::seed_from(0x5EED_1111);
     for case in 0..4 {
@@ -369,20 +370,16 @@ fn lptv_param_responses_are_bit_identical_for_any_thread_count() {
         let sol = shooting_pss(&ckt, 1e-6, &opts).unwrap();
         let n_params = ckt.mismatch_params().len();
         assert!(n_params >= 4);
-        let seq = PeriodicSolver::new(&ckt, &sol)
+        let seq = PeriodicSolver::with_session(&ckt, &sol, &Session::default())
             .unwrap()
             .all_param_responses_seq()
             .unwrap();
         for threads in [1usize, 2, 8] {
-            let solver = PeriodicSolver::with_options(
-                &ckt,
-                &sol,
-                LptvOptions {
-                    threads,
-                    ..LptvOptions::default()
-                },
-            )
-            .unwrap();
+            let session = Session::new(SessionOptions {
+                solver: SolverKind::Dense,
+                threads,
+            });
+            let solver = PeriodicSolver::with_session(&ckt, &sol, &session).unwrap();
             let batched = solver.all_param_responses().unwrap();
             assert_eq!(batched.len(), seq.len());
             for (k, (b, s)) in batched.iter().zip(seq.iter()).enumerate() {
