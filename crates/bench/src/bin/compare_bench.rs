@@ -9,140 +9,40 @@
 //!
 //! Figures are matched by their dotted key path (`strongarm_lptv.speedup`,
 //! or plain `speedup` at the top level), so reordering or adding rows moves
-//! no gate. A small scanner keeps the gate free of a JSON dependency.
+//! no gate. The documents are read with the serving layer's JSON parser.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use tranvar_serve::json::{self, Json};
 
 /// Every number in a JSON document, keyed by its dotted path (`a.b`,
 /// `sweep[2].n`), in document order. Strings, booleans and nulls are
 /// skipped; a duplicate key yields two entries with the same path.
 fn numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut s = Scanner {
-        b: text.as_bytes(),
-        i: 0,
-        out: Vec::new(),
-    };
-    s.value(String::new())?;
-    s.ws();
-    if s.i != s.b.len() {
-        return Err(format!("trailing input at byte {}", s.i));
-    }
-    Ok(s.out)
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    i: usize,
-    out: Vec<(String, f64)>,
-}
-
-impl Scanner<'_> {
-    fn ws(&mut self) {
-        while self.b.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("{what} at byte {}", self.i))
-    }
-
-    /// Consumes `c` (after whitespace) if it is next.
-    fn eat(&mut self, c: u8) -> bool {
-        self.ws();
-        let hit = self.b.get(self.i) == Some(&c);
-        self.i += usize::from(hit);
-        hit
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if !self.eat(b'"') {
-            return self.err("expected a string");
-        }
-        let start = self.i;
-        while let Some(&c) = self.b.get(self.i) {
-            match c {
-                b'"' => {
-                    let s = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-                    self.i += 1;
-                    return Ok(s);
-                }
-                b'\\' => self.i += 2,
-                _ => self.i += 1,
-            }
-        }
-        self.err("unterminated string")
-    }
-
-    fn value(&mut self, path: String) -> Result<(), String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                if self.eat(b'}') {
-                    return Ok(());
-                }
-                loop {
-                    let key = self.string()?;
-                    if !self.eat(b':') {
-                        return self.err("expected `:`");
-                    }
+    fn walk(v: &Json, path: String, out: &mut Vec<(String, f64)>) {
+        match v {
+            Json::Num(x) => out.push((path, *x)),
+            Json::Obj(fields) => {
+                for (key, v) in fields {
                     let child = if path.is_empty() {
-                        key
+                        key.clone()
                     } else {
                         format!("{path}.{key}")
                     };
-                    self.value(child)?;
-                    if self.eat(b'}') {
-                        return Ok(());
-                    }
-                    if !self.eat(b',') {
-                        return self.err("expected `,` or `}`");
-                    }
+                    walk(v, child, out);
                 }
             }
-            Some(b'[') => {
-                self.i += 1;
-                if self.eat(b']') {
-                    return Ok(());
-                }
-                for k in 0.. {
-                    self.value(format!("{path}[{k}]"))?;
-                    if self.eat(b']') {
-                        break;
-                    }
-                    if !self.eat(b',') {
-                        return self.err("expected `,` or `]`");
-                    }
-                }
-                Ok(())
-            }
-            Some(b'"') => self.string().map(drop),
-            Some(_) => {
-                let start = self.i;
-                while self
-                    .b
-                    .get(self.i)
-                    .is_some_and(|c| !matches!(c, b',' | b'}' | b']') && !c.is_ascii_whitespace())
-                {
-                    self.i += 1;
-                }
-                let tok = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-                match tok {
-                    "true" | "false" | "null" => Ok(()),
-                    _ => match tok.parse::<f64>() {
-                        Ok(v) => {
-                            self.out.push((path, v));
-                            Ok(())
-                        }
-                        Err(_) => self.err(&format!("bad token `{tok}`")),
-                    },
+            Json::Arr(items) => {
+                for (k, v) in items.iter().enumerate() {
+                    walk(v, format!("{path}[{k}]"), out);
                 }
             }
-            None => self.err("unexpected end of input"),
+            Json::Null | Json::Bool(_) | Json::Str(_) => {}
         }
     }
+    let mut out = Vec::new();
+    walk(&json::parse(text)?, String::new(), &mut out);
+    Ok(out)
 }
 
 /// The path of the figure named `key` next to `path`'s leaf.

@@ -40,10 +40,10 @@ use crate::analysis::{
 use crate::error::CoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tranvar_circuit::{Circuit, CircuitOverride};
-use tranvar_engine::retry::{flip_backend, run_ladder, tran_ladder};
+use tranvar_engine::retry::{flip_backend, ladder, run_ladder};
 use tranvar_engine::{
     chunk_ranges, effective_threads, fault, is_retryable, map_scoped, Escalation, RetryPolicy,
-    Session, SessionOptions, SessionStats, SolveDiagnostics,
+    Session, SessionOptions, SessionStats, SolveDiagnostics, StepControl,
 };
 use tranvar_lptv::{LptvError, PeriodicResponse};
 use tranvar_num::NumError;
@@ -132,7 +132,8 @@ impl Campaign {
     /// Enables retry/fallback escalation for failing unique solves. On a
     /// retryable failure (non-convergence, a singular or non-finite
     /// factorization) the solve escalates through the periodic ladder —
-    /// doubled shooting steps ([`Escalation::HalveTimestep`]), then the
+    /// doubled shooting steps ([`Escalation::HalveTimestep`], which also
+    /// tightens the LTE tolerances of an adaptive grid 10×), then the
     /// other solver backend ([`Escalation::SwitchBackend`]) — bounded by
     /// `policy.max_attempts`. Every attempt lands in the scenario's
     /// [`ScenarioOutcome::diagnostics`] trail. Budget exhaustion and panics
@@ -351,13 +352,13 @@ pub fn solve_unique(
     let mut cur = config.clone();
     let mut poisoned = false;
     let outcome = run_ladder(
-        &tran_ladder(policy),
+        ladder(policy),
         &budget_of(config),
         "campaign retry ladder",
         &mut diag,
         retryable_core,
         engine_view,
-        |esc, _diag| {
+        |esc| {
             escalate_config(&mut cur, esc);
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 if esc == Escalation::SwitchBackend {
@@ -387,15 +388,24 @@ pub fn solve_unique(
     }
 }
 
-/// Applies one rung of the periodic ladder ([`tran_ladder`]: the DC-only
-/// gmin/source rungs are skipped) cumulatively to the PSS configuration:
-/// `HalveTimestep` doubles the shooting step count. `SwitchBackend` needs
-/// no config change: it runs on a session of the other backend.
+/// Applies one rung of the periodic ladder ([`ladder`]) cumulatively to
+/// the PSS configuration: `HalveTimestep` doubles the shooting step count
+/// and, under adaptive step control, tightens the LTE `reltol`/`abstol`
+/// 10×. `SwitchBackend` needs no config change: it runs on a session of
+/// the other backend.
 fn escalate_config(config: &mut PssConfig, esc: Escalation) {
     if esc == Escalation::HalveTimestep {
-        match config {
-            PssConfig::Driven { opts, .. } => opts.n_steps *= 2,
-            PssConfig::Autonomous { opts, .. } => opts.pss.n_steps *= 2,
+        let opts = match config {
+            PssConfig::Driven { opts, .. } => opts,
+            PssConfig::Autonomous { opts, .. } => &mut opts.pss,
+        };
+        opts.n_steps *= 2;
+        // In adaptive mode `n_steps` only seeds each cycle's first step —
+        // the retry must reach the LTE controller to change the accepted
+        // grid.
+        if let StepControl::Adaptive(a) = &mut opts.step_control {
+            a.reltol /= 10.0;
+            a.abstol /= 10.0;
         }
     }
 }
@@ -802,11 +812,69 @@ mod tests {
         }
     }
 
+    /// The halved-timestep rung doubles the shooting steps of both config
+    /// kinds and, on an adaptive grid, also tightens the LTE tolerances:
+    /// there `n_steps` only seeds each cycle's first step.
+    #[test]
+    fn halve_dt_rung_tightens_adaptive_tolerances() {
+        use tranvar_engine::AdaptiveOptions;
+        use tranvar_pss::OscOptions;
+        let pss_of = |c: &PssConfig| match c {
+            PssConfig::Driven { opts, .. } => opts.clone(),
+            PssConfig::Autonomous { opts, .. } => opts.pss.clone(),
+        };
+        // Fixed grid: only the step count changes.
+        let mut fixed = campaign(&divider()).config;
+        escalate_config(&mut fixed, Escalation::HalveTimestep);
+        assert_eq!(pss_of(&fixed).n_steps, 32);
+        assert_eq!(pss_of(&fixed).step_control, StepControl::Fixed);
+        // Adaptive grid, driven and autonomous: doubled seed steps and both
+        // LTE tolerances 10× tighter.
+        let adaptive = StepControl::Adaptive(AdaptiveOptions {
+            reltol: 1e-3,
+            abstol: 1e-6,
+            ..AdaptiveOptions::default()
+        });
+        let mut driven = PssOptions::default();
+        driven.step_control = adaptive;
+        let mut osc = OscOptions::default();
+        osc.pss.step_control = adaptive;
+        let configs = [
+            PssConfig::Driven {
+                period: 1e-6,
+                opts: driven,
+            },
+            PssConfig::Autonomous {
+                period_hint: 1e-9,
+                phase_node: NodeId::GROUND,
+                phase_value: 0.0,
+                opts: osc,
+            },
+        ];
+        for mut config in configs {
+            let before = pss_of(&config).n_steps;
+            escalate_config(&mut config, Escalation::HalveTimestep);
+            let opts = pss_of(&config);
+            assert_eq!(opts.n_steps, 2 * before);
+            match opts.step_control {
+                StepControl::Adaptive(a) => {
+                    assert_eq!(a.reltol, 1e-4);
+                    assert_eq!(a.abstol, 1e-7);
+                }
+                StepControl::Fixed => panic!("mode must be preserved"),
+            }
+        }
+        // The switch-backend rung changes no option.
+        let mut switched = campaign(&divider()).config;
+        escalate_config(&mut switched, Escalation::SwitchBackend);
+        assert_eq!(pss_of(&switched), pss_of(&campaign(&divider()).config));
+    }
+
     #[cfg(feature = "fault-inject")]
     mod fault_injected {
         use super::*;
         use tranvar_engine::fault::{sites, FaultAction, FaultPlan};
-        use tranvar_engine::RetryPolicy;
+        use tranvar_engine::{EngineError, RetryPolicy};
 
         fn vdd_grid(ckt: &Circuit) -> Vec<Scenario> {
             let v1 = ckt.find_device("V1").unwrap();
@@ -956,6 +1024,171 @@ mod tests {
             ));
             assert_eq!(oc.diagnostics.stages(), vec!["retry[0]:initial"]);
             assert_eq!(res.retry_attempts, 0);
+        }
+
+        /// Two injected failures climb the whole periodic ladder: the
+        /// switch-backend rung rescues the solve.
+        #[test]
+        fn retry_ladder_reaches_switch_backend() {
+            let ckt = divider();
+            let scenarios = vec![Scenario::new("only", vec![])];
+            let _guard = FaultPlan::new()
+                .fail_range(sites::RETRY_ATTEMPT, 0, 2, FaultAction::NoConverge)
+                .install();
+            let res = campaign(&ckt)
+                .with_retry(RetryPolicy::default())
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            let oc = res.outcome("only").unwrap();
+            assert!(oc.result.is_ok(), "{:?}", oc.result.as_ref().err());
+            assert_eq!(
+                oc.diagnostics.stages(),
+                vec![
+                    "retry[0]:initial",
+                    "retry[1]:halve-dt",
+                    "retry[2]:switch-backend",
+                ]
+            );
+            assert_eq!(
+                oc.diagnostics.succeeded_stage(),
+                Some("retry[2]:switch-backend")
+            );
+            assert_eq!(res.retry_attempts, 2);
+        }
+
+        /// `max_attempts` bounds the ladder: two allowed attempts against
+        /// four injected failures end in the typed failure.
+        #[test]
+        fn max_attempts_bounds_the_ladder() {
+            let ckt = divider();
+            let scenarios = vec![Scenario::new("only", vec![])];
+            let _guard = FaultPlan::new()
+                .fail_range(sites::RETRY_ATTEMPT, 0, 4, FaultAction::NoConverge)
+                .install();
+            let res = campaign(&ckt)
+                .with_retry(RetryPolicy { max_attempts: 2 })
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            let oc = res.outcome("only").unwrap();
+            assert!(matches!(
+                oc.result,
+                Err(CoreError::Engine(EngineError::NoConvergence { .. }))
+            ));
+            assert_eq!(
+                oc.diagnostics.stages(),
+                vec!["retry[0]:initial", "retry[1]:halve-dt"]
+            );
+            assert_eq!(oc.diagnostics.retry_attempts(), 2);
+        }
+
+        /// A tripped budget is a global bound: the ladder ends on it.
+        #[test]
+        fn budget_exhaustion_is_never_retried() {
+            use tranvar_engine::{BudgetLimits, SolveBudget};
+            let ckt = divider();
+            let scenarios = vec![Scenario::new("only", vec![])];
+            let mut camp = campaign(&ckt);
+            if let PssConfig::Driven { opts, .. } = &mut camp.config {
+                opts.newton.budget = SolveBudget::new(BudgetLimits::default().max_newton_iters(1));
+            }
+            let res = camp
+                .with_retry(RetryPolicy::default())
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            let oc = res.outcome("only").unwrap();
+            assert!(oc.result.is_err());
+            assert_eq!(oc.diagnostics.stages(), vec!["retry[0]:initial"]);
+            assert!(matches!(
+                oc.diagnostics.attempts[0].error,
+                Some(EngineError::BudgetExceeded { .. })
+            ));
+        }
+
+        /// A 3-stage CMOS inverter chain with 5 fF loads, driven by a
+        /// pulse: its dense and sparse PSS orbits differ in the last bits.
+        fn inverter_chain() -> Circuit {
+            use tranvar_circuit::{MosModel, MosType, Pulse};
+            let mut ckt = Circuit::new();
+            let vdd = ckt.node("vdd");
+            let mut input = ckt.node("in");
+            ckt.add_vsource("VDD", vdd, NodeId::GROUND, Waveform::Dc(1.2));
+            let pulse = Pulse {
+                v0: 0.0,
+                v1: 1.2,
+                delay: 2e-10,
+                rise: 5e-11,
+                fall: 5e-11,
+                width: 5e-10,
+                period: 2e-9,
+            };
+            ckt.add_vsource("VIN", input, NodeId::GROUND, Waveform::Pulse(pulse));
+            for stage in 0..3 {
+                let out = ckt.node(&format!("out{stage}"));
+                for (ty, model, w, rail) in [
+                    (MosType::Pmos, MosModel::pmos_013(), 2e-6, vdd),
+                    (MosType::Nmos, MosModel::nmos_013(), 1e-6, NodeId::GROUND),
+                ] {
+                    let label = format!("M{ty:?}{stage}");
+                    ckt.add_mosfet(&label, out, input, rail, ty, model, w, 0.13e-6);
+                }
+                ckt.add_capacitor(&format!("C{stage}"), out, NodeId::GROUND, 5e-15);
+                input = out;
+            }
+            ckt
+        }
+
+        /// On a sparse session the switch-backend rung solves on the dense
+        /// backend, and the rungs are cumulative: after a genuinely failed
+        /// halve-dt attempt, the rescued orbit is bit-equal to a plain dense
+        /// solve at twice the steps.
+        #[test]
+        fn switch_backend_rung_leaves_the_session_backend() {
+            use tranvar_engine::SolverKind;
+            let ckt = inverter_chain();
+            let config = |n_steps| {
+                let mut opts = PssOptions::default();
+                opts.n_steps = n_steps;
+                PssConfig::Driven { period: 2e-9, opts }
+            };
+            let solve = |kind, config: &PssConfig, policy: &RetryPolicy| {
+                let mut stats = SessionStats::default();
+                let mut session = Session::with_solver(kind);
+                let u = solve_unique(&mut session, &ckt, &[], config, policy, 0, &mut stats);
+                let (pss, _) = u.outcome.unwrap();
+                let bits: Vec<u64> = pss.states.iter().flatten().map(|v| v.to_bits()).collect();
+                (bits, u.diagnostics)
+            };
+            let none = RetryPolicy::none();
+            let (dense, _) = solve(SolverKind::Dense, &config(16), &none);
+            let (sparse, _) = solve(SolverKind::Sparse, &config(16), &none);
+            assert!(dense != sparse, "the backends must be distinguishable here");
+            // Attempt 0 is failed before it runs, so the halve-dt rung is the
+            // first to solve; a singular factorization inside its shooting
+            // loop (past the few DC factorizations) fails it for real.
+            let _guard = FaultPlan::new()
+                .fail(sites::RETRY_ATTEMPT, 0, FaultAction::NoConverge)
+                .fail(sites::FACTOR, 50, FaultAction::Singular)
+                .install();
+            let (rescued, diag) = solve(SolverKind::Sparse, &config(8), &RetryPolicy::default());
+            assert_eq!(
+                diag.stages(),
+                vec![
+                    "retry[0]:initial",
+                    "retry[1]:halve-dt",
+                    "retry[2]:switch-backend",
+                ]
+            );
+            assert_eq!(
+                diag.attempts[1].error,
+                Some(EngineError::Num(NumError::Singular { col: 0 }))
+            );
+            assert!(
+                rescued == dense,
+                "the switch-backend rung did not run on the dense backend at 2x steps"
+            );
         }
     }
 }

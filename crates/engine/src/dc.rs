@@ -8,7 +8,6 @@
 use crate::budget::SolveBudget;
 use crate::error::EngineError;
 use crate::fault;
-use crate::retry::SolveDiagnostics;
 use crate::solver::{JacobianWorkspace, SolverKind};
 use tranvar_circuit::Circuit;
 use tranvar_num::dense::vecops;
@@ -180,36 +179,31 @@ pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<Vec<f64>, E
 /// walk, then source stepping, all factoring through one workspace `jws`
 /// (the static MNA pattern `G + gmin·I` is staged once and every later
 /// solve refactors in place). The backend is the workspace's;
-/// `opts.newton.solver` is not read. With a trail, each homotopy stage solve
-/// (direct, each gmin-schedule entry, each source step) is recorded as one
-/// [`crate::retry::Attempt`], in the order they ran.
+/// `opts.newton.solver` is not read. Each stage solve (direct, each
+/// gmin-schedule entry, each source step) is one ordinal of the
+/// [`fault::sites::DC_STAGE`] fault site, in the order they run.
 pub(crate) fn homotopy(
     ckt: &Circuit,
     opts: &DcOptions,
     jws: &mut JacobianWorkspace,
-    mut diag: Option<&mut SolveDiagnostics>,
 ) -> Result<Vec<f64>, EngineError> {
     // Every homotopy stage funnels through here: the fault harness can fail
-    // any stage by its attempt ordinal, and the outcome lands in the trail.
+    // any stage by its attempt ordinal.
     let mut attempt_no = 0usize;
-    let mut solve = |ckt: &Circuit, gmin: f64, x0: &[f64], stage: &dyn Fn() -> String| {
+    let mut solve = |ckt: &Circuit, gmin: f64, x0: &[f64]| {
         let idx = attempt_no;
         attempt_no += 1;
-        let res = match fault::attempt_fault(fault::sites::DC_STAGE, idx) {
+        match fault::attempt_fault(fault::sites::DC_STAGE, idx) {
             Some(e) => Err(e),
             None => solve_static(ckt, 0.0, gmin, x0, &opts.newton, jws),
-        };
-        if let Some(d) = diag.as_deref_mut() {
-            d.record(stage(), res.as_ref().err().cloned());
         }
-        res
     };
     let n = ckt.n_unknowns();
     let x0 = vec![0.0; n];
     let final_gmin = *opts.gmin_schedule.last().unwrap_or(&1e-12);
 
     // 1. Direct attempt at the target gmin.
-    match solve(ckt, final_gmin, &x0, &|| "dc:direct".into()) {
+    match solve(ckt, final_gmin, &x0) {
         Ok(x) => return Ok(x),
         // A tripped budget is a global bound: further homotopy stages would
         // only re-trip it, so it propagates instead of escalating.
@@ -220,7 +214,7 @@ pub(crate) fn homotopy(
     let mut x = x0.clone();
     let mut ok = true;
     for &g in &opts.gmin_schedule {
-        match solve(ckt, g, &x, &|| format!("dc:gmin[{g:.1e}]")) {
+        match solve(ckt, g, &x) {
             Ok(xs) => x = xs,
             Err(e @ EngineError::BudgetExceeded { .. }) => return Err(e),
             Err(_) => {
@@ -237,11 +231,7 @@ pub(crate) fn homotopy(
     for k in 1..=opts.source_steps {
         let alpha = k as f64 / opts.source_steps as f64;
         let scaled = ckt.scaled_sources(alpha);
-        let steps = opts.source_steps;
-        x = solve(&scaled, final_gmin, &x, &|| {
-            format!("dc:source[{k}/{steps}]")
-        })
-        .map_err(|e| match e {
+        x = solve(&scaled, final_gmin, &x).map_err(|e| match e {
             e @ EngineError::BudgetExceeded { .. } => e,
             e => EngineError::NoConvergence {
                 analysis: "dc".into(),
@@ -351,6 +341,7 @@ mod fault_injected {
     use super::*;
     use crate::fault::{sites, FaultAction, FaultPlan};
     use tranvar_circuit::{NodeId, Waveform};
+    use tranvar_num::NumError;
 
     #[test]
     fn poisoned_dc_update_bails_on_first_iteration() {
@@ -367,5 +358,27 @@ mod fault_injected {
         assert!(matches!(res, Err(EngineError::NonFinite { .. })), "{res:?}");
         // Exactly one iteration ran: the guard fired once, not max_iter times.
         assert_eq!(guard.hits(sites::DC_RESIDUAL), 1);
+    }
+
+    /// An injected factorization failure surfaces as its own typed error:
+    /// a singular pivot stays distinct from non-finite operands.
+    #[test]
+    fn injected_factor_faults_are_typed() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(2.0));
+        ckt.add_resistor("R1", a, NodeId::GROUND, 1e3);
+        let (opts, x0) = (NewtonOptions::default(), vec![0.0; ckt.n_unknowns()]);
+        for (action, want) in [
+            (FaultAction::Singular, NumError::Singular { col: 0 }),
+            (FaultAction::NonFinite, NumError::NonFinite { col: 0 }),
+        ] {
+            let _guard = FaultPlan::new().fail(sites::FACTOR, 0, action).install();
+            let mut jws = JacobianWorkspace::new(opts.solver);
+            match solve_static(&ckt, 0.0, 1e-12, &x0, &opts, &mut jws) {
+                Err(EngineError::Num(got)) => assert_eq!(got, want),
+                other => panic!("{action:?}: expected {want:?}, got {other:?}"),
+            }
+        }
     }
 }

@@ -33,31 +33,34 @@
 //! # Worked example: forcing the retry ladder to climb
 //!
 //! With `fault-inject` enabled, an armed [`sites::RETRY_ATTEMPT`] makes
-//! attempt 0 of a [`crate::retry`] ladder fail with a synthetic
+//! attempt 0 of a [`crate::retry::run_ladder`] climb fail with a synthetic
 //! `NoConvergence`, so the ladder *must* climb to its first real rung —
-//! deterministically, on a circuit that would otherwise solve first try
-//! (the doctest body compiles away without the feature):
+//! deterministically, with a solve that would otherwise succeed first try
+//! (the doctest body compiles away without the feature). A campaign with
+//! `tranvar_core`'s `Campaign::with_retry` climbs the same way, since its
+//! per-solve ladder is this loop:
 //!
 //! ```
 //! # #[cfg(feature = "fault-inject")] fn main() {
-//! use tranvar_circuit::{Circuit, NodeId, Waveform};
-//! use tranvar_engine::dc::DcOptions;
 //! use tranvar_engine::fault::{sites, FaultAction, FaultPlan};
-//! use tranvar_engine::retry::RetryPolicy;
-//! use tranvar_engine::session::Session;
-//!
-//! let mut ckt = Circuit::new();
-//! let a = ckt.node("a");
-//! ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
-//! ckt.add_resistor("R1", a, NodeId::GROUND, 1e3);
+//! use tranvar_engine::retry::{is_retryable, ladder, run_ladder, RetryPolicy};
+//! use tranvar_engine::{EngineError, SolveBudget, SolveDiagnostics};
 //!
 //! let _guard = FaultPlan::new()
 //!     .fail(sites::RETRY_ATTEMPT, 0, FaultAction::NoConverge)
 //!     .install();
-//! let (res, diag) = Session::default()
-//!     .dc_operating_point_resilient(&ckt, &DcOptions::default(), &RetryPolicy::default());
+//! let mut diag = SolveDiagnostics::new();
+//! let res = run_ladder(
+//!     ladder(&RetryPolicy::default()),
+//!     &SolveBudget::unlimited(),
+//!     "example",
+//!     &mut diag,
+//!     is_retryable,
+//!     EngineError::clone,
+//!     |_esc| Ok(()),
+//! );
 //! assert!(res.is_ok());
-//! assert_eq!(diag.succeeded_stage(), Some("retry[1]:denser-gmin"));
+//! assert_eq!(diag.stages(), ["retry[0]:initial", "retry[1]:halve-dt"]);
 //! # }
 //! # #[cfg(not(feature = "fault-inject"))] fn main() {}
 //! ```
@@ -68,7 +71,7 @@
 /// call sites need no `cfg` — the hooks themselves compile to no-ops
 /// without `fault-inject`.
 pub mod sites {
-    /// Counted: every `JacobianWorkspace::factor`/`factor_owned` call.
+    /// Counted: every `JacobianWorkspace::factor` call.
     pub const FACTOR: &str = "engine::solver::factor";
     /// Counted: the residual-norm check in each DC Newton iteration.
     pub const DC_RESIDUAL: &str = "engine::dc::residual";

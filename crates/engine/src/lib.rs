@@ -24,9 +24,9 @@
 //!   batched analysis,
 //! - [`budget`]: cooperative solve budgets (Newton iterations,
 //!   factorizations, wall-clock deadline) checked once per Newton iteration,
-//! - [`retry`]: bounded retry/fallback escalation (denser gmin → more
-//!   source steps → halved timestep → the other solver backend) with a
-//!   recorded attempt trail, run by the one loop [`retry::run_ladder`],
+//! - [`retry`]: the bounded retry/fallback ladder of a periodic solve
+//!   (halved timestep → the other solver backend) with a recorded attempt
+//!   trail, run by the one loop [`retry::run_ladder`],
 //! - [`fault`]: the deterministic fault-injection harness (behind the
 //!   `fault-inject` feature) that makes every recovery path testable.
 

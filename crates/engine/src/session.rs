@@ -40,10 +40,8 @@
 //! layer (`tranvar-core`): one session per worker, scenarios revalued onto
 //! the same sparsity pattern, every solve after the first a pure replay.
 
-use crate::budget::SolveBudget;
 use crate::dc::{homotopy, DcOptions, NewtonOptions};
 use crate::error::EngineError;
-use crate::retry::{self, Escalation, RetryPolicy, SolveDiagnostics};
 use crate::solver::{JacobianWorkspace, SolverKind, SolverStats};
 use crate::tran::{CycleWorkspace, TranOptions, TranResult};
 use crate::transens::{SensInit, TranSensResult};
@@ -170,61 +168,7 @@ impl Session {
         ckt: &Circuit,
         opts: &DcOptions,
     ) -> Result<Vec<f64>, EngineError> {
-        homotopy(ckt, opts, self.static_workspace(), None)
-    }
-
-    /// [`Session::dc_operating_point`] with retry/fallback escalation (see
-    /// [`crate::retry`]); returns the result together with the full attempt
-    /// trail, homotopy stages included.
-    ///
-    /// Every rung runs through the session's cached workspaces except the
-    /// switch-backend rung, which runs on a throwaway session of the other
-    /// backend than the session's own [`SolverKind`], so a rescue attempt
-    /// never pollutes the session's replayed pivot state.
-    pub fn dc_operating_point_resilient(
-        &mut self,
-        ckt: &Circuit,
-        opts: &DcOptions,
-        policy: &RetryPolicy,
-    ) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
-        let mut cur = opts.clone();
-        let ladder = retry::dc_ladder(policy);
-        self.run_ladder(&ladder, &opts.newton.budget, |s, esc, diag| {
-            retry::apply_dc(&mut cur, esc);
-            homotopy(ckt, &cur, s.static_workspace(), Some(diag))
-        })
-    }
-
-    /// Runs an engine retry ladder on this session, moving the
-    /// switch-backend rung onto a throwaway session of the other backend.
-    fn run_ladder<T>(
-        &mut self,
-        ladder: &[Escalation],
-        budget: &SolveBudget,
-        mut attempt: impl FnMut(
-            &mut Session,
-            Escalation,
-            &mut SolveDiagnostics,
-        ) -> Result<T, EngineError>,
-    ) -> (Result<T, EngineError>, SolveDiagnostics) {
-        let mut diag = SolveDiagnostics::new();
-        let rescue = SessionOptions {
-            solver: retry::flip_backend(self.solver),
-            threads: self.threads,
-        };
-        let res = retry::run_ladder(
-            ladder,
-            budget,
-            "retry ladder",
-            &mut diag,
-            retry::is_retryable,
-            EngineError::clone,
-            |esc, diag| match esc {
-                Escalation::SwitchBackend => attempt(&mut Session::new(rescue), esc, diag),
-                _ => attempt(self, esc, diag),
-            },
-        );
-        (res, diag)
+        homotopy(ckt, opts, self.static_workspace())
     }
 
     /// Transient analysis through the session's dynamic-pattern workspace.
@@ -241,23 +185,6 @@ impl Session {
     ) -> Result<TranResult, EngineError> {
         let (eff, x0) = self.resolve_x0(ckt, opts)?;
         crate::tran::run(ckt, &mut self.cycle, &eff, x0)
-    }
-
-    /// [`Session::transient`] with retry/fallback escalation; returns the
-    /// result together with the attempt trail. Rungs run as in
-    /// [`Session::dc_operating_point_resilient`].
-    pub fn transient_resilient(
-        &mut self,
-        ckt: &Circuit,
-        opts: &TranOptions,
-        policy: &RetryPolicy,
-    ) -> (Result<TranResult, EngineError>, SolveDiagnostics) {
-        let mut cur = opts.clone();
-        let ladder = retry::tran_ladder(policy);
-        self.run_ladder(&ladder, &opts.newton.budget, |s, esc, _| {
-            retry::apply_tran(&mut cur, esc);
-            s.transient(ckt, &cur)
-        })
     }
 
     /// Transient forward-sensitivity analysis through the session (see

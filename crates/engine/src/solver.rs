@@ -34,7 +34,7 @@
 //! per-RHS results.
 
 use tranvar_circuit::Assembly;
-use tranvar_num::{lanes_scratch_len, Csc, DMat, Lu, NumError, SparseLu, SparseSymbolic, Triplets};
+use tranvar_num::{lanes_scratch_len, Csc, DMat, Lu, NumError, SparseLu, Triplets};
 
 /// Which linear-algebra backend factors the MNA Jacobians.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -236,15 +236,14 @@ impl SolverStats {
 /// - for the dense backend, refactors into the same storage
 ///   ([`Lu::refactor`]) without cloning the matrix.
 ///
-/// Use [`JacobianWorkspace::factor`] when the factor is consumed
-/// immediately (Newton loops) and [`JacobianWorkspace::factor_owned`] when
-/// the factor must be stored (PSS/LPTV step records, sensitivity windows).
+/// [`JacobianWorkspace::factor`] returns a borrow of the cached factor;
+/// callers that must store it (PSS/LPTV step records, sensitivity windows)
+/// clone it.
 #[derive(Debug)]
 pub struct JacobianWorkspace {
     kind: SolverKind,
     tr: Triplets,
     csc: Option<Csc>,
-    symbolic: Option<SparseSymbolic>,
     dense: Option<DMat>,
     cached: Option<FactoredJacobian>,
     /// Snapshot of the values the cached factorization was computed from.
@@ -262,7 +261,6 @@ impl JacobianWorkspace {
             kind,
             tr: Triplets::new(0, 0),
             csc: None,
-            symbolic: None,
             dense: None,
             cached: None,
             snapshot: Vec::new(),
@@ -369,17 +367,16 @@ impl JacobianWorkspace {
                     };
                     if !refactored {
                         // First factorization, pattern change, or stale
-                        // pivots: run the analyzing factorization and
-                        // refresh the symbolic record. The ordered backend
-                        // analyzes with the Markowitz fill-reducing order;
-                        // subsequent refactorizations replay it.
+                        // pivots: run the analyzing factorization. The
+                        // ordered backend analyzes with the Markowitz
+                        // fill-reducing order; subsequent refactorizations
+                        // replay it.
                         self.stats.symbolic_analyses += 1;
                         let lu = if self.kind == SolverKind::SparseOrdered {
                             csc.lu_markowitz()?
                         } else {
                             csc.lu()?
                         };
-                        self.symbolic = Some(lu.symbolic());
                         self.cached = Some(FactoredJacobian::Sparse(lu));
                     }
                 }
@@ -388,29 +385,6 @@ impl JacobianWorkspace {
         self.cached.as_ref().ok_or(NumError::Internal {
             what: "factorization cache empty after factoring",
         })
-    }
-
-    /// Factors the combined Jacobian into an *owned* value (for step
-    /// records that outlive the workspace), still reusing the staged
-    /// structure and — for the sparse backend — the symbolic pivot order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular-matrix errors.
-    pub fn factor_owned(
-        &mut self,
-        asm: &Assembly,
-        alpha_g: f64,
-        alpha_c: f64,
-        gmin: f64,
-        n_node_unknowns: usize,
-    ) -> Result<FactoredJacobian, NumError> {
-        // One staging/replay implementation: the cached path does the work,
-        // the owned copy is a memcpy of the factors — and the cache then
-        // also serves a subsequent same-values `factor` call for free.
-        Ok(self
-            .factor(asm, alpha_g, alpha_c, gmin, n_node_unknowns)?
-            .clone())
     }
 }
 
@@ -579,20 +553,12 @@ mod tests {
                     .unwrap()
                     .solve(&b);
                 let cached = ws.factor(&asm, 1.0, 1e9, 1e-12, nn).unwrap().solve(&b);
-                let owned = ws
-                    .factor_owned(&asm, 1.0, 1e9, 1e-12, nn)
-                    .unwrap()
-                    .solve(&b);
                 for i in 0..b.len() {
                     assert!(
                         cached[i].to_bits() == one_shot[i].to_bits(),
                         "{kind:?} trial {trial} cached row {i}: {} vs {}",
                         cached[i],
                         one_shot[i]
-                    );
-                    assert!(
-                        owned[i].to_bits() == one_shot[i].to_bits(),
-                        "{kind:?} trial {trial} owned row {i}"
                     );
                 }
             }

@@ -49,9 +49,10 @@
 //! contract.
 //!
 //! [`tranvar_engine::is_retryable`] encodes which engine errors the
-//! [`tranvar_engine::RetryPolicy`] escalation ladder will re-attempt, and
-//! [`tranvar_engine::SolveDiagnostics`] records the attempt trail of every
-//! rescued (or abandoned) solve.
+//! periodic retry ladder (bounded by [`tranvar_engine::RetryPolicy`],
+//! enabled with [`tranvar_core::Campaign::with_retry`]) will re-attempt,
+//! and [`tranvar_engine::SolveDiagnostics`] records the attempt trail of
+//! every rescued (or abandoned) solve.
 
 use std::error::Error;
 use std::fmt;

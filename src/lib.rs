@@ -129,15 +129,16 @@
 //!   [`num::NumError::NonFinite`], deliberately distinct from
 //!   [`num::NumError::Singular`]: a zero pivot may be rescued by gmin
 //!   regularization, garbage operands need the model repaired.
-//! - **Retry escalation** — [`engine::RetryPolicy`] re-attempts retryable
-//!   failures ([`engine::is_retryable`]) up a bounded ladder: denser gmin
-//!   schedule, more source steps, halved timestep, the other
-//!   [`engine::SolverKind`], all through one loop
-//!   ([`engine::retry::run_ladder`]). Every attempt (and every homotopy
-//!   stage) is recorded in [`engine::SolveDiagnostics`], so callers see
-//!   exactly which path rescued a solve. The default policy is
-//!   [`engine::RetryPolicy::none`] — results stay bit-identical unless
-//!   you opt in (e.g. [`core::Campaign::with_retry`]).
+//! - **Retry escalation** — a campaign or daemon solve re-attempts
+//!   retryable failures ([`engine::is_retryable`]) up one bounded
+//!   periodic ladder: halved timestep, then the other
+//!   [`engine::SolverKind`], through one loop
+//!   ([`engine::retry::run_ladder`]), at most
+//!   [`engine::RetryPolicy::max_attempts`] attempts. Every attempt is
+//!   recorded in [`engine::SolveDiagnostics`], so callers see exactly
+//!   which rung rescued a solve. [`core::Campaign`] does not retry unless
+//!   you opt in with [`core::Campaign::with_retry`] — results stay
+//!   bit-identical otherwise.
 //! - **Panic isolation** — [`core::Campaign`] catches worker panics,
 //!   reports them as typed [`core::CoreError::Panic`] outcomes for the
 //!   affected scenarios, retires the poisoned session, and keeps the
