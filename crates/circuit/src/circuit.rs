@@ -570,7 +570,6 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `w` or `l` is non-positive.
-    #[allow(clippy::too_many_arguments)]
     pub fn add_mosfet(
         &mut self,
         label: &str,

@@ -57,6 +57,6 @@ pub use retry::{is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics
 pub use session::{Session, SessionOptions, SessionStats};
 pub use solver::{FactoredJacobian, SolverKind, SolverStats};
 pub use tran::{
-    integrate_cycle, integrate_cycle_adaptive, transient, AdaptiveOptions, CycleResult,
-    CycleWorkspace, Integrator, StepControl, StepRecord, TranOptions, TranResult,
+    integrate_cycle, transient, AdaptiveOptions, CycleResult, CycleWorkspace, Integrator,
+    StepControl, StepRecord, TranOptions, TranResult,
 };

@@ -89,7 +89,6 @@ pub struct ParamDerivPair {
 /// # Errors
 ///
 /// Propagates unknown-parameter errors.
-#[allow(clippy::too_many_arguments)]
 pub fn param_step_rhs_into(
     ckt: &Circuit,
     k: usize,

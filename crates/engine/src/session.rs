@@ -184,7 +184,7 @@ impl Session {
         opts: &TranOptions,
     ) -> Result<TranResult, EngineError> {
         let (eff, x0) = self.resolve_x0(ckt, opts)?;
-        crate::tran::run(ckt, &mut self.cycle, &eff, x0)
+        crate::tran::run(ckt, &mut self.cycle, &eff, x0, |_, _| {})
     }
 
     /// Transient forward-sensitivity analysis through the session (see
@@ -214,7 +214,7 @@ impl Session {
         opts: &TranOptions,
     ) -> Result<(TranOptions, Vec<f64>), EngineError> {
         // Reject invalid step configs before spending a DC solve.
-        crate::tran::validate_step_config(opts)?;
+        crate::tran::validate_grid(opts.t_start, opts.t_stop, opts.dt, &opts.step_control)?;
         let eff = TranOptions {
             newton: NewtonOptions {
                 solver: self.solver,

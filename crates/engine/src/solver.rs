@@ -173,16 +173,29 @@ impl CombineStage {
         gmin: f64,
         n_node_unknowns: usize,
     ) -> &Csc {
-        combine_into(
-            asm,
-            alpha_g,
-            alpha_c,
-            gmin,
-            n_node_unknowns,
-            &mut self.tr,
-            &mut self.csc,
-        );
+        self.stage(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
         self.csc.as_ref().expect("staged combine")
+    }
+
+    /// Refills the triplets in place and value-refills the staged CSC when
+    /// the pattern is unchanged, rebuilding it otherwise. Returns `true` if
+    /// the pattern had to be rebuilt (first call or stamp-pattern change).
+    fn stage(
+        &mut self,
+        asm: &Assembly,
+        alpha_g: f64,
+        alpha_c: f64,
+        gmin: f64,
+        n_node_unknowns: usize,
+    ) -> bool {
+        fill_combined_triplets(&mut self.tr, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
+        if let Some(csc) = self.csc.as_mut() {
+            if csc.refill_from(&self.tr).is_ok() {
+                return false;
+            }
+        }
+        self.csc = Some(self.tr.to_csc());
+        true
     }
 }
 
@@ -242,8 +255,8 @@ impl SolverStats {
 #[derive(Debug)]
 pub struct JacobianWorkspace {
     kind: SolverKind,
-    tr: Triplets,
-    csc: Option<Csc>,
+    /// Staged CSC storage (sparse backends).
+    stage: CombineStage,
     dense: Option<DMat>,
     cached: Option<FactoredJacobian>,
     /// Snapshot of the values the cached factorization was computed from.
@@ -259,8 +272,7 @@ impl JacobianWorkspace {
     pub fn new(kind: SolverKind) -> Self {
         JacobianWorkspace {
             kind,
-            tr: Triplets::new(0, 0),
-            csc: None,
+            stage: CombineStage::new(),
             dense: None,
             cached: None,
             snapshot: Vec::new(),
@@ -276,27 +288,6 @@ impl JacobianWorkspace {
     /// Structural-work counters accumulated since creation.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Rebuilds the staged CSC values for the combination
-    /// `alpha_g·G + alpha_c·C + gmin·I(node rows)`. Returns `true` if the
-    /// pattern had to be rebuilt (first call or stamp-pattern change).
-    fn stage_csc(
-        &mut self,
-        asm: &Assembly,
-        alpha_g: f64,
-        alpha_c: f64,
-        gmin: f64,
-        n_node_unknowns: usize,
-    ) -> bool {
-        fill_combined_triplets(&mut self.tr, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-        if let Some(csc) = self.csc.as_mut() {
-            if csc.refill_from(&self.tr).is_ok() {
-                return false;
-            }
-        }
-        self.csc = Some(self.tr.to_csc());
-        true
     }
 
     /// Factors the combined Jacobian, reusing the cached structure and
@@ -347,13 +338,15 @@ impl JacobianWorkspace {
                 }
             }
             SolverKind::Sparse | SolverKind::SparseOrdered => {
-                let rebuilt = self.stage_csc(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
+                let rebuilt = self
+                    .stage
+                    .stage(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
                 if rebuilt {
                     self.stats.pattern_builds += 1;
                 }
-                let Some(csc) = self.csc.as_ref() else {
+                let Some(csc) = self.stage.csc.as_ref() else {
                     return Err(NumError::Internal {
-                        what: "csc staging missing after stage_csc",
+                        what: "csc staging missing after staging",
                     });
                 };
                 let unchanged = !rebuilt && self.cached.is_some() && self.snapshot == csc.values();
@@ -459,38 +452,6 @@ pub fn combine(
     t.to_csc()
 }
 
-/// Builds the same combination into cached staging buffers: `tr` is refilled
-/// in place and `out` is value-refilled when the pattern is unchanged,
-/// rebuilt otherwise (per-timestep hot path for the coupling matrix `B`).
-pub fn combine_into(
-    asm: &Assembly,
-    alpha_g: f64,
-    alpha_c: f64,
-    gmin: f64,
-    n_node_unknowns: usize,
-    tr: &mut Triplets,
-    out: &mut Option<Csc>,
-) {
-    fill_combined_triplets(tr, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-    if let Some(csc) = out.as_mut() {
-        if csc.refill_from(tr).is_ok() {
-            return;
-        }
-    }
-    *out = Some(tr.to_csc());
-}
-
-/// Builds the same combination densely (monodromy assembly).
-pub fn combine_dense(
-    asm: &Assembly,
-    alpha_g: f64,
-    alpha_c: f64,
-    gmin: f64,
-    n_node_unknowns: usize,
-) -> DMat {
-    combine(asm, alpha_g, alpha_c, gmin, n_node_unknowns).to_dense()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +491,7 @@ mod tests {
         let x = vec![0.0; 3];
         let asm = ckt.assemble(&x, 0.0);
         let nn = ckt.n_nodes() - 1;
-        let m = combine_dense(&asm, 0.0, 0.0, 1e-3, nn);
+        let m = combine(&asm, 0.0, 0.0, 1e-3, nn).to_dense();
         assert_eq!(m[(0, 0)], 1e-3);
         assert_eq!(m[(1, 1)], 1e-3);
         assert_eq!(m[(2, 2)], 0.0); // branch row untouched
@@ -569,14 +530,13 @@ mod tests {
     fn combine_into_refills_in_place() {
         let ckt = rc();
         let nn = ckt.n_nodes() - 1;
-        let mut tr = Triplets::new(0, 0);
-        let mut staged: Option<Csc> = None;
+        let mut stage = CombineStage::new();
         for trial in 0..3 {
             let x = vec![0.1 * trial as f64, 0.2, -1e-3];
             let asm = ckt.assemble(&x, 0.0);
-            combine_into(&asm, 1.0, 1e9, 1e-12, nn, &mut tr, &mut staged);
+            let staged = stage.combine(&asm, 1.0, 1e9, 1e-12, nn);
             let expect = combine(&asm, 1.0, 1e9, 1e-12, nn);
-            assert_eq!(staged.as_ref().unwrap(), &expect, "trial {trial}");
+            assert_eq!(staged, &expect, "trial {trial}");
         }
     }
 

@@ -30,8 +30,9 @@
 //!     the last accepted state, and is retried with backward Euler,
 //!   - the run starts with backward Euler at `dt` until two steps of
 //!     history exist (the quadratic predictor needs three points), then
-//!     switches to the configured method; the first two steps cannot be
-//!     error-tested and are always accepted,
+//!     switches to the configured method; the first step has no history
+//!     and is always accepted, while the second is already tested against
+//!     the linear predictor through the first two points,
 //!   - every rejected step is charged against the step's
 //!     [`crate::budget::SolveBudget`] (one extra iteration tick on top of
 //!     the Newton iterations the attempt consumed), so a rejection storm
@@ -54,22 +55,25 @@
 //!   sub-`h_min` sliver just before it); corners closer than `2·h_min` to
 //!   each other or to the run endpoints are merged.
 //!
-//! Besides the ordinary [`transient`] entry point (used by Monte-Carlo
-//! re-simulation), the module exposes [`integrate_cycle`], which integrates
-//! exactly one period and optionally records, per accepted step, the factored
-//! Jacobian `J_k` and the coupling matrix `B_k` with `∂x_k/∂x_{k−1} =
-//! J_k⁻¹·B_k`. Those records are the raw material of both the shooting-Newton
-//! monodromy matrix and the LPTV periodic solver — their reuse across all
-//! noise sources is where the paper's 100–1000× speedup over Monte-Carlo
-//! comes from. Each record carries its own step size and θ
-//! ([`StepRecord::h`], [`StepRecord::theta`]), so downstream consumers
-//! (sensitivity propagation, monodromy accumulation, LPTV) follow the
-//! accepted grid whether it is uniform or adaptive
-//! ([`integrate_cycle_adaptive`]).
+//! # One stepper
+//!
+//! Every run — [`transient`] (also behind Monte-Carlo re-simulation), the
+//! sensitivities of [`crate::transens`] and [`integrate_cycle`] — advances
+//! through one crate-private stepper, the only caller of the Newton step,
+//! which asks its grid policy (uniform, or the LTE controller above) for
+//! each next step. [`integrate_cycle`] integrates exactly one period and
+//! optionally records, per accepted step, the factored Jacobian `J_k` and
+//! the coupling matrix `B_k` with `∂x_k/∂x_{k−1} = J_k⁻¹·B_k`: the raw
+//! material of both the shooting-Newton monodromy matrix and the LPTV
+//! periodic solver, whose reuse across all noise sources is where the
+//! paper's 100–1000× speedup over Monte-Carlo comes from. Each record
+//! carries its own step size and θ ([`StepRecord::h`],
+//! [`StepRecord::theta`]), so every consumer follows the accepted grid
+//! whether it is uniform or adaptive.
 
 use crate::dc::NewtonOptions;
 use crate::error::EngineError;
-use crate::solver::{CombineStage, FactoredJacobian, JacobianWorkspace};
+use crate::solver::{CombineStage, FactoredJacobian, JacobianWorkspace, SolverKind};
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_num::dense::vecops;
 use tranvar_num::Csc;
@@ -156,8 +160,8 @@ impl AdaptiveOptions {
         (h_min, h_max.max(h_min))
     }
 
-    fn validate(&self) -> Result<(), EngineError> {
-        let ok = self.reltol > 0.0
+    fn is_valid(&self) -> bool {
+        self.reltol > 0.0
             && self.reltol.is_finite()
             && self.abstol > 0.0
             && self.abstol.is_finite()
@@ -168,15 +172,7 @@ impl AdaptiveOptions {
             && self.min_shrink > 0.0
             && self.min_shrink < 1.0
             && self.safety > 0.0
-            && self.safety <= 1.0;
-        if !ok {
-            return Err(EngineError::BadConfig(
-                "adaptive stepping needs reltol > 0, abstol > 0, 0 <= h_min <= h_max, \
-                 max_growth >= 1, 0 < min_shrink < 1 and 0 < safety <= 1"
-                    .into(),
-            ));
-        }
-        Ok(())
+            && self.safety <= 1.0
     }
 }
 
@@ -267,34 +263,38 @@ impl TranResult {
     }
 }
 
-/// Validation for every transient-style run (plain and sensitivity), done
-/// once in the session before the initial state is resolved.
-///
-/// Fixed mode additionally requires the rounded step count
-/// `((t_stop − t_start)/dt).round()` to be at least 1: a `dt` larger than
-/// twice the span used to *silently* produce a zero-step run (initial state
-/// only), which is never what the caller meant.
-pub(crate) fn validate_step_config(opts: &TranOptions) -> Result<(), EngineError> {
-    if opts.dt <= 0.0 || opts.t_stop <= opts.t_start {
-        return Err(EngineError::BadConfig(
-            "transient needs dt > 0 and t_stop > t_start".into(),
-        ));
-    }
-    match &opts.step_control {
-        StepControl::Fixed => {
-            if ((opts.t_stop - opts.t_start) / opts.dt).round() < 1.0 {
-                return Err(EngineError::BadConfig(format!(
-                    "fixed-step transient rounds to zero steps: dt = {:.3e} exceeds \
-                     the span t_stop - t_start = {:.3e} (need ((t_stop - t_start)/dt)\
-                     .round() >= 1)",
-                    opts.dt,
-                    opts.t_stop - opts.t_start
-                )));
-            }
-        }
-        StepControl::Adaptive(a) => a.validate()?,
-    }
-    Ok(())
+/// The one validation of every integration grid, run by the stepper (and
+/// early by the session, so a bad transient config never spends a DC
+/// solve): finite `t_start < t_stop` and a finite `dt > 0` — a cycle runs to
+/// `t0 + period` with `dt = period / n_steps`, so a non-finite period and
+/// `n_steps = 0` fail too — and, on the uniform grid, a rounded step count
+/// `((t_stop − t_start)/dt).round() ≥ 1` (a `dt` over twice the span used
+/// to *silently* run zero steps, returning only the initial state).
+pub(crate) fn validate_grid(
+    t_start: f64,
+    t_stop: f64,
+    dt: f64,
+    control: &StepControl,
+) -> Result<(), EngineError> {
+    let finite = t_start.is_finite() && t_stop.is_finite() && dt.is_finite();
+    let msg = match control {
+        _ if !(finite && dt > 0.0 && t_stop > t_start) => format!(
+            "time integration needs finite t_start < t_stop and a finite dt > 0 \
+             (a cycle runs to t0 + period with dt = period/n_steps); got t_start = \
+             {t_start:.3e}, t_stop = {t_stop:.3e}, dt = {dt:.3e}"
+        ),
+        StepControl::Fixed if ((t_stop - t_start) / dt).round() < 1.0 => format!(
+            "fixed-step transient rounds to zero steps: dt = {dt:.3e} exceeds the span \
+             t_stop - t_start = {:.3e} (need ((t_stop - t_start)/dt).round() >= 1)",
+            t_stop - t_start
+        ),
+        StepControl::Adaptive(a) if !a.is_valid() => "adaptive stepping needs reltol > 0, \
+            abstol > 0, 0 <= h_min <= h_max, max_growth >= 1, 0 < min_shrink < 1 and \
+            0 < safety <= 1"
+            .into(),
+        _ => return Ok(()),
+    };
+    Err(EngineError::BadConfig(msg))
 }
 
 /// Record of one accepted timestep for PSS/LPTV reuse.
@@ -304,8 +304,11 @@ pub struct StepRecord {
     pub t1: f64,
     /// Step size.
     pub h: f64,
-    /// Implicitness weight θ actually used for this step (the first step of a
-    /// cycle is always backward Euler; see [`integrate_cycle`]).
+    /// Implicitness weight θ actually used for this step, as the stepper
+    /// reported it: the configured method's θ, except backward Euler (θ = 1)
+    /// on the first step of every cycle ([`integrate_cycle`]) and, on an
+    /// adaptive grid, during the two-step startup and on retries after a
+    /// rejection.
     pub theta: f64,
     /// Factored step Jacobian `J = C₁/h + θ·G₁`.
     pub lu: FactoredJacobian,
@@ -322,9 +325,10 @@ pub struct StepRecord {
 /// Result of a one-period integration with step records.
 #[derive(Clone, Debug)]
 pub struct CycleResult {
-    /// `n_steps + 1` sample times (including both endpoints).
+    /// One sample time per accepted step plus the start (`n_steps + 1` on
+    /// the uniform grid), including both endpoints.
     pub times: Vec<f64>,
-    /// `n_steps + 1` states; `states[0]` is the initial state.
+    /// One state per sample time; `states[0]` is the initial state.
     pub states: Vec<Vec<f64>>,
     /// Per-step records (empty unless requested).
     pub records: Vec<StepRecord>,
@@ -348,7 +352,7 @@ pub(crate) struct StepState {
 
 impl StepState {
     /// Initializes the step state at `(x0, t0)`.
-    pub(crate) fn new(ckt: &Circuit, kind: crate::solver::SolverKind, x0: &[f64], t0: f64) -> Self {
+    pub(crate) fn new(ckt: &Circuit, kind: SolverKind, x0: &[f64], t0: f64) -> Self {
         let n = ckt.n_unknowns();
         let asm_prev = ckt.assemble(x0, t0);
         let asm_cur = ckt.assemble(x0, t0);
@@ -409,7 +413,7 @@ impl CycleWorkspace {
     pub(crate) fn state_for(
         &mut self,
         ckt: &Circuit,
-        kind: crate::solver::SolverKind,
+        kind: SolverKind,
         x0: &[f64],
         t0: f64,
     ) -> &mut StepState {
@@ -437,30 +441,29 @@ impl std::fmt::Debug for CycleWorkspace {
     }
 }
 
-/// One Newton-corrected implicit step from `(x, t0)` to `t1 = t0 + h`,
-/// advancing `x`, `f_aug` and `q` in place (on entry they hold the previous
-/// accepted state; on success they hold the new one).
+/// One Newton-corrected implicit step of `plan`, from `(p.x, t0)` to `t1`,
+/// advancing `p.x`, `p.f_aug` and `p.q` in place (on entry they hold the
+/// previous accepted state; on success they hold the new one). `p.t` is
+/// left to the stepper, which commits it on acceptance.
 ///
 /// The Newton iteration warm-starts from the previous accepted assembly
 /// (retimed to `t1` with a handful of waveform evaluations instead of a
 /// full device re-evaluation) and reuses every buffer in `st`. On request
 /// the step record is returned; the accepted assembly is left in
 /// `st.asm_prev` for the next step.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step(
+fn step(
     ckt: &Circuit,
     st: &mut StepState,
-    x: &mut [f64],
-    f_aug: &mut [f64],
-    q: &mut [f64],
-    t0: f64,
-    t1: f64,
-    h: f64,
-    method: Integrator,
+    p: &mut Point,
+    plan: &Plan,
     newton: &NewtonOptions,
     gmin: f64,
     want_record: bool,
 ) -> Result<Option<StepRecord>, EngineError> {
+    let &Plan {
+        t0, t1, h, method, ..
+    } = plan;
+    let Point { x, f_aug, q, .. } = p;
     let n = ckt.n_unknowns();
     let n_node = ckt.n_nodes() - 1;
     let theta = method.theta();
@@ -559,15 +562,234 @@ pub(crate) fn step(
     Ok(record)
 }
 
-/// One accepted adaptive step, as reported by [`AdaptiveDriver::advance`].
-pub(crate) struct AdaptiveStep {
-    /// End time of the accepted step.
-    pub(crate) t1: f64,
-    /// Implicitness weight actually used (BE during startup and on
-    /// post-rejection retries, the configured method otherwise).
-    pub(crate) theta: f64,
-    /// Step record, when requested.
+/// One accepted step, as reported by [`Stepper::advance`]: its plan
+/// (`t1`, `h` and the method whose θ it used) and, when requested, its
+/// record.
+pub(crate) struct Accepted {
+    pub(crate) plan: Plan,
     pub(crate) record: Option<StepRecord>,
+}
+
+/// The integration state at the last accepted time point: the state vector
+/// and the `f_aug`/`q` the next step's residual reads.
+struct Point {
+    t: f64,
+    x: Vec<f64>,
+    f_aug: Vec<f64>,
+    q: Vec<f64>,
+}
+
+/// The one loop that advances a sequence of implicit steps ([`step`]) for
+/// every caller — plain transients, transient sensitivities and one-period
+/// cycles — under either [`StepControl`]. It owns the integration state,
+/// borrows the workspace's [`StepState`], and reports each accepted step
+/// from [`Stepper::advance`] as `{t1, h, θ, record}`.
+pub(crate) struct Stepper<'a> {
+    st: &'a mut StepState,
+    p: Point,
+    method: Integrator,
+    gmin: f64,
+    grid: Grid,
+}
+
+/// The grid policy of a [`Stepper`].
+enum Grid {
+    Uniform(Uniform),
+    Adaptive(Box<Lte>),
+}
+
+/// The uniform grid: `n` steps of size `h`, with no predictor or LTE
+/// bookkeeping. Transients and cycles keep separate time formulas because
+/// both are pinned bitwise: a transient samples `t_k = t0 + k·h` with the
+/// configured method on every step; a cycle (`period` set) samples
+/// `t_k = t0 + period·k/n` and takes its first step with backward Euler.
+/// `t_stop` is where the LTE controller stops when it replaces this grid.
+struct Uniform {
+    t0: f64,
+    t_stop: f64,
+    h: f64,
+    n: usize,
+    /// Steps taken so far.
+    k: usize,
+    period: Option<f64>,
+}
+
+impl Uniform {
+    fn time(&self, k: usize) -> f64 {
+        match self.period {
+            Some(period) => self.t0 + period * k as f64 / self.n as f64,
+            None => self.t0 + k as f64 * self.h,
+        }
+    }
+
+    /// The next step, or `None` after the `n`-th.
+    fn propose(&mut self, method: Integrator) -> Option<Plan> {
+        if self.k == self.n {
+            return None;
+        }
+        self.k += 1;
+        // The first step of every cycle uses backward Euler: the trapezoidal
+        // rule carries algebraic (non-dynamic) perturbations with eigenvalue
+        // −1, which would make the cycle monodromy have unit eigenvalues on
+        // V-source branch rows and render the shooting system singular. One
+        // L-stable step annihilates those modes at O(h²) cost to the orbit.
+        let method = if self.period.is_some() && self.k == 1 {
+            Integrator::BackwardEuler
+        } else {
+            method
+        };
+        Some(Plan {
+            t0: self.time(self.k - 1),
+            t1: self.time(self.k),
+            h: self.h,
+            method,
+            at_h_min: false,
+        })
+    }
+}
+
+/// One step a grid policy proposes: from `t0` to `t1` with `method` and
+/// step size `h` (on the uniform grid its own `h`, which may differ from
+/// `t1 − t0` in the last bit).
+#[derive(Clone, Copy)]
+pub(crate) struct Plan {
+    t0: f64,
+    pub(crate) t1: f64,
+    pub(crate) h: f64,
+    pub(crate) method: Integrator,
+    /// The LTE controller cannot shrink this step any further.
+    at_h_min: bool,
+}
+
+impl<'a> Stepper<'a> {
+    /// A transient run on `ws` from `x0` at `opts.t_start` under
+    /// `opts.step_control`: the uniform `t_k = t_start + k·dt` grid, or the
+    /// LTE controller seeded at `dt`.
+    pub(crate) fn transient(
+        ckt: &Circuit,
+        ws: &'a mut CycleWorkspace,
+        opts: &TranOptions,
+        x0: Vec<f64>,
+    ) -> Result<Self, EngineError> {
+        let grid = Uniform {
+            t0: opts.t_start,
+            t_stop: opts.t_stop,
+            h: opts.dt,
+            n: ((opts.t_stop - opts.t_start) / opts.dt).round() as usize,
+            k: 0,
+            period: None,
+        };
+        let (control, solver) = (&opts.step_control, opts.newton.solver);
+        Self::new(ckt, ws, x0, grid, control, opts.method, solver, opts.gmin)
+    }
+
+    /// Validates the grid, anchors the workspace at `(x0, grid.t0)` and
+    /// seeds `f_aug`/`q` from its assembly. Under
+    /// [`StepControl::Adaptive`] the LTE controller replaces `grid`,
+    /// seeded at `grid.h` and stopping at `grid.t_stop`.
+    fn new(
+        ckt: &Circuit,
+        ws: &'a mut CycleWorkspace,
+        x0: Vec<f64>,
+        grid: Uniform,
+        control: &StepControl,
+        method: Integrator,
+        solver: SolverKind,
+        gmin: f64,
+    ) -> Result<Self, EngineError> {
+        validate_grid(grid.t0, grid.t_stop, grid.h, control)?;
+        let st = ws.state_for(ckt, solver, &x0, grid.t0);
+        let mut f_aug = st.asm_prev.f.clone();
+        for (i, fi) in f_aug.iter_mut().enumerate().take(ckt.n_nodes() - 1) {
+            *fi += gmin * x0[i];
+        }
+        let q = st.asm_prev.q.clone();
+        let p = Point {
+            t: grid.t0,
+            x: x0,
+            f_aug,
+            q,
+        };
+        let grid = match control {
+            StepControl::Fixed => Grid::Uniform(grid),
+            StepControl::Adaptive(a) => Grid::Adaptive(Box::new(Lte::new(ckt, a, &p, &grid))),
+        };
+        Ok(Stepper {
+            st,
+            p,
+            method,
+            gmin,
+            grid,
+        })
+    }
+
+    /// The state at the last accepted step.
+    pub(crate) fn x(&self) -> &[f64] {
+        &self.p.x
+    }
+
+    /// Takes the next accepted step (with its record when `rec`), or
+    /// `Ok(None)` at the end of the grid: the grid policy proposes each
+    /// attempt and, on the LTE grid, judges it.
+    pub(crate) fn advance(
+        &mut self,
+        ckt: &Circuit,
+        newton: &NewtonOptions,
+        rec: bool,
+    ) -> Result<Option<Accepted>, EngineError> {
+        let (st, p, gmin) = (&mut *self.st, &mut self.p, self.gmin);
+        loop {
+            let plan = match &mut self.grid {
+                Grid::Uniform(u) => u.propose(self.method),
+                Grid::Adaptive(c) => c.propose(p.t, self.method),
+            };
+            let Some(plan) = plan else {
+                return Ok(None);
+            };
+            let attempt = step(ckt, st, p, &plan, newton, gmin, rec);
+            let record = match &mut self.grid {
+                Grid::Uniform(_) => attempt?,
+                Grid::Adaptive(c) => match c.judge(ckt, st, p, attempt, &plan, newton)? {
+                    Some(record) => record,
+                    None => continue,
+                },
+            };
+            p.t = plan.t1;
+            return Ok(Some(Accepted { plan, record }));
+        }
+    }
+
+    /// Advances to the end of the grid, collecting every accepted sample
+    /// (and each step record, when `record`); `on_step` sees every accepted
+    /// step's `(h, θ)`.
+    pub(crate) fn run(
+        mut self,
+        ckt: &Circuit,
+        newton: &NewtonOptions,
+        record: bool,
+        mut on_step: impl FnMut(f64, f64),
+    ) -> Result<CycleResult, EngineError> {
+        let n = match &self.grid {
+            Grid::Uniform(u) => u.n,
+            Grid::Adaptive(_) => 0,
+        };
+        let mut times = Vec::with_capacity(n + 1);
+        let mut states = Vec::with_capacity(n + 1);
+        let mut records = Vec::with_capacity(if record { n } else { 0 });
+        times.push(self.p.t);
+        states.push(self.p.x.clone());
+        while let Some(s) = self.advance(ckt, newton, record)? {
+            on_step(s.plan.h, s.plan.method.theta());
+            records.extend(s.record);
+            times.push(s.plan.t1);
+            states.push(self.p.x.clone());
+        }
+        Ok(CycleResult {
+            times,
+            states,
+            records,
+        })
+    }
 }
 
 /// Does shrinking the step plausibly cure this step failure? Newton
@@ -580,29 +802,14 @@ fn shrink_can_help(e: &EngineError) -> bool {
     )
 }
 
-/// The LTE-controlled stepping loop shared by [`transient`], the
-/// adaptive sensitivity propagation ([`crate::transens`]) and
-/// [`integrate_cycle_adaptive`]: owns the integration state (`x`,
-/// `f_aug`, `q`), the accepted-state snapshots used to roll back rejected
-/// steps, and the predictor history. All users drive the *same* loop, so
-/// the nominal trajectory is bitwise identical across entry points.
-pub(crate) struct AdaptiveDriver {
+/// The LTE-controlled grid policy of a [`Stepper`] (see the
+/// [module docs](self)): the accepted-state snapshots used to roll back
+/// rejected steps, the predictor history and the next step proposal.
+struct Lte {
     t_stop: f64,
-    method: Integrator,
-    reltol: f64,
-    abstol: f64,
-    h_min: f64,
-    h_max: f64,
-    max_growth: f64,
-    min_shrink: f64,
-    safety: f64,
-    /// Last accepted time.
-    t: f64,
-    /// Working state vector; equals the accepted state between
-    /// [`AdaptiveDriver::advance`] calls.
-    pub(crate) x: Vec<f64>,
-    f_aug: Vec<f64>,
-    q: Vec<f64>,
+    /// The controller settings, with `h_min`/`h_max` resolved against the
+    /// run span ([`AdaptiveOptions::resolve_bounds`]).
+    a: AdaptiveOptions,
     // Accepted-state snapshots: `step()` commits f_aug/q and swaps the
     // assembly double-buffer before the LTE verdict exists, so a rejection
     // restores from these and re-anchors the assembly with `StepState::reset`.
@@ -631,77 +838,50 @@ pub(crate) struct AdaptiveDriver {
     next_bp: usize,
 }
 
-impl AdaptiveDriver {
-    /// Builds a driver anchored at `(x0, t_start)`; `st` must already be
-    /// anchored there (it supplies the initial `f_aug`/`q`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        ckt: &Circuit,
-        st: &StepState,
-        x0: Vec<f64>,
-        t_start: f64,
-        t_stop: f64,
-        dt: f64,
-        method: Integrator,
-        gmin: f64,
-        a: &AdaptiveOptions,
-        n_node: usize,
-    ) -> Self {
-        let (h_min, h_max) = a.resolve_bounds(t_stop - t_start);
+impl Lte {
+    /// A controller anchored at the accepted point `p`, running to
+    /// `grid.t_stop` with first proposal `grid.h`.
+    fn new(ckt: &Circuit, a: &AdaptiveOptions, p: &Point, grid: &Uniform) -> Self {
+        let t_stop = grid.t_stop;
+        let (h_min, h_max) = a.resolve_bounds(t_stop - p.t);
         // Merge corners closer than 2·h_min to each other (or to the run
         // endpoints): landing on both would force sub-h_min steps.
         let mut breakpoints = Vec::new();
-        for bp in ckt.source_breakpoints(t_start, t_stop) {
-            let prev = *breakpoints.last().unwrap_or(&t_start);
+        for bp in ckt.source_breakpoints(p.t, t_stop) {
+            let prev = *breakpoints.last().unwrap_or(&p.t);
             if bp - prev >= 2.0 * h_min && t_stop - bp >= 2.0 * h_min {
                 breakpoints.push(bp);
             }
         }
-        let mut f_aug = st.asm_prev.f.clone();
-        for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-            *fi += gmin * x0[i];
-        }
-        let q = st.asm_prev.q.clone();
-        let n = x0.len();
-        AdaptiveDriver {
+        let n = p.x.len();
+        Lte {
             t_stop,
-            method,
-            reltol: a.reltol,
-            abstol: a.abstol,
-            h_min,
-            h_max,
-            max_growth: a.max_growth,
-            min_shrink: a.min_shrink,
-            safety: a.safety,
-            t: t_start,
-            x_acc: x0.clone(),
-            f_acc: f_aug.clone(),
-            q_acc: q.clone(),
+            a: AdaptiveOptions { h_min, h_max, ..*a },
+            x_acc: p.x.clone(),
+            f_acc: p.f_aug.clone(),
+            q_acc: p.q.clone(),
             x_pred: vec![0.0; n],
-            x: x0,
-            f_aug,
-            q,
             h1: 0.0,
             h2: 0.0,
             x_prev1: vec![0.0; n],
             x_prev2: vec![0.0; n],
             n_accepted: 0,
-            h_next: dt.min(h_max).max(h_min),
+            h_next: grid.h.min(h_max).max(h_min),
             retry_be: false,
             breakpoints,
             next_bp: 0,
         }
     }
 
-    /// Weighted-RMS LTE norm of the corrector−predictor gap: `coeff` is the
-    /// method's error constant, the weight is
+    /// Weighted-RMS LTE norm of the corrector−predictor gap of `x`: `coeff`
+    /// is the method's error constant, the weight is
     /// `abstol + reltol·max(|x₁ᵢ|, |x₀ᵢ|)`. Accept iff finite and ≤ 1.
-    fn lte_norm(&self, coeff: f64) -> f64 {
-        let n = self.x.len();
+    fn lte_norm(&self, x: &[f64], coeff: f64) -> f64 {
+        let n = x.len();
         let mut sum = 0.0;
         for i in 0..n {
-            let d = self.x[i] - self.x_pred[i];
-            let w = self.abstol + self.reltol * self.x[i].abs().max(self.x_acc[i].abs());
+            let d = x[i] - self.x_pred[i];
+            let w = self.a.abstol + self.a.reltol * x[i].abs().max(self.x_acc[i].abs());
             let e = d / w;
             sum += e * e;
         }
@@ -712,8 +892,55 @@ impl AdaptiveDriver {
         err
     }
 
-    /// Attempts steps (shrinking on Newton failure or LTE rejection) until
-    /// one is accepted, and returns it; `Ok(None)` once `t_stop` is reached.
+    /// The next step from the accepted time `t`, or `None` once `t_stop`
+    /// is reached: the clamped proposal, landing exactly on the next
+    /// breakpoint or `t_stop`, with backward Euler during the two-step
+    /// startup and after a rejection.
+    fn propose(&mut self, t: f64, method: Integrator) -> Option<Plan> {
+        if t >= self.t_stop {
+            return None;
+        }
+        while self.next_bp < self.breakpoints.len() && self.breakpoints[self.next_bp] <= t {
+            self.next_bp += 1;
+        }
+        let h_prop = self.h_next.clamp(self.a.h_min, self.a.h_max);
+        // The local stop is the next source breakpoint (or t_stop): steps
+        // land on waveform corners exactly, never straddle them.
+        let stop = self
+            .breakpoints
+            .get(self.next_bp)
+            .copied()
+            .unwrap_or(self.t_stop);
+        // Stretch to the stop: a step that would leave a sliver shorter
+        // than 5 % of itself lands exactly on it instead.
+        let t1 = if t + 1.05 * h_prop >= stop {
+            stop
+        } else {
+            t + h_prop
+        };
+        let method = if self.n_accepted < 2 || self.retry_be {
+            Integrator::BackwardEuler
+        } else {
+            method
+        };
+        Some(Plan {
+            t0: t,
+            t1,
+            // Derive h from the time difference so the step size and the
+            // sample grid are bitwise consistent (downstream consumers
+            // reconstruct h as times[k] − times[k−1]).
+            h: t1 - t,
+            method,
+            // "Cannot shrink further" is judged on the *proposal*: the
+            // realized h carries the rounding of (t + h_prop) − t, which
+            // can exceed any fixed relative margin when h_prop ≪ t.
+            at_h_min: h_prop <= self.a.h_min * (1.0 + 1e-12),
+        })
+    }
+
+    /// Judges the attempt at `plan` from the accepted point `p`:
+    /// `Ok(Some(record))` accepts it, `Ok(None)` rejects it (shrinking the
+    /// next proposal and rolling `p` and `st` back to the accepted state).
     ///
     /// Termination: every rejection multiplies the step by at most
     /// `max(min_shrink, ½)` down to `h_min`, where a finite over-tolerance
@@ -721,161 +948,106 @@ impl AdaptiveDriver {
     /// rejection charges one budget iteration, so a budgeted run trips
     /// [`EngineError::BudgetExceeded`] long before `h_min` on a genuine
     /// rejection storm.
-    pub(crate) fn advance(
+    fn judge(
         &mut self,
         ckt: &Circuit,
         st: &mut StepState,
+        p: &mut Point,
+        attempt: Result<Option<StepRecord>, EngineError>,
+        plan: &Plan,
         newton: &NewtonOptions,
-        gmin: f64,
-        want_record: bool,
-    ) -> Result<Option<AdaptiveStep>, EngineError> {
-        if self.t >= self.t_stop {
-            return Ok(None);
-        }
-        while self.next_bp < self.breakpoints.len() && self.breakpoints[self.next_bp] <= self.t {
-            self.next_bp += 1;
-        }
-        loop {
-            let h_prop = self.h_next.clamp(self.h_min, self.h_max);
-            // The local stop is the next source breakpoint (or t_stop):
-            // steps land on waveform corners exactly, never straddle them.
-            let stop = self
-                .breakpoints
-                .get(self.next_bp)
-                .copied()
-                .unwrap_or(self.t_stop);
-            // Stretch to the stop: a step that would leave a sliver shorter
-            // than 5 % of itself lands exactly on it instead.
-            let t1 = if self.t + 1.05 * h_prop >= stop {
-                stop
-            } else {
-                self.t + h_prop
-            };
-            // Derive h from the time difference so the step size and the
-            // sample grid are bitwise consistent (downstream consumers
-            // reconstruct h as times[k] − times[k−1]).
-            let h = t1 - self.t;
-            // "Cannot shrink further" is judged on the *proposal*: the
-            // realized h carries the rounding of (t + h_prop) − t, which
-            // can exceed any fixed relative margin when h_prop ≪ t.
-            let at_h_min = h_prop <= self.h_min * (1.0 + 1e-12);
-            let startup = self.n_accepted < 2;
-            let step_method = if startup || self.retry_be {
-                Integrator::BackwardEuler
-            } else {
-                self.method
-            };
-            let attempt = step(
-                ckt,
-                st,
-                &mut self.x,
-                &mut self.f_aug,
-                &mut self.q,
-                self.t,
-                t1,
-                h,
-                step_method,
-                newton,
-                gmin,
-                want_record,
-            );
-            let record = match attempt {
-                Ok(record) => record,
-                Err(e) if shrink_can_help(&e) && !at_h_min => {
-                    // Newton failed: x may be half-updated, but nothing was
-                    // committed (f_aug/q and the assembly double-buffer are
-                    // only touched on success), so restoring x suffices.
-                    newton.budget.begin_iteration("transient step control")?;
-                    self.x.copy_from_slice(&self.x_acc);
-                    self.h_next = (h * self.min_shrink).max(self.h_min);
-                    self.retry_be = true;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // LTE verdict. The first accepted step has no predictor history
-            // and is always accepted at the initial dt; the controller
-            // engages from the second step on.
-            let mut growth = self.max_growth;
-            let accept = if self.n_accepted == 0 {
-                true
-            } else {
-                let n = self.x.len();
-                let second_order = step_method == Integrator::Trapezoidal && self.n_accepted >= 2;
-                if second_order {
-                    // Quadratic predictor through (t−h1−h2, t−h1, t) by
-                    // Newton divided differences, extrapolated to t+h.
-                    let d2 = 1.0 / self.h1;
-                    let d1 = 1.0 / self.h2;
-                    let dd = 1.0 / (self.h1 + self.h2);
-                    for i in 0..n {
-                        let s2 = (self.x_acc[i] - self.x_prev1[i]) * d2;
-                        let s1 = (self.x_prev1[i] - self.x_prev2[i]) * d1;
-                        let curv = (s2 - s1) * dd;
-                        self.x_pred[i] = self.x_acc[i] + h * (s2 + curv * (h + self.h1));
-                    }
-                } else {
-                    // Linear predictor through (t−h1, t).
-                    let slope = h / self.h1;
-                    for i in 0..n {
-                        self.x_pred[i] = self.x_acc[i] + slope * (self.x_acc[i] - self.x_prev1[i]);
-                    }
-                }
-                let coeff = if second_order {
-                    let b = h * h * h / 12.0;
-                    let a = h * (h + self.h1) * (h + self.h1 + self.h2) / 6.0;
-                    b / (a + b)
-                } else {
-                    h / (2.0 * h + self.h1)
-                };
-                let err = self.lte_norm(coeff);
-                if err.is_finite() {
-                    let order = if second_order { 2.0 } else { 1.0 };
-                    growth = (self.safety * err.powf(-1.0 / (order + 1.0)))
-                        .clamp(self.min_shrink, self.max_growth);
-                    err <= 1.0 || at_h_min
-                } else if at_h_min {
-                    return Err(EngineError::NonFinite {
-                        analysis: "transient step control".into(),
-                        detail: format!(
-                            "LTE estimate non-finite at t={t1:.3e} with h={h:.3e} = h_min"
-                        ),
-                    });
-                } else {
-                    growth = self.min_shrink;
-                    false
-                }
-            };
-            if accept {
-                self.h2 = self.h1;
-                self.h1 = h;
-                std::mem::swap(&mut self.x_prev2, &mut self.x_prev1);
-                self.x_prev1.copy_from_slice(&self.x_acc);
-                self.x_acc.copy_from_slice(&self.x);
-                self.f_acc.copy_from_slice(&self.f_aug);
-                self.q_acc.copy_from_slice(&self.q);
-                self.t = t1;
-                self.n_accepted += 1;
-                self.retry_be = false;
-                self.h_next = (h * growth).clamp(self.h_min, self.h_max);
-                return Ok(Some(AdaptiveStep {
-                    t1,
-                    theta: step_method.theta(),
-                    record,
-                }));
+    ) -> Result<Option<Option<StepRecord>>, EngineError> {
+        let (t1, h, method, at_h_min) = (plan.t1, plan.h, plan.method, plan.at_h_min);
+        let record = match attempt {
+            Ok(record) => record,
+            Err(e) if shrink_can_help(&e) && !at_h_min => {
+                // Newton failed: x may be half-updated, but nothing was
+                // committed (f_aug/q and the assembly double-buffer are
+                // only touched on success), so restoring x suffices.
+                newton.budget.begin_iteration("transient step control")?;
+                p.x.copy_from_slice(&self.x_acc);
+                self.h_next = (h * self.a.min_shrink).max(self.a.h_min);
+                self.retry_be = true;
+                return Ok(None);
             }
-            // Rejected on LTE: the step already committed (f_aug/q were
-            // overwritten and the assembly double-buffer swapped), so roll
-            // everything back to the accepted state, charge the budget, and
-            // retry smaller with backward Euler.
-            newton.budget.begin_iteration("transient step control")?;
-            self.x.copy_from_slice(&self.x_acc);
-            self.f_aug.copy_from_slice(&self.f_acc);
-            self.q.copy_from_slice(&self.q_acc);
-            st.reset(ckt, &self.x_acc, self.t);
-            self.h_next = (h * growth.min(0.5)).max(self.h_min);
-            self.retry_be = true;
+            Err(e) => return Err(e),
+        };
+        // LTE verdict. The first accepted step has no predictor history and
+        // is always accepted at the initial dt; the controller engages from
+        // the second step on.
+        let mut growth = self.a.max_growth;
+        let accept = if self.n_accepted == 0 {
+            true
+        } else {
+            let n = p.x.len();
+            let second_order = method == Integrator::Trapezoidal && self.n_accepted >= 2;
+            if second_order {
+                // Quadratic predictor through (t−h1−h2, t−h1, t) by Newton
+                // divided differences, extrapolated to t+h.
+                let d2 = 1.0 / self.h1;
+                let d1 = 1.0 / self.h2;
+                let dd = 1.0 / (self.h1 + self.h2);
+                for i in 0..n {
+                    let s2 = (self.x_acc[i] - self.x_prev1[i]) * d2;
+                    let s1 = (self.x_prev1[i] - self.x_prev2[i]) * d1;
+                    let curv = (s2 - s1) * dd;
+                    self.x_pred[i] = self.x_acc[i] + h * (s2 + curv * (h + self.h1));
+                }
+            } else {
+                // Linear predictor through (t−h1, t).
+                let slope = h / self.h1;
+                for i in 0..n {
+                    self.x_pred[i] = self.x_acc[i] + slope * (self.x_acc[i] - self.x_prev1[i]);
+                }
+            }
+            let coeff = if second_order {
+                let b = h * h * h / 12.0;
+                let a = h * (h + self.h1) * (h + self.h1 + self.h2) / 6.0;
+                b / (a + b)
+            } else {
+                h / (2.0 * h + self.h1)
+            };
+            let err = self.lte_norm(&p.x, coeff);
+            if err.is_finite() {
+                let order = if second_order { 2.0 } else { 1.0 };
+                growth = (self.a.safety * err.powf(-1.0 / (order + 1.0)))
+                    .clamp(self.a.min_shrink, self.a.max_growth);
+                err <= 1.0 || at_h_min
+            } else if at_h_min {
+                return Err(EngineError::NonFinite {
+                    analysis: "transient step control".into(),
+                    detail: format!("LTE estimate non-finite at t={t1:.3e} with h={h:.3e} = h_min"),
+                });
+            } else {
+                growth = self.a.min_shrink;
+                false
+            }
+        };
+        if accept {
+            self.h2 = self.h1;
+            self.h1 = h;
+            std::mem::swap(&mut self.x_prev2, &mut self.x_prev1);
+            self.x_prev1.copy_from_slice(&self.x_acc);
+            self.x_acc.copy_from_slice(&p.x);
+            self.f_acc.copy_from_slice(&p.f_aug);
+            self.q_acc.copy_from_slice(&p.q);
+            self.n_accepted += 1;
+            self.retry_be = false;
+            self.h_next = (h * growth).clamp(self.a.h_min, self.a.h_max);
+            return Ok(Some(record));
         }
+        // Rejected on LTE: the step already committed (f_aug/q were
+        // overwritten and the assembly double-buffer swapped), so roll
+        // everything back to the accepted state, charge the budget, and
+        // retry smaller with backward Euler.
+        newton.budget.begin_iteration("transient step control")?;
+        p.x.copy_from_slice(&self.x_acc);
+        p.f_aug.copy_from_slice(&self.f_acc);
+        p.q.copy_from_slice(&self.q_acc);
+        st.reset(ckt, &self.x_acc, p.t);
+        self.h_next = (h * growth.min(0.5)).max(self.a.h_min);
+        self.retry_be = true;
+        Ok(None)
     }
 }
 
@@ -916,94 +1088,33 @@ pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult, Engine
 
 /// The transient body behind [`Session::transient`](crate::session::Session::transient):
 /// integrates from the resolved initial state `x0` through the reusable
-/// workspace `ws`. Expects `opts` to be validated by the caller.
+/// workspace `ws`; `on_step` sees every accepted step's `(h, θ)`.
 pub(crate) fn run(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
     opts: &TranOptions,
     x0: Vec<f64>,
+    on_step: impl FnMut(f64, f64),
 ) -> Result<TranResult, EngineError> {
-    let n_node = ckt.n_nodes() - 1;
-    if let StepControl::Adaptive(a) = opts.step_control {
-        return transient_adaptive_detailed(ckt, ws, opts, &a, x0).map(|(res, _)| res);
-    }
-    let n_steps = ((opts.t_stop - opts.t_start) / opts.dt).round() as usize;
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut states = Vec::with_capacity(n_steps + 1);
-    times.push(opts.t_start);
-    states.push(x0.clone());
-
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += opts.gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0;
-    for k in 1..=n_steps {
-        let t0 = opts.t_start + (k - 1) as f64 * opts.dt;
-        let t1 = opts.t_start + k as f64 * opts.dt;
-        step(
-            ckt,
-            st,
-            &mut x,
-            &mut f_aug,
-            &mut q,
-            t0,
-            t1,
-            opts.dt,
-            opts.method,
-            &opts.newton,
-            opts.gmin,
-            false,
-        )?;
-        times.push(t1);
-        states.push(x.clone());
-    }
-    Ok(TranResult { times, states })
-}
-
-/// The adaptive transient loop, also reporting the per-step θ actually used
-/// (BE startup and post-rejection retries mix methods, so θ cannot be
-/// reconstructed from [`TranOptions::method`] alone). The sequential
-/// sensitivity reference needs those θ values to re-derive each step's
-/// propagation operators independently.
-///
-/// Expects `opts` to be validated and `x0` resolved by the caller.
-pub(crate) fn transient_adaptive_detailed(
-    ckt: &Circuit,
-    ws: &mut CycleWorkspace,
-    opts: &TranOptions,
-    a: &AdaptiveOptions,
-    x0: Vec<f64>,
-) -> Result<(TranResult, Vec<f64>), EngineError> {
-    let n_node = ckt.n_nodes() - 1;
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
-    let mut drv = AdaptiveDriver::new(
-        ckt,
-        st,
-        x0.clone(),
-        opts.t_start,
-        opts.t_stop,
-        opts.dt,
-        opts.method,
-        opts.gmin,
-        a,
-        n_node,
-    );
-    let mut times = vec![opts.t_start];
-    let mut states = vec![x0];
-    let mut thetas = Vec::new();
-    while let Some(stp) = drv.advance(ckt, st, &opts.newton, opts.gmin, false)? {
-        times.push(stp.t1);
-        states.push(drv.x.clone());
-        thetas.push(stp.theta);
-    }
-    Ok((TranResult { times, states }, thetas))
+    let cyc = Stepper::transient(ckt, ws, opts, x0)?.run(ckt, &opts.newton, false, on_step)?;
+    Ok(TranResult {
+        times: cyc.times,
+        states: cyc.states,
+    })
 }
 
 /// Integrates exactly one period of length `period` from `x0` at `t0`,
 /// optionally recording per-step factorizations for PSS/LPTV reuse.
+///
+/// `control` picks the grid: [`StepControl::Fixed`] takes `n_steps`
+/// uniform steps `t_k = t0 + period·k/n_steps`;
+/// [`StepControl::Adaptive`] lets the LTE controller accept, shrink and
+/// grow steps from a first proposal of `period / n_steps`, landing exactly
+/// on `t0 + period`. On both grids the first step is backward Euler (the
+/// trapezoidal rule would leave unit algebraic eigenvalues in the
+/// monodromy), and each [`StepRecord`] carries its own `h` and `θ`, so
+/// monodromy accumulation and the LPTV solver consume either grid
+/// unchanged.
 ///
 /// Repeated cycles (shooting-Newton rounds, warm-up cycles) share one
 /// [`CycleWorkspace`] `ws`. On the dense backend a reused workspace is
@@ -1013,8 +1124,10 @@ pub(crate) fn transient_adaptive_detailed(
 ///
 /// # Errors
 ///
-/// Propagates per-step Newton failures.
-#[allow(clippy::too_many_arguments)]
+/// [`EngineError::BadConfig`] for `n_steps = 0`, a non-finite or
+/// non-positive `period`, a non-finite `t0` or invalid adaptive
+/// tolerances; otherwise propagates per-step Newton failures and budget
+/// exhaustion.
 pub fn integrate_cycle(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
@@ -1022,135 +1135,23 @@ pub fn integrate_cycle(
     t0: f64,
     period: f64,
     n_steps: usize,
+    control: &StepControl,
     method: Integrator,
     newton: &NewtonOptions,
     gmin: f64,
     record: bool,
 ) -> Result<CycleResult, EngineError> {
-    if n_steps == 0 || period <= 0.0 {
-        return Err(EngineError::BadConfig(
-            "cycle integration needs n_steps > 0 and period > 0".into(),
-        ));
-    }
-    let n_node = ckt.n_nodes() - 1;
-    let h = period / n_steps as f64;
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut states = Vec::with_capacity(n_steps + 1);
-    let mut records = Vec::with_capacity(if record { n_steps } else { 0 });
-    times.push(t0);
-    states.push(x0.to_vec());
-
-    let st = ws.state_for(ckt, newton.solver, x0, t0);
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0.to_vec();
-    for k in 1..=n_steps {
-        let tk0 = t0 + period * (k - 1) as f64 / n_steps as f64;
-        let t1 = t0 + period * k as f64 / n_steps as f64;
-        // The first step of every cycle uses backward Euler: the trapezoidal
-        // rule carries algebraic (non-dynamic) perturbations with eigenvalue
-        // −1, which would make the cycle monodromy have unit eigenvalues on
-        // V-source branch rows and render the shooting system singular. One
-        // L-stable step annihilates those modes at O(h²) cost to the orbit.
-        let step_method = if k == 1 {
-            Integrator::BackwardEuler
-        } else {
-            method
-        };
-        let rec = step(
-            ckt,
-            st,
-            &mut x,
-            &mut f_aug,
-            &mut q,
-            tk0,
-            t1,
-            h,
-            step_method,
-            newton,
-            gmin,
-            record,
-        )?;
-        if let Some(r) = rec {
-            records.push(r);
-        }
-        times.push(t1);
-        states.push(x.clone());
-    }
-    Ok(CycleResult {
-        times,
-        states,
-        records,
-    })
-}
-
-/// [`integrate_cycle`] on an LTE-controlled adaptive grid: integrates
-/// exactly one period starting from step size `initial_dt`, accepting,
-/// shrinking and growing steps per `adaptive`, and lands exactly on
-/// `t0 + period` (the final step is stretched or shortened to the endpoint).
-///
-/// The first accepted steps are backward Euler (the adaptive startup — at
-/// least the first step, which the fixed-grid cycle also forces to BE so
-/// the monodromy stays free of unit algebraic eigenvalues; see
-/// [`integrate_cycle`]). Each [`StepRecord`] carries its own `h` and
-/// `θ`, so monodromy accumulation and the LPTV solver consume the
-/// non-uniform record grid unchanged.
-///
-/// # Errors
-///
-/// Propagates per-step Newton failures and budget exhaustion.
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_cycle_adaptive(
-    ckt: &Circuit,
-    ws: &mut CycleWorkspace,
-    x0: &[f64],
-    t0: f64,
-    period: f64,
-    initial_dt: f64,
-    adaptive: &AdaptiveOptions,
-    method: Integrator,
-    newton: &NewtonOptions,
-    gmin: f64,
-    record: bool,
-) -> Result<CycleResult, EngineError> {
-    if period <= 0.0 || initial_dt <= 0.0 {
-        return Err(EngineError::BadConfig(
-            "adaptive cycle integration needs period > 0 and initial_dt > 0".into(),
-        ));
-    }
-    adaptive.validate()?;
-    let n_node = ckt.n_nodes() - 1;
-    let st = ws.state_for(ckt, newton.solver, x0, t0);
-    let mut drv = AdaptiveDriver::new(
-        ckt,
-        st,
-        x0.to_vec(),
+    let grid = Uniform {
         t0,
-        t0 + period,
-        initial_dt,
-        method,
-        gmin,
-        adaptive,
-        n_node,
-    );
-    let mut times = vec![t0];
-    let mut states = vec![x0.to_vec()];
-    let mut records = Vec::new();
-    while let Some(stp) = drv.advance(ckt, st, newton, gmin, record)? {
-        if let Some(r) = stp.record {
-            records.push(r);
-        }
-        times.push(stp.t1);
-        states.push(drv.x.clone());
-    }
-    Ok(CycleResult {
-        times,
-        states,
-        records,
-    })
+        t_stop: t0 + period,
+        h: period / n_steps as f64,
+        n: n_steps,
+        k: 0,
+        period: Some(period),
+    };
+    let solver = newton.solver;
+    let stepper = Stepper::new(ckt, ws, x0.to_vec(), grid, control, method, solver, gmin)?;
+    stepper.run(ckt, newton, record, |_, _| {})
 }
 
 #[cfg(test)]
@@ -1267,6 +1268,7 @@ mod tests {
             0.0,
             period,
             8,
+            &StepControl::Fixed,
             Integrator::BackwardEuler,
             &NewtonOptions::default(),
             1e-12,
@@ -1300,6 +1302,7 @@ mod tests {
                 0.0,
                 period,
                 8,
+                &StepControl::Fixed,
                 Integrator::BackwardEuler,
                 &NewtonOptions::default(),
                 1e-12,
@@ -1352,6 +1355,7 @@ mod tests {
                 0.0,
                 period,
                 8,
+                &StepControl::Fixed,
                 Integrator::Trapezoidal,
                 &newton,
                 1e-12,
@@ -1365,6 +1369,7 @@ mod tests {
                 0.0,
                 period,
                 8,
+                &StepControl::Fixed,
                 Integrator::Trapezoidal,
                 &newton,
                 1e-12,
@@ -1400,7 +1405,7 @@ mod tests {
         let (ckt, _) = rc_circuit(1e3, 1e-6);
         let period = 1e-4;
         let mut newton = NewtonOptions::default();
-        newton.solver = crate::solver::SolverKind::Sparse;
+        newton.solver = SolverKind::Sparse;
         let mut ws = CycleWorkspace::new();
         let starts = [
             vec![1.0, 0.2, -0.8e-3],
@@ -1417,6 +1422,7 @@ mod tests {
                 0.0,
                 per,
                 8,
+                &StepControl::Fixed,
                 Integrator::Trapezoidal,
                 &newton,
                 1e-12,
@@ -1430,6 +1436,7 @@ mod tests {
                 0.0,
                 per,
                 8,
+                &StepControl::Fixed,
                 Integrator::Trapezoidal,
                 &newton,
                 1e-12,
@@ -1572,14 +1579,14 @@ mod tests {
         let period = 1e-4;
         let a = AdaptiveOptions::default();
         let mut ws = CycleWorkspace::new();
-        let cyc = integrate_cycle_adaptive(
+        let cyc = integrate_cycle(
             &ckt,
             &mut ws,
             &x0,
             0.0,
             period,
-            period / 32.0,
-            &a,
+            32,
+            &StepControl::Adaptive(a),
             Integrator::Trapezoidal,
             &NewtonOptions::default(),
             1e-12,
@@ -1696,12 +1703,47 @@ mod tests {
         // Without a budget the storm still terminates: the step bottoms out
         // at h_min and the non-finite LTE becomes a hard error.
         opts.newton.budget = SolveBudget::unlimited();
-        let _guard = FaultPlan::new()
-            .fail_range(sites::TRAN_LTE, 0, 1_000_000, FaultAction::PoisonNan)
-            .install();
-        match transient(&ckt, &opts) {
+        {
+            let _guard = FaultPlan::new()
+                .fail_range(sites::TRAN_LTE, 0, 1_000_000, FaultAction::PoisonNan)
+                .install();
+            match transient(&ckt, &opts) {
+                Err(EngineError::NonFinite { .. }) => {}
+                other => panic!("expected NonFinite at h_min, got {other:?}"),
+            }
+        }
+        // The same storm through one adaptive cycle takes the same stepper,
+        // so it ends on the same budget path.
+        let cycle = |budget: SolveBudget| {
+            let _guard = FaultPlan::new()
+                .fail_range(sites::TRAN_LTE, 0, 1_000_000, FaultAction::PoisonNan)
+                .install();
+            integrate_cycle(
+                &ckt,
+                &mut CycleWorkspace::new(),
+                &[1.0, 0.0, -1e-3],
+                0.0,
+                1e-3,
+                1000,
+                &StepControl::Adaptive(AdaptiveOptions::default()),
+                Integrator::BackwardEuler,
+                &NewtonOptions {
+                    budget,
+                    ..NewtonOptions::default()
+                },
+                1e-12,
+                true,
+            )
+        };
+        match cycle(SolveBudget::new(
+            BudgetLimits::default().max_newton_iters(20),
+        )) {
+            Err(EngineError::BudgetExceeded { .. }) => {}
+            other => panic!("cycle: expected BudgetExceeded, got {other:?}"),
+        }
+        match cycle(SolveBudget::unlimited()) {
             Err(EngineError::NonFinite { .. }) => {}
-            other => panic!("expected NonFinite at h_min, got {other:?}"),
+            other => panic!("cycle: expected NonFinite at h_min, got {other:?}"),
         }
     }
 
@@ -1709,20 +1751,54 @@ mod tests {
     fn rejects_bad_config() {
         let (ckt, _) = rc_circuit(1e3, 1e-6);
         assert!(transient(&ckt, &TranOptions::new(-1.0, 1e-6)).is_err());
-        assert!(matches!(
-            integrate_cycle(
-                &ckt,
-                &mut CycleWorkspace::new(),
-                &[0.0; 3],
-                0.0,
-                1.0,
-                0,
-                Integrator::BackwardEuler,
-                &NewtonOptions::default(),
-                0.0,
-                false
-            ),
-            Err(EngineError::BadConfig(_))
-        ));
+        let adaptive = StepControl::Adaptive(AdaptiveOptions::default());
+        // Non-finite time inputs, on both grids: a NaN `dt` or `t_stop`
+        // fails every comparison, so only an explicit finiteness check
+        // keeps it from rounding to a zero-step run.
+        let x0 = Some(vec![1.0, 0.0, -1e-3]);
+        for (t_start, t_stop, dt) in [
+            (0.0, 1e-3, f64::NAN),
+            (0.0, f64::NAN, 1e-6),
+            (f64::NAN, 1e-3, 1e-6),
+            (0.0, f64::INFINITY, 1e-6),
+            (f64::NEG_INFINITY, 1e-3, 1e-6),
+            (0.0, 1e-3, f64::INFINITY),
+        ] {
+            for control in [StepControl::Fixed, adaptive] {
+                let opts = TranOptions {
+                    t_start,
+                    x0: x0.clone(),
+                    step_control: control,
+                    ..TranOptions::new(t_stop, dt)
+                };
+                assert!(
+                    matches!(transient(&ckt, &opts), Err(EngineError::BadConfig(_))),
+                    "accepted t_start = {t_start}, t_stop = {t_stop}, dt = {dt} ({control:?})"
+                );
+            }
+        }
+        for (period, n_steps) in [(1.0, 0), (f64::NAN, 8), (f64::INFINITY, 8), (-1.0, 8)] {
+            for control in [StepControl::Fixed, adaptive] {
+                assert!(
+                    matches!(
+                        integrate_cycle(
+                            &ckt,
+                            &mut CycleWorkspace::new(),
+                            &[0.0; 3],
+                            0.0,
+                            period,
+                            n_steps,
+                            &control,
+                            Integrator::BackwardEuler,
+                            &NewtonOptions::default(),
+                            0.0,
+                            false
+                        ),
+                        Err(EngineError::BadConfig(_))
+                    ),
+                    "accepted period = {period}, n_steps = {n_steps} ({control:?})"
+                );
+            }
+        }
     }
 }

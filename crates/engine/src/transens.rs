@@ -38,19 +38,20 @@
 //! ([`transient_with_sensitivities_seq`]) to machine precision (the two
 //! paths may pick different pivot orders, nothing more).
 //!
-//! Both paths follow whatever grid the integrator accepts: each
-//! [`crate::tran::StepRecord`] carries its own step size and θ, so
-//! [`crate::tran::StepControl::Adaptive`] runs propagate on the non-uniform
-//! accepted grid with the same windowed pipeline (the only difference is
-//! that the window is filled by the LTE controller instead of a uniform
-//! step count).
+//! Both paths integrate on the one stepper behind [`crate::tran::transient`]
+//! and never ask which grid it runs: the batched path fills each window
+//! with whatever steps it accepts (uniform, or chosen by the LTE controller
+//! under [`crate::tran::StepControl::Adaptive`]) and grows its storage
+//! window by window, and each [`crate::tran::StepRecord`] carries its own
+//! step size and θ; the sequential reference reads each step's reported
+//! `(h, θ)`.
 
 use crate::error::EngineError;
 use crate::par::effective_threads_for_work;
 use crate::sens::{dc_sensitivities, param_step_rhs};
 use crate::session::Session;
 use crate::solver::{combine, FactoredJacobian};
-use crate::tran::{StepControl, StepRecord, TranOptions, TranResult};
+use crate::tran::{CycleWorkspace, StepRecord, Stepper, TranOptions, TranResult};
 use tranvar_circuit::{Circuit, ParamDeriv};
 use tranvar_num::dense::vecops;
 
@@ -111,11 +112,10 @@ struct ChunkState {
 }
 
 /// Advances one parameter chunk through one window of recorded steps —
-/// the propagate phase of the pipeline, shared verbatim by the fixed-grid
-/// and adaptive paths (each record carries its own `h` and `θ`, so the
-/// arithmetic is grid-agnostic). `window_start` is the global step index of
-/// `records[0]`; `sens_chunk[kk]` must already have storage through
-/// `window_start + records.len() - 1`.
+/// the propagate phase of the pipeline (each record carries its own `h`
+/// and `θ`, so the arithmetic is grid-agnostic). `window_start` is the
+/// global step index of `records[0]`; `sens_chunk[kk]` must already have
+/// storage through `window_start + records.len() - 1`.
 fn propagate_window(
     ckt: &Circuit,
     cs: &mut ChunkState,
@@ -193,11 +193,10 @@ pub fn transient_with_sensitivities(
 /// The batched sensitivity body behind
 /// [`Session::transient_with_sensitivities`]: integrates from the resolved
 /// initial state `x0` through the reusable workspace `ws`, propagating on
-/// up to `threads` workers (`0` = all cores). Expects `opts` to be
-/// validated by the caller.
+/// up to `threads` workers (`0` = all cores).
 pub(crate) fn run(
     ckt: &Circuit,
-    ws: &mut crate::tran::CycleWorkspace,
+    ws: &mut CycleWorkspace,
     opts: &TranOptions,
     init: SensInit,
     x0: Vec<f64>,
@@ -205,26 +204,15 @@ pub(crate) fn run(
 ) -> Result<TranSensResult, EngineError> {
     let s0 = initial_sens(ckt, &x0, opts, init)?;
     let n = ckt.n_unknowns();
-    let n_node = ckt.n_nodes() - 1;
     let n_params = ckt.mismatch_params().len();
-    let h = opts.dt;
-    // Fixed mode: the exact step count. Adaptive mode: the accepted count is
-    // unknown ahead of time, so this initial-dt estimate only sizes the
-    // thread pool and the preallocation; adaptive storage grows per window.
+    // The exact step count on the uniform grid; on an adaptive grid only an
+    // initial-dt estimate that sizes the thread pool and the preallocation.
     let n_steps = ((opts.t_stop - opts.t_start) / opts.dt).round() as usize;
     let want_records = n_params > 0;
-    let fixed = matches!(opts.step_control, StepControl::Fixed);
 
-    // Preallocate the entire output so the propagation loops never allocate
-    // (fixed mode; adaptive extends it window by window).
-    let prealloc_steps = if fixed { n_steps } else { 0 };
-    let mut sens: Vec<Vec<Vec<f64>>> = (0..n_params)
-        .map(|k| {
-            let mut per_step = vec![vec![0.0; n]; prealloc_steps + 1];
-            per_step[0].copy_from_slice(&s0[k]);
-            per_step
-        })
-        .collect();
+    // The sensitivity storage grows with the accepted grid, window by
+    // window; the propagation loops themselves never allocate.
+    let mut sens: Vec<Vec<Vec<f64>>> = s0.iter().map(|s| vec![s.clone()]).collect();
 
     // Auto mode stays single-threaded when the whole propagation is too
     // small to amortize the per-window thread spawns (work proxy: one
@@ -257,124 +245,39 @@ pub(crate) fn run(
         })
         .collect::<Result<_, tranvar_circuit::CircuitError>>()?;
 
-    // Nominal integration state (mirrors `tran::transient`, but records the
-    // accepted per-step factorization J and coupling B so the sensitivity
-    // pass never has to re-assemble or re-factor anything).
+    // Nominal integration on the shared stepper (the same loop behind
+    // `tran::transient`, so the nominal trajectory is bitwise identical),
+    // recording the accepted per-step factorization J and coupling B so the
+    // sensitivity pass never has to re-assemble or re-factor anything.
+    let mut stepper = Stepper::transient(ckt, ws, opts, x0)?;
     let mut times = Vec::with_capacity(n_steps + 1);
     let mut states = Vec::with_capacity(n_steps + 1);
     times.push(opts.t_start);
-    states.push(x0.clone());
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
+    states.push(stepper.x().to_vec());
     let mut records: Vec<StepRecord> = Vec::with_capacity(WINDOW.min(n_steps.max(1)));
-
-    if let StepControl::Adaptive(a) = opts.step_control {
-        // ── Adaptive: the shared LTE controller (the same driver behind
-        // `tran::transient`, so the nominal trajectory is bitwise identical)
-        // fills each window with accepted steps; the sensitivity storage
-        // grows with the accepted grid, window by window.
-        let mut drv = crate::tran::AdaptiveDriver::new(
-            ckt,
-            st,
-            x0,
-            opts.t_start,
-            opts.t_stop,
-            opts.dt,
-            opts.method,
-            opts.gmin,
-            &a,
-            n_node,
-        );
-        loop {
-            records.clear();
-            let window_start = states.len();
-            let mut new_steps = 0usize;
-            while new_steps < WINDOW {
-                match drv.advance(ckt, st, &opts.newton, opts.gmin, want_records)? {
-                    Some(stp) => {
-                        if let Some(r) = stp.record {
-                            records.push(r);
-                        }
-                        times.push(stp.t1);
-                        states.push(drv.x.clone());
-                        new_steps += 1;
-                    }
-                    None => break,
-                }
-            }
-            if new_steps == 0 {
-                break;
-            }
-            if want_records {
-                for hist in sens.iter_mut() {
-                    hist.resize_with(hist.len() + new_steps, || vec![0.0; n]);
-                }
-                let records_ref = &records;
-                let states_ref = &states;
-                let jobs: Vec<(&mut ChunkState, &mut [Vec<Vec<f64>>])> = chunk_states
-                    .iter_mut()
-                    .zip(sens.chunks_mut(chunk))
-                    .collect();
-                for r in crate::par::map_scoped(jobs, |(cs, sens_chunk)| {
-                    propagate_window(
-                        ckt,
-                        cs,
-                        sens_chunk,
-                        records_ref,
-                        states_ref,
-                        window_start,
-                        n,
-                    )
-                }) {
-                    r?;
-                }
-            }
-        }
-        return Ok(TranSensResult {
-            tran: TranResult { times, states },
-            sens,
-        });
-    }
-
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += opts.gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0;
-
-    let mut window_start = 1usize;
-    while window_start <= n_steps {
-        let window_end = (window_start + WINDOW - 1).min(n_steps);
+    loop {
         // ── Integrate-and-factor phase: the Newton solve of each step
         // already assembles and (re)factors at the accepted state, so the
         // record captures J and B for free.
         records.clear();
-        for step_idx in window_start..=window_end {
-            let t0 = opts.t_start + (step_idx - 1) as f64 * opts.dt;
-            let t1 = opts.t_start + step_idx as f64 * opts.dt;
-            let rec = crate::tran::step(
-                ckt,
-                st,
-                &mut x,
-                &mut f_aug,
-                &mut q,
-                t0,
-                t1,
-                h,
-                opts.method,
-                &opts.newton,
-                opts.gmin,
-                want_records,
-            )?;
-            if let Some(r) = rec {
-                records.push(r);
-            }
-            times.push(t1);
-            states.push(x.clone());
+        let window_start = states.len();
+        while states.len() - window_start < WINDOW {
+            let Some(s) = stepper.advance(ckt, &opts.newton, want_records)? else {
+                break;
+            };
+            records.extend(s.record);
+            times.push(s.plan.t1);
+            states.push(stepper.x().to_vec());
+        }
+        let new_steps = states.len() - window_start;
+        if new_steps == 0 {
+            break;
         }
         if !want_records {
-            window_start = window_end + 1;
             continue;
+        }
+        for hist in sens.iter_mut() {
+            hist.resize_with(hist.len() + new_steps, || vec![0.0; n]);
         }
         // ── Propagate phase: parameter chunks in parallel. One scoped
         // worker per (state, sensitivity) chunk pair via the shared helper;
@@ -398,7 +301,6 @@ pub(crate) fn run(
         }) {
             r?;
         }
-        window_start = window_end + 1;
     }
     Ok(TranSensResult {
         tran: TranResult { times, states },
@@ -421,18 +323,12 @@ pub fn transient_with_sensitivities_seq(
     let (eff, x0) = Session::with_solver(opts.newton.solver).resolve_x0(ckt, opts)?;
     let opts = &eff;
     let s0 = initial_sens(ckt, &x0, opts, init)?;
-    // Fixed mode re-runs the plain transient; adaptive mode drives the same
-    // LTE controller as the batched path (so the grids match bitwise) and
-    // keeps the per-step θ, which BE startup and post-rejection BE retries
-    // make state-dependent.
-    let ws = &mut crate::tran::CycleWorkspace::new();
-    let (res, step_thetas) = match opts.step_control {
-        StepControl::Fixed => (crate::tran::run(ckt, ws, opts, x0)?, Vec::new()),
-        StepControl::Adaptive(a) => {
-            crate::tran::transient_adaptive_detailed(ckt, ws, opts, &a, x0)?
-        }
-    };
-    let fixed = matches!(opts.step_control, StepControl::Fixed);
+    // Re-run the nominal transient on the batched path's stepper (so the
+    // grids match bitwise), keeping each accepted step's (h, θ): BE startup
+    // and post-rejection BE retries make θ state-dependent on an adaptive
+    // grid.
+    let (mut steps, ws) = (Vec::new(), &mut CycleWorkspace::new());
+    let res = crate::tran::run(ckt, ws, opts, x0, |h, theta| steps.push((h, theta)))?;
     let n_node = ckt.n_nodes() - 1;
     let n_params = ckt.mismatch_params().len();
 
@@ -441,14 +337,7 @@ pub fn transient_with_sensitivities_seq(
         sens[k].push(s.clone());
     }
     // Propagate: J·S₁ = B·S₀ − w.
-    for step in 1..res.states.len() {
-        let (h, theta) = if fixed {
-            (opts.dt, opts.method.theta())
-        } else {
-            // The driver derives each h from the time difference, so this
-            // reconstruction is bitwise exact.
-            (res.times[step] - res.times[step - 1], step_thetas[step - 1])
-        };
+    for (step, &(h, theta)) in (1..res.states.len()).zip(&steps) {
         let x_prev = &res.states[step - 1];
         let x_cur = &res.states[step];
         let asm0 = ckt.assemble(x_prev, res.times[step - 1]);

@@ -15,8 +15,7 @@ use crate::error::PssError;
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_engine::dc::{DcOptions, NewtonOptions};
 use tranvar_engine::tran::{
-    integrate_cycle, integrate_cycle_adaptive, CycleResult, CycleWorkspace, Integrator,
-    StepControl, StepRecord,
+    integrate_cycle, CycleResult, CycleWorkspace, Integrator, StepControl, StepRecord,
 };
 use tranvar_engine::{chunk_ranges, effective_threads_for_work, map_scoped, Session};
 use tranvar_num::dense::vecops;
@@ -57,10 +56,11 @@ pub struct PssOptions {
     ///
     /// [`tol`]: PssOptions::tol
     pub warmup_cycles: usize,
-    /// Cycle-grid selection: [`StepControl::Fixed`] integrates every cycle
-    /// on the uniform `period / n_steps` grid (the bit-identical reference
+    /// Cycle-grid policy, passed unchanged to
+    /// [`integrate_cycle`]: [`StepControl::Fixed`] integrates every cycle on
+    /// the uniform `period / n_steps` grid (the bit-identical reference
     /// path); [`StepControl::Adaptive`] lets the LTE controller pick the
-    /// accepted grid per cycle, starting each cycle at `period / n_steps`.
+    /// accepted grid per cycle, seeding each cycle at `period / n_steps`.
     /// The per-step records carry their own `h`/`θ`, so the monodromy and
     /// every LPTV consumer follow whichever grid was accepted.
     ///
@@ -87,12 +87,10 @@ impl Default for PssOptions {
     }
 }
 
-/// Integrates one period under [`PssOptions::step_control`]: the uniform
-/// `period / n_steps` grid in fixed mode, the LTE-accepted grid (seeded at
-/// `period / n_steps`) in adaptive mode. Shared by the driven and
-/// autonomous shooting drivers so every cycle of one solve uses the same
-/// grid policy.
-#[allow(clippy::too_many_arguments)]
+/// Integrates one period under the shooting options: `opts.n_steps` steps
+/// of the grid [`PssOptions::step_control`] picks (see
+/// [`integrate_cycle`]). Shared by the driven and autonomous shooting
+/// drivers so every cycle of one solve uses the same grid policy.
 pub(crate) fn integrate_pss_cycle(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
@@ -103,33 +101,19 @@ pub(crate) fn integrate_pss_cycle(
     newton: &NewtonOptions,
     record: bool,
 ) -> Result<CycleResult, tranvar_engine::EngineError> {
-    match opts.step_control {
-        StepControl::Fixed => integrate_cycle(
-            ckt,
-            ws,
-            x0,
-            t0,
-            period,
-            opts.n_steps,
-            opts.method,
-            newton,
-            opts.gmin,
-            record,
-        ),
-        StepControl::Adaptive(a) => integrate_cycle_adaptive(
-            ckt,
-            ws,
-            x0,
-            t0,
-            period,
-            period / opts.n_steps.max(1) as f64,
-            &a,
-            opts.method,
-            newton,
-            opts.gmin,
-            record,
-        ),
-    }
+    integrate_cycle(
+        ckt,
+        ws,
+        x0,
+        t0,
+        period,
+        opts.n_steps,
+        &opts.step_control,
+        opts.method,
+        newton,
+        opts.gmin,
+        record,
+    )
 }
 
 /// A converged periodic steady state with everything the LPTV layer needs.
@@ -448,8 +432,10 @@ pub(crate) fn finish(
 }
 
 pub(crate) fn check_periodicity(ckt: &Circuit, period: f64) -> Result<(), PssError> {
-    if period <= 0.0 {
-        return Err(PssError::BadConfig("period must be positive".into()));
+    if !(period.is_finite() && period > 0.0) {
+        return Err(PssError::BadConfig(
+            "period must be positive and finite".into(),
+        ));
     }
     match first_source_where(ckt, |w| !w.is_periodic_in(period)) {
         Some(device) => Err(PssError::NotPeriodic { device, period }),
@@ -586,6 +572,7 @@ mod tests {
             0.0,
             period,
             opts.n_steps,
+            &opts.step_control,
             opts.method,
             &opts.newton,
             opts.gmin,
@@ -811,6 +798,38 @@ mod tests {
                         m[(i, j)],
                         reference[(i, j)]
                     );
+                }
+            }
+        }
+    }
+
+    /// Non-finite driven periods are configuration errors on both grids,
+    /// caught before any integration (a NaN period would reach the
+    /// adaptive controller's step clamp, which panics on NaN bounds).
+    #[test]
+    fn rejects_non_finite_periods_on_both_grids() {
+        // DC sources only, so every period passes the source-periodicity
+        // check and only the period validation itself can reject it.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        let adaptive = StepControl::Adaptive(tranvar_engine::AdaptiveOptions::default());
+        for step_control in [StepControl::Fixed, adaptive] {
+            let opts = PssOptions {
+                step_control,
+                ..PssOptions::default()
+            };
+            for period in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    shooting_pss(&ckt, period, &opts)
+                }));
+                match run {
+                    Ok(Err(PssError::BadConfig(_))) => {}
+                    Ok(other) => panic!("period {period} ({step_control:?}): got {other:?}"),
+                    Err(_) => panic!("period {period} ({step_control:?}) panicked"),
                 }
             }
         }
