@@ -4,7 +4,9 @@
 //!    circuit via Pelgrom/passive descriptors),
 //! 2. **one** PSS solve (driven shooting or autonomous bordered shooting),
 //! 3. **one** LPTV periodic solve per mismatch parameter, reusing every
-//!    factorization from step 2,
+//!    factorization from step 2 and propagating only what the metrics read
+//!    (their nodes, up to their last sample; nothing past the boundary
+//!    solve for a frequency),
 //! 4. metric extraction per Section V → a [`VariationReport`] with the full
 //!    per-source breakdown.
 //!
@@ -13,9 +15,10 @@
 //! sensitivities — with *no further simulation*.
 
 use crate::error::CoreError;
-use crate::metric::Metric;
+use crate::metric::{Metric, Readout};
 use crate::report::{Contribution, VariationReport};
-use tranvar_circuit::{Circuit, NodeId};
+use std::sync::Arc;
+use tranvar_circuit::{Circuit, MismatchParam, NodeId};
 use tranvar_engine::{Session, SolveBudget};
 use tranvar_lptv::{PeriodicResponse, PeriodicSolver};
 use tranvar_pss::{autonomous_pss_in, shooting_pss_in, OscOptions, PssOptions, PssSolution};
@@ -67,14 +70,20 @@ impl MetricSpec {
     }
 }
 
-/// Result of the full flow: the PSS orbit, the per-parameter periodic
-/// responses, and one variation report per requested metric.
+/// Result of the full flow: the PSS orbit and one variation report per
+/// requested metric.
+///
+/// The orbit is shared, not copied: the scenarios of a [`Campaign`] that
+/// share one solve hold the same `Arc`. The per-parameter periodic
+/// responses are not kept; the reports carry the sensitivities the metrics
+/// read from them (use [`PeriodicSolver::all_param_responses`] for whole
+/// trajectories).
+///
+/// [`Campaign`]: crate::campaign::Campaign
 #[derive(Clone, Debug)]
 pub struct AnalysisResult {
     /// The converged periodic steady state.
-    pub pss: PssSolution,
-    /// Per-parameter periodic responses (unit-parameter, not σ-scaled).
-    pub responses: Vec<PeriodicResponse>,
+    pub pss: Arc<PssSolution>,
     /// One report per metric, in request order.
     pub reports: Vec<VariationReport>,
 }
@@ -146,11 +155,10 @@ pub fn analyze_in(
     config: &PssConfig,
     metrics: &[MetricSpec],
 ) -> Result<AnalysisResult, CoreError> {
-    let (pss, responses) = solve_responses(session, ckt, config)?;
-    let reports = reports_from_responses(ckt, &pss, &responses, metrics)?;
+    let table = solve_table(session, ckt, config, metrics)?;
+    let reports = table.reports(ckt, metrics)?;
     Ok(AnalysisResult {
-        pss,
-        responses,
+        pss: table.pss,
         reports,
     })
 }
@@ -158,8 +166,7 @@ pub fn analyze_in(
 /// The solve half of the flow on `session`: the PSS orbit, then every
 /// unit-parameter periodic response. The configuration's budget is checked
 /// at the boundary between the two stages, so the LPTV stage never starts
-/// on an exhausted budget. Shared by [`analyze_in`] and the campaign's
-/// unique solves.
+/// on an exhausted budget. The product of [`crate::campaign::solve_unique`].
 pub(crate) fn solve_responses(
     session: &mut Session,
     ckt: &Circuit,
@@ -169,6 +176,139 @@ pub(crate) fn solve_responses(
     budget_of(config).checkpoint("lptv")?;
     let responses = PeriodicSolver::with_session(ckt, &pss, session)?.all_param_responses()?;
     Ok((pss, responses))
+}
+
+/// The product of one solve for a fixed metric set: the orbit plus, per
+/// metric, its nominal value and unit-parameter sensitivities. Like the
+/// responses it is built from, it does not depend on the mismatch σ, so
+/// every scenario sharing the solve reads its reports off the same table
+/// ([`SensitivityTable::reports`]).
+#[derive(Debug)]
+pub(crate) struct SensitivityTable {
+    /// The converged orbit, shared with every result built from the table.
+    pub(crate) pss: Arc<PssSolution>,
+    /// Per metric (request order): nominal value and per-parameter
+    /// sensitivities, or the metric's extraction error.
+    metrics: Vec<Result<(f64, Vec<f64>), CoreError>>,
+}
+
+impl SensitivityTable {
+    /// One report per metric against `ckt`'s current σ annotations: the
+    /// first metric that failed extraction fails the whole set, as in
+    /// [`reports_from_responses`].
+    ///
+    /// # Errors
+    ///
+    /// The first metric's extraction error; [`CoreError::BadConfig`] if
+    /// `ckt` has a different number of mismatch parameters than the solve.
+    pub(crate) fn reports(
+        &self,
+        ckt: &Circuit,
+        metrics: &[MetricSpec],
+    ) -> Result<Vec<VariationReport>, CoreError> {
+        let params = ckt.mismatch_params();
+        metrics
+            .iter()
+            .zip(&self.metrics)
+            .map(|(spec, m)| {
+                let (nominal, sensitivities) = m.as_ref().map_err(Clone::clone)?;
+                report(spec, *nominal, sensitivities, params)
+            })
+            .collect()
+    }
+}
+
+/// [`solve_responses`] narrowed to what `metrics` read: the PSS orbit, then
+/// one propagation of every parameter restricted to the metrics' nodes
+/// through their last read sample ([`PeriodicSolver::node_responses`]),
+/// turned into a [`SensitivityTable`] by the metrics' [`Readout`]s. The
+/// budget is checked at the PSS → LPTV boundary, as in
+/// [`solve_responses`]. A metric that cannot be extracted on this orbit is
+/// recorded in the table, not returned: it fails the reports, not the
+/// solve.
+pub(crate) fn solve_table(
+    session: &mut Session,
+    ckt: &Circuit,
+    config: &PssConfig,
+    metrics: &[MetricSpec],
+) -> Result<SensitivityTable, CoreError> {
+    let pss = Arc::new(solve_pss_in(session, ckt, config)?);
+    budget_of(config).checkpoint("lptv")?;
+    let solver = PeriodicSolver::with_session(ckt, &pss, session)?;
+    let readouts: Vec<Result<Readout, CoreError>> = metrics
+        .iter()
+        .map(|spec| spec.metric.readout(ckt, &pss))
+        .collect();
+    // The distinct nodes the metrics read (each metric's column among
+    // them) and the last sample any of them reads.
+    let mut nodes: Vec<NodeId> = Vec::new();
+    let mut through = 0;
+    let columns: Vec<Option<usize>> = readouts
+        .iter()
+        .map(|r| {
+            let (node, last) = r.as_ref().ok()?.reads()?;
+            through = through.max(last);
+            Some(match nodes.iter().position(|&n| n == node) {
+                Some(col) => col,
+                None => {
+                    nodes.push(node);
+                    nodes.len() - 1
+                }
+            })
+        })
+        .collect();
+    let responses = solver.node_responses(&nodes, through)?;
+    let metrics = readouts
+        .into_iter()
+        .zip(columns)
+        .map(|(readout, col)| {
+            let readout = readout?;
+            let sensitivities = responses
+                .iter()
+                .map(|resp| {
+                    let wave = col.map_or(&[][..], |c| &resp.waves[c]);
+                    readout.sensitivity(ckt, &pss.times, wave, resp.dperiod)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((readout.nominal, sensitivities))
+        })
+        .collect();
+    drop(solver);
+    Ok(SensitivityTable { pss, metrics })
+}
+
+/// One metric's [`VariationReport`]: its sensitivities paired with the
+/// mismatch parameters (labels and σ) of the circuit being reported on.
+/// A count mismatch is an error: zipping would silently drop
+/// contributions and under-report σ.
+fn report(
+    spec: &MetricSpec,
+    nominal: f64,
+    sensitivities: &[f64],
+    params: &[MismatchParam],
+) -> Result<VariationReport, CoreError> {
+    if sensitivities.len() != params.len() {
+        return Err(CoreError::BadConfig(format!(
+            "{} parameter responses for {} mismatch parameters",
+            sensitivities.len(),
+            params.len()
+        )));
+    }
+    Ok(VariationReport {
+        metric: spec.name.clone(),
+        nominal,
+        contributions: params
+            .iter()
+            .zip(sensitivities)
+            .enumerate()
+            .map(|(k, (param, &sensitivity))| Contribution {
+                label: param.label.clone(),
+                param_index: k,
+                sensitivity,
+                sigma: param.sigma,
+            })
+            .collect(),
+    })
 }
 
 /// The linear-solver backend a configuration asks for.
@@ -226,17 +366,19 @@ pub fn solve_pss_in(
 }
 
 /// Builds one [`VariationReport`] per metric from solved unit-parameter
-/// responses.
+/// responses (one per mismatch parameter, in order, as
+/// [`PeriodicSolver::all_param_responses`] returns them).
 ///
 /// The responses are independent of the mismatch σ (they are solved at unit
 /// parameter value); σ enters only here, read from `ckt`'s current
-/// annotations. The campaign layer exploits that split: scenarios that
-/// differ only in statistical overrides share one solve and re-run only
-/// this assembly step against their own σ.
+/// annotations. Each metric is bound to the orbit once and applied to
+/// every response by the same per-metric readout code [`analyze`] runs on its
+/// narrowed propagation, so the two produce bit-identical reports.
 ///
 /// # Errors
 ///
-/// Propagates metric-extraction failures.
+/// Metric-extraction failures, and [`CoreError::BadConfig`] if `responses`
+/// does not hold exactly one response per mismatch parameter of `ckt`.
 pub fn reports_from_responses(
     ckt: &Circuit,
     pss: &PssSolution,
@@ -244,26 +386,25 @@ pub fn reports_from_responses(
     metrics: &[MetricSpec],
 ) -> Result<Vec<VariationReport>, CoreError> {
     let params = ckt.mismatch_params();
-    let mut reports = Vec::with_capacity(metrics.len());
-    for spec in metrics {
-        let nominal = spec.metric.nominal(ckt, pss)?;
-        let mut contributions = Vec::with_capacity(params.len());
-        for (k, (param, resp)) in params.iter().zip(responses.iter()).enumerate() {
-            let sens = spec.metric.sensitivity(ckt, pss, resp)?;
-            contributions.push(Contribution {
-                label: param.label.clone(),
-                param_index: k,
-                sensitivity: sens,
-                sigma: param.sigma,
-            });
-        }
-        reports.push(VariationReport {
-            metric: spec.name.clone(),
-            nominal,
-            contributions,
-        });
-    }
-    Ok(reports)
+    let mut wave = Vec::new();
+    metrics
+        .iter()
+        .map(|spec| {
+            let readout = spec.metric.readout(ckt, pss)?;
+            let reads = readout.reads();
+            let sensitivities = responses
+                .iter()
+                .map(|resp| {
+                    wave.clear();
+                    if let Some((node, last)) = reads {
+                        wave.extend(resp.dx[..=last].iter().map(|x| ckt.voltage(x, node)));
+                    }
+                    readout.sensitivity(ckt, &pss.times, &wave, resp.dperiod)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            report(spec, readout.nominal, &sensitivities, params)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -438,6 +579,29 @@ mod tests {
             .unwrap();
         let outcome = res.outcomes.into_iter().next().unwrap();
         expect_trip(outcome.result);
+    }
+
+    /// One response short of the circuit's mismatch parameters is a typed
+    /// error, not a report that silently drops the last contribution.
+    #[test]
+    fn reports_reject_a_short_response_list() {
+        let (ckt, config, spec) = budgeted_divider(u64::MAX);
+        let r2 = ckt.find_device("R2").unwrap();
+        let mut ckt = ckt;
+        ckt.annotate_resistor_mismatch(r2, 10.0);
+        let pss = solve_pss(&ckt, &config).unwrap();
+        let mut responses = PeriodicSolver::with_session(&ckt, &pss, &Session::default())
+            .unwrap()
+            .all_param_responses()
+            .unwrap();
+        let metrics = std::slice::from_ref(&spec);
+        let full = reports_from_responses(&ckt, &pss, &responses, metrics).unwrap();
+        assert_eq!(full[0].contributions.len(), 2);
+        responses.pop();
+        assert!(matches!(
+            reports_from_responses(&ckt, &pss, &responses, metrics),
+            Err(CoreError::BadConfig(_))
+        ));
     }
 
     #[test]

@@ -20,9 +20,14 @@
 //!    value — mismatch σ enters only the report assembly. Scenarios whose
 //!    solve-affecting overrides agree (differing only in
 //!    [statistical-only](CircuitOverride::is_statistical_only) overrides,
-//!    e.g. a σ-level sweep) share one PSS+LPTV solve and re-run only the
-//!    report assembly, the campaign-layer version of the paper's "no
-//!    additional simulation cost" claim.
+//!    e.g. a σ-level sweep) share one PSS+LPTV solve, the campaign-layer
+//!    version of the paper's "no additional simulation cost" claim. What
+//!    they share is the solve's sensitivity table: the orbit (one
+//!    `Arc<PssSolution>` that every sharing scenario's
+//!    [`AnalysisResult::pss`] points at) plus each metric's nominal value
+//!    and per-parameter sensitivities, propagated only as far as the
+//!    metrics read. A scenario copies neither the orbit nor any response;
+//!    it only pairs the table with its own revalued circuit's σ.
 //!
 //! Determinism: scenarios are keyed and chunked position-wise, each unique
 //! solve is an isolated function of (base circuit, solve overrides), and —
@@ -34,11 +39,12 @@
 //! its machine-precision caveat.)
 
 use crate::analysis::{
-    analyze, budget_of, reports_from_responses, solve_responses, AnalysisResult, MetricSpec,
-    PssConfig,
+    analyze, budget_of, reports_from_responses, solve_responses, solve_table, AnalysisResult,
+    MetricSpec, PssConfig, SensitivityTable,
 };
 use crate::error::CoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use tranvar_circuit::{Circuit, CircuitOverride};
 use tranvar_engine::retry::{flip_backend, ladder, run_ladder};
 use tranvar_engine::{
@@ -196,14 +202,15 @@ impl Campaign {
             // worker lets them auto-thread.
             threads: if workers > 1 { 1 } else { 0 },
         };
+        type TableOutcome = Result<SensitivityTable, CoreError>;
         let solve_chunk =
-            |range: (usize, usize)| -> (Vec<(SolveOutcome, SolveDiagnostics)>, SessionStats) {
+            |range: (usize, usize)| -> (Vec<(TableOutcome, SolveDiagnostics)>, SessionStats) {
                 let (start, len) = range;
                 let mut stats = SessionStats::default();
                 let mut session = Session::new(worker_session);
                 let mut outcomes = Vec::with_capacity(len);
                 for (j, key) in solve_keys[start..start + len].iter().enumerate() {
-                    let vs = solve_unique(
+                    let vs = solve_unique_with(
                         &mut session,
                         base,
                         key,
@@ -211,6 +218,7 @@ impl Campaign {
                         &self.retry,
                         start + j,
                         &mut stats,
+                        |session, ckt, config| solve_table(session, ckt, config, &self.metrics),
                     );
                     if vs.poisoned {
                         // A caught panic may have left the session's cached
@@ -236,48 +244,28 @@ impl Campaign {
         }
 
         // ── Assemble per-scenario reports against their own σ. ──
-        // Remaining-use counts let the last scenario of each solve take the
-        // heavy PSS/response data by move; only genuinely shared solves pay
-        // a clone for the owned per-scenario `AnalysisResult`.
-        let mut remaining = vec![0usize; n_unique];
-        for &key in &key_of_scenario {
-            remaining[key] += 1;
-        }
-        let mut outcomes = Vec::with_capacity(scenarios.len());
-        for (sc, &key) in scenarios.iter().zip(key_of_scenario.iter()) {
-            remaining[key] -= 1;
-            let reports = match &solves[key] {
-                Err(e) => Err(e.clone()),
-                Ok((pss, responses)) => scenario_reports(base, sc, pss, responses, &self.metrics),
-            };
-            let result = reports.and_then(|reports| {
-                // The last scenario of each solve takes the heavy data by
-                // move; shared solves pay a clone.
-                let data = if remaining[key] == 0 {
-                    std::mem::replace(
-                        &mut solves[key],
-                        Err(CoreError::BadConfig(
-                            "campaign solve already consumed".into(),
-                        )),
-                    )
-                } else {
-                    solves[key]
-                        .as_ref()
-                        .map(|(pss, responses)| (pss.clone(), responses.clone()))
-                        .map_err(|e| e.clone())
+        // Every scenario of a solve reads the same table and shares its
+        // orbit; nothing heavy is copied per scenario.
+        let outcomes: Vec<ScenarioOutcome> = scenarios
+            .iter()
+            .zip(&key_of_scenario)
+            .map(|(sc, &key)| {
+                let result = match &solves[key] {
+                    Err(e) => Err(e.clone()),
+                    Ok(table) => scenario_circuit(base, sc)
+                        .and_then(|ckt| table.reports(&ckt, &self.metrics))
+                        .map(|reports| AnalysisResult {
+                            pss: Arc::clone(&table.pss),
+                            reports,
+                        }),
                 };
-                data.map(|(pss, responses)| AnalysisResult {
-                    pss,
-                    responses,
-                    reports,
-                })
-            });
-            outcomes.push(ScenarioOutcome {
-                scenario: sc.name.clone(),
-                result,
-                diagnostics: diags[key].clone(),
-            });
-        }
+                ScenarioOutcome {
+                    scenario: sc.name.clone(),
+                    result,
+                    diagnostics: diags[key].clone(),
+                }
+            })
+            .collect();
         let summaries = summarize(&self.metrics, &outcomes);
         let retry_attempts = diags
             .iter()
@@ -293,28 +281,15 @@ impl Campaign {
     }
 }
 
-/// One unique variant's solve: the PSS orbit plus unit-parameter responses.
-type SolveOutcome = Result<(PssSolution, Vec<PeriodicResponse>), CoreError>;
-
-fn solve_variant(
-    session: &mut Session,
-    base: &Circuit,
-    solve_overrides: &[CircuitOverride],
-    config: &PssConfig,
-    solve_index: usize,
-) -> SolveOutcome {
-    fault::panic_at(fault::sites::SCENARIO, solve_index);
-    let mut ckt = base.clone();
-    ckt.revalue(solve_overrides)?;
-    solve_responses(session, &ckt, config)
-}
-
 /// The result of one unique solve run through [`solve_unique`]: the
 /// campaign's panic-isolated, retry-escalated solve path, exposed for
 /// callers that manage their own dedup/caching (e.g. a serving layer).
-pub struct UniqueSolve {
-    /// The PSS orbit plus unit-parameter responses, or the typed failure.
-    pub outcome: Result<(PssSolution, Vec<PeriodicResponse>), CoreError>,
+/// `T` is what the solve produces: by default the PSS orbit plus every
+/// unit-parameter response; [`Campaign::run`] produces a sensitivity table
+/// for its metric set through the same path.
+pub struct UniqueSolve<T = (PssSolution, Vec<PeriodicResponse>)> {
+    /// The solve's product, or the typed failure.
+    pub outcome: Result<T, CoreError>,
     /// The recorded attempt trail.
     pub diagnostics: SolveDiagnostics,
     /// A panic was caught; the session may hold half-updated caches and
@@ -326,10 +301,11 @@ pub struct UniqueSolve {
 /// Runs one unique solve (PSS orbit + every unit-parameter response) with
 /// the campaign's panic isolation and retry ladder.
 ///
-/// This is exactly the per-key solve [`Campaign::run`] performs after
-/// [`solve_groups`] deduplication — same code path, same escalation, same
-/// fault-injection sites — so results are interchangeable with an
-/// in-process campaign (bit-identical on the dense backend). Every attempt
+/// This is the per-key solve [`Campaign::run`] performs after
+/// [`solve_groups`] deduplication — same escalation ladder, same
+/// fault-injection sites — with whole responses as its product, so
+/// [`scenario_reports`] on it is bit-identical to the campaign's reports
+/// on the dense backend. Every attempt
 /// runs through the engine's retry ladder ([`run_ladder`]) and lands in
 /// the trail. `SwitchBackend` attempts run on a throwaway session of the
 /// other backend than `session`'s (sessions pin their solver); its
@@ -343,10 +319,41 @@ pub fn solve_unique(
     solve_index: usize,
     stats: &mut SessionStats,
 ) -> UniqueSolve {
+    solve_unique_with(
+        session,
+        base,
+        solve_overrides,
+        config,
+        policy,
+        solve_index,
+        stats,
+        solve_responses,
+    )
+}
+
+/// [`solve_unique`] with its product chosen by `product`, which runs on
+/// the attempt's session, the revalued circuit and the attempt's
+/// (escalated) configuration.
+fn solve_unique_with<T>(
+    session: &mut Session,
+    base: &Circuit,
+    solve_overrides: &[CircuitOverride],
+    config: &PssConfig,
+    policy: &RetryPolicy,
+    solve_index: usize,
+    stats: &mut SessionStats,
+    product: impl Fn(&mut Session, &Circuit, &PssConfig) -> Result<T, CoreError>,
+) -> UniqueSolve<T> {
     // The switch-backend rung moves off the session's own backend.
     let rescue = SessionOptions {
         solver: flip_backend(session.solver()),
         threads: session.threads(),
+    };
+    let solve_variant = |session: &mut Session, config: &PssConfig| {
+        fault::panic_at(fault::sites::SCENARIO, solve_index);
+        let mut ckt = base.clone();
+        ckt.revalue(solve_overrides)?;
+        product(session, &ckt, config)
     };
     let mut diag = SolveDiagnostics::new();
     let mut cur = config.clone();
@@ -363,11 +370,11 @@ pub fn solve_unique(
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 if esc == Escalation::SwitchBackend {
                     let mut fresh = Session::new(rescue);
-                    let r = solve_variant(&mut fresh, base, solve_overrides, &cur, solve_index);
+                    let r = solve_variant(&mut fresh, &cur);
                     *stats = stats.merged(fresh.stats());
                     r
                 } else {
-                    solve_variant(session, base, solve_overrides, &cur, solve_index)
+                    solve_variant(session, &cur)
                 }
             }));
             // A caught panic is final: `retryable_core` never retries
@@ -459,6 +466,10 @@ fn engine_view(e: &CoreError) -> tranvar_engine::EngineError {
 /// Assembles one scenario's variation reports from a shared solve: the
 /// σ-only assembly step [`Campaign::run`] performs per scenario, exposed
 /// for callers that cache solves across requests (see [`solve_unique`]).
+///
+/// # Errors
+///
+/// Override failures, then those of [`reports_from_responses`].
 pub fn scenario_reports(
     base: &Circuit,
     sc: &Scenario,
@@ -466,11 +477,15 @@ pub fn scenario_reports(
     responses: &[PeriodicResponse],
     metrics: &[MetricSpec],
 ) -> Result<Vec<crate::report::VariationReport>, CoreError> {
-    // The fully revalued circuit carries the scenario's σ annotations (and
-    // equals the solve circuit in everything the solve reads).
+    reports_from_responses(&scenario_circuit(base, sc)?, pss, responses, metrics)
+}
+
+/// The fully revalued circuit of a scenario: it carries the scenario's σ
+/// annotations and equals its solve circuit in everything the solve reads.
+fn scenario_circuit(base: &Circuit, sc: &Scenario) -> Result<Circuit, CoreError> {
     let mut ckt = base.clone();
     ckt.revalue(&sc.overrides)?;
-    reports_from_responses(&ckt, pss, responses, metrics)
+    Ok(ckt)
 }
 
 fn summarize(metrics: &[MetricSpec], outcomes: &[ScenarioOutcome]) -> Vec<MetricSummary> {

@@ -1,8 +1,9 @@
 //! Performance metrics extracted from the PSS orbit and its per-parameter
 //! periodic perturbations (paper Sections IV–V).
 //!
-//! Each metric maps the PSS solution to a nominal value, and each
-//! [`PeriodicResponse`] to a linear sensitivity:
+//! Each metric maps the PSS solution to a nominal value and, through a
+//! readout bound to that orbit, each parameter's periodic response to a
+//! linear sensitivity:
 //!
 //! - [`Metric::DcAverage`]: the cycle-mean of a node (the comparator's
 //!   input-referred offset in the Fig. 6 testbench) — the baseband (N=0)
@@ -15,19 +16,19 @@
 
 use crate::error::CoreError;
 use tranvar_circuit::{Circuit, NodeId};
-use tranvar_lptv::PeriodicResponse;
 use tranvar_num::interp::{
-    first_crossing_after, is_uniform_grid, lerp_at, time_weighted_mean, Edge,
+    first_crossing_after, is_uniform_grid, lerp_at, nearest_index, time_weighted_mean, Edge,
 };
 use tranvar_pss::PssSolution;
 
 /// Cycle-mean of a periodic waveform sampled on `times` (with the period
-/// endpoint duplicating sample 0). Uniform grids keep the historical
-/// arithmetic mean over the first `n` samples bit-identical; adaptive grids
-/// use the trapezoidal time-weighted mean, which the duplicated endpoint
-/// makes exact for the closed orbit.
-fn cycle_mean(times: &[f64], w: &[f64]) -> f64 {
-    if is_uniform_grid(times, 1e-9) {
+/// endpoint duplicating sample 0). Uniform grids (`uniform`, from
+/// [`is_uniform_grid`]) keep the historical arithmetic mean over the first
+/// `n` samples bit-identical; adaptive grids use the trapezoidal
+/// time-weighted mean, which the duplicated endpoint makes exact for the
+/// closed orbit.
+fn cycle_mean(uniform: bool, times: &[f64], w: &[f64]) -> f64 {
+    if uniform {
         w[..w.len() - 1].iter().sum::<f64>() / (w.len() - 1) as f64
     } else {
         time_weighted_mean(times, w)
@@ -79,10 +80,29 @@ impl Metric {
     /// Returns [`CoreError::Metric`] if the metric cannot be measured
     /// (missing crossing, frequency of a driven circuit, ...).
     pub fn nominal(&self, ckt: &Circuit, sol: &PssSolution) -> Result<f64, CoreError> {
+        Ok(self.readout(ckt, sol)?.nominal)
+    }
+
+    /// Binds the metric to a PSS orbit: the nominal value plus everything
+    /// the per-parameter sensitivity reads from the orbit (the crossing
+    /// time, the slope there, the grid kind), computed once.
+    ///
+    /// # Errors
+    ///
+    /// See [`Metric::nominal`].
+    pub(crate) fn readout(&self, ckt: &Circuit, sol: &PssSolution) -> Result<Readout, CoreError> {
         match self {
             Metric::DcAverage { node } => {
+                let uniform = is_uniform_grid(&sol.times, 1e-9);
                 let w = sol.node_waveform(ckt, *node);
-                Ok(cycle_mean(&sol.times, &w))
+                Ok(Readout {
+                    nominal: cycle_mean(uniform, &sol.times, &w),
+                    read: Read::Mean {
+                        node: *node,
+                        uniform,
+                        last: sol.times.len() - 1,
+                    },
+                })
             }
             Metric::CrossingShift {
                 node,
@@ -99,7 +119,20 @@ impl Metric {
                             ckt.node_name(*node)
                         ))
                     })?;
-                Ok(tc - t_ref)
+                // Slope of the nominal waveform at the crossing.
+                let slope = sol.node_slope(ckt, *node)[nearest_index(&sol.times, tc)];
+                // `lerp_at` on `times[..=last]` brackets `tc` exactly as on
+                // the whole grid: `last` is the first sample at or after it.
+                let last = sol.times.partition_point(|&t| t < tc);
+                Ok(Readout {
+                    nominal: tc - t_ref,
+                    read: Read::Crossing {
+                        node: *node,
+                        tc,
+                        slope,
+                        last: last.min(sol.times.len() - 1),
+                    },
+                })
             }
             Metric::Frequency => {
                 if sol.dphi_dt.is_none() {
@@ -107,62 +140,98 @@ impl Metric {
                         "frequency metric requires an autonomous pss solution".into(),
                     ));
                 }
-                Ok(sol.fundamental())
+                Ok(Readout {
+                    nominal: sol.fundamental(),
+                    read: Read::Period { period: sol.period },
+                })
             }
         }
     }
+}
 
-    /// Linear sensitivity of the metric to a unit parameter change, given
-    /// the parameter's periodic response.
+/// A [`Metric`] bound to one PSS orbit ([`Metric::readout`]): its nominal
+/// value and the rule that turns one parameter's periodic response into a
+/// linear sensitivity. Every sensitivity in the workspace is formed by
+/// [`Readout::sensitivity`], whether the response was propagated for the
+/// read node only or materialized in full.
+#[derive(Debug)]
+pub(crate) struct Readout {
+    /// Nominal value of the metric on the orbit.
+    pub(crate) nominal: f64,
+    read: Read,
+}
+
+/// What a [`Readout`] reads of a response, and how.
+#[derive(Debug)]
+enum Read {
+    /// Cycle mean of the node's perturbation over samples `0..=last`, the
+    /// whole period.
+    Mean {
+        node: NodeId,
+        uniform: bool,
+        last: usize,
+    },
+    /// `Δt_c = −δv(t_c)/v̇(t_c)`, with `δv` interpolated on samples
+    /// `0..=last`.
+    Crossing {
+        node: NodeId,
+        tc: f64,
+        slope: f64,
+        last: usize,
+    },
+    /// `δf = −δT/T²`.
+    Period { period: f64 },
+}
+
+impl Readout {
+    /// The node this readout reads and the last sample index it reads;
+    /// `None` when it reads only the period sensitivity `δT`.
+    pub(crate) fn reads(&self) -> Option<(NodeId, usize)> {
+        match self.read {
+            Read::Mean { node, last, .. } | Read::Crossing { node, last, .. } => Some((node, last)),
+            Read::Period { .. } => None,
+        }
+    }
+
+    /// Linear sensitivity of the metric to a unit parameter change, from
+    /// that parameter's response: `wave` holds the read node's perturbation
+    /// on the PSS grid `times` through at least the last sample
+    /// [`Readout::reads`] names (ignored when it names none), `dperiod`
+    /// the period sensitivity `δT`.
     ///
     /// # Errors
     ///
-    /// See [`Metric::nominal`].
-    pub fn sensitivity(
+    /// [`CoreError::Metric`] for a crossing where the nominal waveform has
+    /// zero slope.
+    pub(crate) fn sensitivity(
         &self,
         ckt: &Circuit,
-        sol: &PssSolution,
-        resp: &PeriodicResponse,
+        times: &[f64],
+        wave: &[f64],
+        dperiod: f64,
     ) -> Result<f64, CoreError> {
-        match self {
-            Metric::DcAverage { node } => {
-                // The periodic response is sampled on the same (possibly
-                // adaptive) grid as the orbit it perturbs.
-                let w = resp.node_waveform(ckt, *node);
-                Ok(cycle_mean(&sol.times, &w))
+        match self.read {
+            // The periodic response is sampled on the same (possibly
+            // adaptive) grid as the orbit it perturbs.
+            Read::Mean { uniform, last, .. } => {
+                Ok(cycle_mean(uniform, &times[..=last], &wave[..=last]))
             }
-            Metric::CrossingShift {
+            Read::Crossing {
                 node,
-                threshold,
-                edge,
-                t_after,
-                ..
+                tc,
+                slope,
+                last,
             } => {
-                let w = sol.node_waveform(ckt, *node);
-                let tc = first_crossing_after(&sol.times, &w, *threshold, *edge, *t_after)
-                    .ok_or_else(|| {
-                        CoreError::Metric(format!(
-                            "no {edge:?} crossing of {threshold} on `{}` after {t_after:.3e}",
-                            ckt.node_name(*node)
-                        ))
-                    })?;
-                // Slope of the nominal waveform at the crossing.
-                let idx = tranvar_num::interp::nearest_index(&sol.times, tc);
-                let slope = sol.node_slope(ckt, *node)[idx];
                 if slope == 0.0 {
                     return Err(CoreError::Metric(format!(
                         "zero slope at crossing on `{}`",
-                        ckt.node_name(*node)
+                        ckt.node_name(node)
                     )));
                 }
-                // δ(t_c) = −δv(t_c)/v̇(t_c).
-                let dv = lerp_at(&sol.times, &resp.node_waveform(ckt, *node), tc);
+                let dv = lerp_at(&times[..=last], &wave[..=last], tc);
                 Ok(-dv / slope)
             }
-            Metric::Frequency => {
-                // δf = −δT/T².
-                Ok(-resp.dperiod / (sol.period * sol.period))
-            }
+            Read::Period { period } => Ok(-dperiod / (period * period)),
         }
     }
 }
@@ -188,6 +257,53 @@ mod tests {
         let m = Metric::DcAverage { node: b };
         assert!((m.nominal(&ckt, &sol).unwrap() - 1.0).abs() < 1e-9);
         assert_eq!(m.kind(), "dc-average");
+    }
+
+    /// What each readout reads: a cycle mean every sample, a crossing
+    /// only through the first sample at or after it.
+    #[test]
+    fn readouts_read_only_what_they_need() {
+        use tranvar_circuit::Pulse;
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource(
+            "V1",
+            a,
+            NodeId::GROUND,
+            Waveform::Pulse(Pulse {
+                v0: 0.0,
+                v1: 1.0,
+                delay: 1e-6,
+                rise: 1e-8,
+                fall: 1e-8,
+                width: 4e-6,
+                period: 10e-6,
+            }),
+        );
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 100;
+        let sol = shooting_pss(&ckt, 10e-6, &opts).unwrap();
+        let mean = Metric::DcAverage { node: b }.readout(&ckt, &sol).unwrap();
+        assert_eq!(mean.reads(), Some((b, 100)));
+        let crossing = Metric::CrossingShift {
+            node: b,
+            threshold: 0.5,
+            edge: Edge::Rising,
+            t_after: 1e-6,
+            t_ref: 1e-6,
+        };
+        let readout = crossing.readout(&ckt, &sol).unwrap();
+        let tc = readout.nominal + 1e-6;
+        let (node, last) = readout.reads().unwrap();
+        assert_eq!(node, b);
+        assert!(sol.times[last] >= tc && sol.times[last - 1] < tc, "{last}");
+        assert!(
+            last < 20,
+            "the crossing is ~1.7 µs into a 10 µs period: {last}"
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   factorizations already paid for by the PSS solve, plus one shared
 //!   boundary factorization — the whole speedup story of the paper in one
 //!   module. Autonomous orbits are bordered with the phase condition and
-//!   yield the period sensitivity `δT` directly. The same responses give
-//!   the Fig. 8 statistical waveform ([`statistical_waveform`]).
+//!   yield the period sensitivity `δT` directly. The propagation can stop
+//!   at the nodes and samples a metric reads ([`NodeResponse`]). The whole
+//!   responses give the Fig. 8 statistical waveform
+//!   ([`statistical_waveform`]).
 
 #![warn(missing_docs)]
 
@@ -19,4 +21,4 @@ pub mod error;
 pub mod periodic;
 
 pub use error::LptvError;
-pub use periodic::{statistical_waveform, PeriodicResponse, PeriodicSolver};
+pub use periodic::{statistical_waveform, NodeResponse, PeriodicResponse, PeriodicSolver};

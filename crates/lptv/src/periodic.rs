@@ -13,8 +13,14 @@
 //! All `J_k` are already factored (stored in the PSS records) and the
 //! monodromy `M` is known, so the boundary condition costs one dense solve of
 //! `(I − M)` — factored *once* and shared across every noise source. Each
-//! source then costs `2N` triangular sweeps: this is the entire cost model
-//! behind the paper's 100–1000× speedup claim.
+//! source then costs `N` sweeps for the particular solution plus one per
+//! re-propagated sample: `2N` for a whole trajectory
+//! ([`PeriodicSolver::all_param_responses`]), `N + s` when a metric reads
+//! only samples `0..=s` ([`PeriodicSolver::node_responses`]; a delay reads
+//! up to its crossing), and `N` when it reads only `δT`. This is the entire
+//! cost model behind the paper's 100–1000× speedup claim. Both entry
+//! points run one kernel (`propagate`), so a narrowed response is
+//! bit-identical to the matching samples of a whole one.
 //!
 //! For autonomous (oscillator) orbits, `I − M` is singular along the phase
 //! mode; the system is bordered with the stored phase condition and period
@@ -196,7 +202,9 @@ impl<'a> PeriodicSolver<'a> {
     }
 
     /// Responses for every registered mismatch parameter, reusing all
-    /// factorizations (the paper's "no additional simulation cost" claim).
+    /// factorizations (the paper's "no additional simulation cost" claim):
+    /// the all-rows, whole-period case of the propagation kernel behind
+    /// [`PeriodicSolver::node_responses`].
     ///
     /// All parameters are propagated *together and in parallel*: the
     /// parameter set is split into contiguous chunks, one std scoped worker
@@ -219,35 +227,59 @@ impl<'a> PeriodicSolver<'a> {
     ///
     /// See [`PeriodicSolver::param_response`].
     pub fn all_param_responses(&self) -> Result<Vec<PeriodicResponse>, LptvError> {
-        let p_total = self.ckt.mismatch_params().len();
-        if p_total == 0 {
-            return Ok(Vec::new());
-        }
-        // Auto mode stays single-threaded when the whole propagation is too
-        // small to amortize a thread spawn (work proxy: two triangular
-        // sweeps per record per parameter ≈ steps·n²·p flops; see
-        // `effective_threads_for_work`).
         let n = self.ckt.n_unknowns();
-        let work = self.sol.records.len() * n * n * p_total;
-        let threads = effective_threads_for_work(self.threads, p_total, work);
-        let chunk = p_total.div_ceil(threads).max(1);
-        let mut out: Vec<PeriodicResponse> = (0..p_total)
-            .map(|_| PeriodicResponse {
-                dx: Vec::new(),
-                dperiod: 0.0,
-            })
+        let n_steps = self.sol.records.len();
+        let mut dx: Vec<Vec<Vec<f64>>> = (0..self.ckt.mismatch_params().len())
+            .map(|_| Vec::with_capacity(n_steps + 1))
             .collect();
-        // One scoped worker per parameter chunk via the shared engine
-        // helper; a single chunk runs inline.
-        let jobs: Vec<(usize, &mut [PeriodicResponse])> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk, c))
+        let dperiods = self.propagate(&mut dx, Some(n_steps), |dx, block, p, kk| {
+            dx.push((0..n).map(|i| block[i * p + kk]).collect());
+        })?;
+        Ok(dx
+            .into_iter()
+            .zip(dperiods)
+            .map(|(dx, dperiod)| PeriodicResponse { dx, dperiod })
+            .collect())
+    }
+
+    /// Every mismatch parameter's response restricted to what a metric
+    /// reads: the waveforms of `nodes` over samples `0..=through` (clamped
+    /// to the period), plus `δT`. The re-propagation stops at `through`
+    /// and records only the requested rows; with no nodes it does not run
+    /// at all (a period-only readout needs just the boundary solve).
+    ///
+    /// Every sample is bit-identical to the matching
+    /// `all_param_responses()[k].node_waveform(ckt, node)` entry, for any
+    /// thread count: both are the same propagation kernel.
+    ///
+    /// # Errors
+    ///
+    /// See [`PeriodicSolver::param_response`].
+    pub fn node_responses(
+        &self,
+        nodes: &[NodeId],
+        through: usize,
+    ) -> Result<Vec<NodeResponse>, LptvError> {
+        let rows: Vec<Option<usize>> = nodes
+            .iter()
+            .map(|&node| self.ckt.unknown_of_node(node))
             .collect();
-        for r in map_scoped(jobs, |(k0, out_chunk)| self.respond_chunk(k0, out_chunk)) {
-            r?;
-        }
-        Ok(out)
+        let through = (!nodes.is_empty()).then(|| through.min(self.sol.records.len()));
+        let samples = through.map_or(0, |t| t + 1);
+        let mut waves: Vec<Vec<Vec<f64>>> = (0..self.ckt.mismatch_params().len())
+            .map(|_| rows.iter().map(|_| Vec::with_capacity(samples)).collect())
+            .collect();
+        let dperiods = self.propagate(&mut waves, through, |waves, block, p, kk| {
+            for (wave, row) in waves.iter_mut().zip(&rows) {
+                // `Circuit::voltage`: the ground node reads 0.
+                wave.push(row.map_or(0.0, |i| block[i * p + kk]));
+            }
+        })?;
+        Ok(waves
+            .into_iter()
+            .zip(dperiods)
+            .map(|(waves, dperiod)| NodeResponse { waves, dperiod })
+            .collect())
     }
 
     /// Sequential per-parameter reference: one [`PeriodicSolver::param_response`]
@@ -264,29 +296,81 @@ impl<'a> PeriodicSolver<'a> {
             .collect()
     }
 
+    /// The propagation kernel: solves every parameter's periodic BVP on
+    /// parameter-chunk workers and returns the period sensitivities. When
+    /// `through` is set, the periodic re-propagation runs through sample
+    /// `through` and hands each sample's RHS-interleaved `n × p` block to
+    /// `record(&mut out[k], block, p, kk)` for every chunk parameter `kk`
+    /// (global parameter `k`), in sample order; `None` skips it.
+    fn propagate<R, F>(
+        &self,
+        out: &mut [R],
+        through: Option<usize>,
+        record: F,
+    ) -> Result<Vec<f64>, LptvError>
+    where
+        R: Send,
+        F: Fn(&mut R, &[f64], usize, usize) + Sync,
+    {
+        let p_total = out.len();
+        let mut dperiods = vec![0.0; p_total];
+        if p_total == 0 {
+            return Ok(dperiods);
+        }
+        // Auto mode stays single-threaded when the whole propagation is too
+        // small to amortize a thread spawn (work proxy: two triangular
+        // sweeps per record per parameter ≈ steps·n²·p flops; see
+        // `effective_threads_for_work`).
+        let n = self.ckt.n_unknowns();
+        let work = self.sol.records.len() * n * n * p_total;
+        let threads = effective_threads_for_work(self.threads, p_total, work);
+        let chunk = p_total.div_ceil(threads).max(1);
+        // One scoped worker per parameter chunk via the shared engine
+        // helper; a single chunk runs inline.
+        let jobs: Vec<(usize, &mut [R], &mut [f64])> = out
+            .chunks_mut(chunk)
+            .zip(dperiods.chunks_mut(chunk))
+            .enumerate()
+            .map(|(ci, (o, d))| (ci * chunk, o, d))
+            .collect();
+        for r in map_scoped(jobs, |(k0, o, d)| {
+            self.respond_chunk(k0, o, d, through, &record)
+        }) {
+            r?;
+        }
+        Ok(dperiods)
+    }
+
     /// Propagates the contiguous parameter chunk `k0 .. k0 + out.len()`
-    /// with interleaved multi-RHS sweeps, writing each parameter's periodic
-    /// response into its `out` slot.
-    fn respond_chunk(&self, k0: usize, out: &mut [PeriodicResponse]) -> Result<(), LptvError> {
+    /// with interleaved multi-RHS sweeps: writes the chunk's period
+    /// sensitivities into `dperiods` and records its re-propagated samples
+    /// `0..=through` into `out` (see [`PeriodicSolver::propagate`]).
+    fn respond_chunk<R>(
+        &self,
+        k0: usize,
+        out: &mut [R],
+        dperiods: &mut [f64],
+        through: Option<usize>,
+        record: &impl Fn(&mut R, &[f64], usize, usize),
+    ) -> Result<(), LptvError> {
         let recs = &self.sol.records;
         let n = self.ckt.n_unknowns();
         let p = out.len();
-        let n_steps = recs.len();
-        // Stage the chunk's per-step source terms once (w[s][i·p + kk] is
-        // row i of chunk-parameter kk at step s).
-        let mut w = vec![vec![0.0; n * p]; n_steps];
+        let np = n * p;
+        // Stage the chunk's per-step source terms once, in one slab
+        // (w[s·np + i·p + kk] is row i of chunk-parameter kk at step s).
+        let mut w = vec![0.0; recs.len() * np];
         let mut pd_prev: Vec<ParamDeriv> = vec![ParamDeriv::default(); p];
         let mut pd_cur: Vec<ParamDeriv> = vec![ParamDeriv::default(); p];
         self.ckt
             .d_residual_dparams_into(k0, &self.sol.states[0], &mut pd_prev)?;
-        for (s, rec) in recs.iter().enumerate() {
+        for ((s, rec), ws) in recs.iter().enumerate().zip(w.chunks_exact_mut(np)) {
             self.ckt.d_residual_dparams_with_ops(
                 k0,
                 &self.sol.states[s + 1],
                 &rec.mos_ops,
                 &mut pd_cur,
             )?;
-            let ws = &mut w[s];
             for kk in 0..p {
                 // w in the θ-method order of `param_step_rhs`.
                 for &(i, v) in &pd_cur[kk].df {
@@ -304,56 +388,65 @@ impl<'a> PeriodicSolver<'a> {
             }
             std::mem::swap(&mut pd_prev, &mut pd_cur);
         }
-        // Particular pass from zero initial state, all chunk parameters in
-        // one interleaved block per step.
-        let mut d = vec![0.0; n * p];
-        let mut rhs = vec![0.0; n * p];
+        // One step of the recurrence `J_k·d_k = B_k·d_{k−1} − w_k` for the
+        // whole chunk, in place on the interleaved block `d`.
+        let mut rhs = vec![0.0; np];
         let mut scratch = vec![0.0; tranvar_num::lanes_scratch_len(n, p)];
-        for (s, rec) in recs.iter().enumerate() {
-            rec.b.mat_vec_interleaved(&d, &mut rhs, p);
-            for (ri, wi) in rhs.iter_mut().zip(w[s].iter()) {
+        let mut step = |d: &mut Vec<f64>, s: usize| {
+            let rec = &recs[s];
+            rec.b.mat_vec_interleaved(d, &mut rhs, p);
+            for (ri, wi) in rhs.iter_mut().zip(&w[s * np..(s + 1) * np]) {
                 *ri -= *wi;
             }
             rec.lu.solve_multi_lanes(&mut rhs, p, &mut scratch);
-            std::mem::swap(&mut d, &mut rhs);
+            std::mem::swap(d, &mut rhs);
+        };
+        // Particular pass from zero initial state, all chunk parameters in
+        // one interleaved block per step.
+        let mut d = vec![0.0; np];
+        for s in 0..recs.len() {
+            step(&mut d, s);
         }
         // Batched boundary solve; for autonomous orbits the bordered row
         // appends one interleaved row of zeros and returns the period
         // sensitivities in it.
-        let mut dperiods = vec![0.0; p];
-        let mut d0 = if self.autonomous {
-            let nb = n + 1;
-            let mut bblock = vec![0.0; nb * p];
-            bblock[..n * p].copy_from_slice(&d);
-            let mut bscratch = vec![0.0; tranvar_num::lanes_scratch_len(nb, p)];
-            self.boundary
-                .solve_multi_lanes(&mut bblock, p, &mut bscratch);
-            dperiods.copy_from_slice(&bblock[n * p..]);
-            bblock.truncate(n * p);
-            bblock
-        } else {
-            self.boundary.solve_multi_lanes(&mut d, p, &mut scratch);
-            d
-        };
-        // Re-propagate from the periodic initial conditions.
-        for (kk, resp) in out.iter_mut().enumerate() {
-            resp.dperiod = dperiods[kk];
-            resp.dx = Vec::with_capacity(n_steps + 1);
-            resp.dx.push((0..n).map(|i| d0[i * p + kk]).collect());
+        let nb = n + usize::from(self.autonomous);
+        let mut d0 = vec![0.0; nb * p];
+        d0[..np].copy_from_slice(&d);
+        let mut bscratch = vec![0.0; tranvar_num::lanes_scratch_len(nb, p)];
+        self.boundary.solve_multi_lanes(&mut d0, p, &mut bscratch);
+        if self.autonomous {
+            dperiods.copy_from_slice(&d0[np..]);
+            d0.truncate(np);
         }
-        for (s, rec) in recs.iter().enumerate() {
-            rec.b.mat_vec_interleaved(&d0, &mut rhs, p);
-            for (ri, wi) in rhs.iter_mut().zip(w[s].iter()) {
-                *ri -= *wi;
+        // Re-propagate from the periodic initial conditions, only as far
+        // as the caller reads.
+        let Some(through) = through else {
+            return Ok(());
+        };
+        let record_all = |out: &mut [R], block: &[f64]| {
+            for (kk, slot) in out.iter_mut().enumerate() {
+                record(slot, block, p, kk);
             }
-            rec.lu.solve_multi_lanes(&mut rhs, p, &mut scratch);
-            std::mem::swap(&mut d0, &mut rhs);
-            for (kk, resp) in out.iter_mut().enumerate() {
-                resp.dx.push((0..n).map(|i| d0[i * p + kk]).collect());
-            }
+        };
+        record_all(out, &d0);
+        for s in 0..through {
+            step(&mut d0, s);
+            record_all(out, &d0);
         }
         Ok(())
     }
+}
+
+/// One mismatch parameter's response restricted to the node rows and
+/// samples a metric reads ([`PeriodicSolver::node_responses`]).
+#[derive(Clone, Debug)]
+pub struct NodeResponse {
+    /// Per requested node, in request order: the perturbation waveform
+    /// over samples `0..=through` of the PSS grid (empty when no re-propagation ran).
+    pub waves: Vec<Vec<f64>>,
+    /// Period sensitivity `δT` (0 for driven circuits).
+    pub dperiod: f64,
 }
 
 /// The paper's Fig. 8 "statistical waveform": the nominal PSS waveform of a
@@ -551,6 +644,78 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The narrowed propagation records exactly the matching samples of
+    /// the whole-trajectory one: requested rows (the ground node reads 0),
+    /// samples `0..=through`, the same `δT`, for any thread count; no
+    /// nodes means no re-propagation at all.
+    #[test]
+    fn node_responses_match_all_param_responses() {
+        use tranvar_circuit::Pulse;
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        let c = ckt.node("c");
+        let period = 10e-6;
+        ckt.add_vsource(
+            "V1",
+            a,
+            NodeId::GROUND,
+            Waveform::Pulse(Pulse {
+                v0: 0.0,
+                v1: 1.0,
+                delay: 1e-6,
+                rise: 1e-7,
+                fall: 1e-7,
+                width: 4e-6,
+                period,
+            }),
+        );
+        let r1 = ckt.add_resistor("R1", a, b, 10e3);
+        let r2 = ckt.add_resistor("R2", b, c, 20e3);
+        let c1 = ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        let c2 = ckt.add_capacitor("C2", c, NodeId::GROUND, 2e-9);
+        ckt.annotate_resistor_mismatch(r1, 100.0);
+        ckt.annotate_resistor_mismatch(r2, 150.0);
+        ckt.annotate_capacitor_mismatch(c1, 1e-11);
+        ckt.annotate_capacitor_mismatch(c2, 2e-11);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 64;
+        let sol = shooting_pss(&ckt, period, &opts).unwrap();
+        let nodes = [c, NodeId::GROUND, b];
+        for threads in [1usize, 2] {
+            let session = Session::new(SessionOptions {
+                solver: SolverKind::Dense,
+                threads,
+            });
+            let solver = PeriodicSolver::with_session(&ckt, &sol, &session).unwrap();
+            let full = solver.all_param_responses().unwrap();
+            for through in [64usize, 17, 0, 1000] {
+                let narrow = solver.node_responses(&nodes, through).unwrap();
+                assert_eq!(narrow.len(), full.len());
+                for (k, (nr, fr)) in narrow.iter().zip(&full).enumerate() {
+                    assert_eq!(nr.dperiod.to_bits(), fr.dperiod.to_bits());
+                    assert_eq!(nr.waves.len(), nodes.len());
+                    for (wave, &node) in nr.waves.iter().zip(&nodes) {
+                        let want = fr.node_waveform(&ckt, node);
+                        assert_eq!(wave.len(), through.min(64) + 1);
+                        for (s, (x, y)) in wave.iter().zip(&want).enumerate() {
+                            assert!(
+                                x.to_bits() == y.to_bits(),
+                                "threads {threads} param {k} node {node:?} sample {s}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
+            }
+            let none = solver.node_responses(&[], 64).unwrap();
+            assert_eq!(none.len(), full.len());
+            for (nr, fr) in none.iter().zip(&full) {
+                assert!(nr.waves.is_empty());
+                assert_eq!(nr.dperiod.to_bits(), fr.dperiod.to_bits());
             }
         }
     }
