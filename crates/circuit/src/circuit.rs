@@ -194,21 +194,21 @@ pub enum Device {
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum CircuitOverride {
-    /// Sets a resistor's resistance (Ω, must be positive).
+    /// Sets a resistor's resistance (Ω, must be finite and positive).
     Resistance {
         /// Target resistor.
         device: DeviceId,
         /// New resistance (Ω).
         ohms: f64,
     },
-    /// Sets a capacitor's capacitance (F, must be positive).
+    /// Sets a capacitor's capacitance (F, must be finite and positive).
     Capacitance {
         /// Target capacitor.
         device: DeviceId,
         /// New capacitance (F).
         farads: f64,
     },
-    /// Sets an inductor's inductance (H, must be positive).
+    /// Sets an inductor's inductance (H, must be finite and positive).
     Inductance {
         /// Target inductor.
         device: DeviceId,
@@ -231,8 +231,8 @@ pub enum CircuitOverride {
         /// Multiplicative level factor.
         factor: f64,
     },
-    /// Resizes a MOSFET's drawn width (m, must be positive). Pelgrom
-    /// mismatch parameters attached to the device are re-scaled by
+    /// Resizes a MOSFET's drawn width (m, must be finite and positive).
+    /// Pelgrom mismatch parameters attached to the device are re-scaled by
     /// `√(W_old/W_new)` (σ ∝ 1/√(W·L)).
     MosWidth {
         /// Target MOSFET.
@@ -243,7 +243,7 @@ pub enum CircuitOverride {
     /// Scales every registered mismatch σ (the Fig. 11-style mismatch-level
     /// sweep). Statistical-only: does not change the solved equations.
     SigmaScale {
-        /// Multiplicative σ factor (non-negative).
+        /// Multiplicative σ factor (finite, non-negative).
         factor: f64,
     },
     /// Sets one mismatch parameter's σ. Statistical-only.
@@ -1108,8 +1108,9 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] for a kind mismatch
-    /// (e.g. a resistance override on a capacitor) or a non-positive
-    /// element value, and [`CircuitError::UnknownMismatchParam`] /
+    /// (e.g. a resistance override on a capacitor), a non-finite or
+    /// non-positive element value, a non-finite source level or scale, a
+    /// non-finite or negative σ (scale), and [`CircuitError::UnknownMismatchParam`] /
     /// [`CircuitError::UnknownDevice`] for out-of-range indices. The
     /// circuit is modified up to the failing override.
     pub fn revalue(&mut self, overrides: &[CircuitOverride]) -> Result<(), CircuitError> {
@@ -1127,12 +1128,12 @@ impl Circuit {
             Ok(())
         };
         let positive = |this: &Circuit, id: DeviceId, what: &str, v: f64| {
-            if v > 0.0 {
+            if v.is_finite() && v > 0.0 {
                 Ok(())
             } else {
                 Err(CircuitError::InvalidParameter {
                     device: this.labels[id.0].clone(),
-                    reason: format!("{what} must be positive, got {v:e}"),
+                    reason: format!("{what} must be finite and positive, got {v:e}"),
                 })
             }
         };
@@ -1227,10 +1228,12 @@ impl Circuit {
                 }
             }
             CircuitOverride::SigmaScale { factor } => {
-                if factor.is_nan() || factor < 0.0 {
+                if !factor.is_finite() || factor < 0.0 {
                     return Err(CircuitError::InvalidParameter {
                         device: "<all mismatch>".into(),
-                        reason: format!("sigma scale must be non-negative, got {factor:e}"),
+                        reason: format!(
+                            "sigma scale must be finite and non-negative, got {factor:e}"
+                        ),
                     });
                 }
                 for p in &mut self.mismatch {
@@ -1440,6 +1443,13 @@ mod tests {
         );
         ckt.annotate_pelgrom(m, 6.5e-9, 3.25e-8);
         let before = ckt.mismatch_sigmas();
+        assert!(ckt
+            .revalue(&[CircuitOverride::MosWidth {
+                device: m,
+                width: f64::INFINITY,
+            }])
+            .is_err());
+        assert_eq!(ckt.mismatch_sigmas(), before);
         ckt.revalue(&[CircuitOverride::MosWidth {
             device: m,
             width: 8e-6,
@@ -1467,12 +1477,11 @@ mod tests {
                 farads: 1e-9
             }])
             .is_err());
-        assert!(ckt
-            .revalue(&[CircuitOverride::Resistance {
-                device: r1,
-                ohms: -5.0
-            }])
-            .is_err());
+        for ohms in [-5.0, f64::INFINITY, f64::NAN] {
+            assert!(ckt
+                .revalue(&[CircuitOverride::Resistance { device: r1, ohms }])
+                .is_err());
+        }
         assert!(ckt
             .revalue(&[CircuitOverride::SigmaSet {
                 param: 3,
@@ -1492,9 +1501,11 @@ mod tests {
                 sigma: f64::NAN
             }])
             .is_err());
-        assert!(ckt
-            .revalue(&[CircuitOverride::SigmaScale { factor: -2.0 }])
-            .is_err());
+        for factor in [-2.0, f64::INFINITY, f64::NAN] {
+            assert!(ckt
+                .revalue(&[CircuitOverride::SigmaScale { factor }])
+                .is_err());
+        }
         let v1 = ckt.find_device("V1").unwrap();
         assert!(ckt
             .revalue(&[CircuitOverride::SourceDc {

@@ -155,18 +155,17 @@ pub fn analyze_in(
     config: &PssConfig,
     metrics: &[MetricSpec],
 ) -> Result<AnalysisResult, CoreError> {
-    let table = solve_table(session, ckt, config, metrics)?;
+    let (pss, table) = solve_table(session, ckt, config, metrics)?;
     let reports = table.reports(ckt, metrics)?;
-    Ok(AnalysisResult {
-        pss: table.pss,
-        reports,
-    })
+    Ok(AnalysisResult { pss, reports })
 }
 
 /// The solve half of the flow on `session`: the PSS orbit, then every
 /// unit-parameter periodic response. The configuration's budget is checked
 /// at the boundary between the two stages, so the LPTV stage never starts
-/// on an exhausted budget. The product of [`crate::campaign::solve_unique`].
+/// on an exhausted budget. This is the whole-trajectory product of
+/// [`crate::campaign::solve_unique`], the oracle that [`solve_table`]'s
+/// narrowed propagation is tested against; no shipping path calls it.
 pub(crate) fn solve_responses(
     session: &mut Session,
     ckt: &Circuit,
@@ -178,15 +177,21 @@ pub(crate) fn solve_responses(
     Ok((pss, responses))
 }
 
-/// The product of one solve for a fixed metric set: the orbit plus, per
-/// metric, its nominal value and unit-parameter sensitivities. Like the
-/// responses it is built from, it does not depend on the mismatch σ, so
-/// every scenario sharing the solve reads its reports off the same table
-/// ([`SensitivityTable::reports`]).
+/// The product of one solve for a fixed metric set: per metric, its
+/// nominal value and one unit-parameter sensitivity per mismatch
+/// parameter, or the typed error that stopped its extraction on this
+/// orbit. Like the responses it is built from, it does not depend on the
+/// mismatch σ, so every scenario sharing the solve reads its reports off
+/// the same table ([`Campaign::assemble`]); it holds neither the
+/// orbit nor any response, so it is what a cache of solves keeps.
+///
+/// The table is opaque: only a solve builds it ([`analyze_in`],
+/// [`Campaign::solve_key`]) and only report assembly reads it.
+///
+/// [`Campaign::assemble`]: crate::campaign::Campaign::assemble
+/// [`Campaign::solve_key`]: crate::campaign::Campaign::solve_key
 #[derive(Debug)]
-pub(crate) struct SensitivityTable {
-    /// The converged orbit, shared with every result built from the table.
-    pub(crate) pss: Arc<PssSolution>,
+pub struct SensitivityTable {
     /// Per metric (request order): nominal value and per-parameter
     /// sensitivities, or the metric's extraction error.
     metrics: Vec<Result<(f64, Vec<f64>), CoreError>>,
@@ -200,7 +205,8 @@ impl SensitivityTable {
     /// # Errors
     ///
     /// The first metric's extraction error; [`CoreError::BadConfig`] if
-    /// `ckt` has a different number of mismatch parameters than the solve.
+    /// `ckt` has a different number of mismatch parameters than the solve;
+    /// [`CoreError::Metric`] for a non-finite report (see [`report`]).
     pub(crate) fn reports(
         &self,
         ckt: &Circuit,
@@ -222,16 +228,16 @@ impl SensitivityTable {
 /// one propagation of every parameter restricted to the metrics' nodes
 /// through their last read sample ([`PeriodicSolver::node_responses`]),
 /// turned into a [`SensitivityTable`] by the metrics' [`Readout`]s. The
-/// budget is checked at the PSS → LPTV boundary, as in
-/// [`solve_responses`]. A metric that cannot be extracted on this orbit is
-/// recorded in the table, not returned: it fails the reports, not the
-/// solve.
+/// orbit is returned beside the table, shared. The budget is checked at
+/// the PSS → LPTV boundary, as in [`solve_responses`]. A metric that
+/// cannot be extracted on this orbit is recorded in the table, not
+/// returned: it fails the reports, not the solve.
 pub(crate) fn solve_table(
     session: &mut Session,
     ckt: &Circuit,
     config: &PssConfig,
     metrics: &[MetricSpec],
-) -> Result<SensitivityTable, CoreError> {
+) -> Result<(Arc<PssSolution>, SensitivityTable), CoreError> {
     let pss = Arc::new(solve_pss_in(session, ckt, config)?);
     budget_of(config).checkpoint("lptv")?;
     let solver = PeriodicSolver::with_session(ckt, &pss, session)?;
@@ -274,13 +280,20 @@ pub(crate) fn solve_table(
         })
         .collect();
     drop(solver);
-    Ok(SensitivityTable { pss, metrics })
+    Ok((pss, SensitivityTable { metrics }))
 }
 
 /// One metric's [`VariationReport`]: its sensitivities paired with the
 /// mismatch parameters (labels and σ) of the circuit being reported on.
-/// A count mismatch is an error: zipping would silently drop
-/// contributions and under-report σ.
+/// Every report of `analyze`, a campaign and the daemon is made here.
+///
+/// # Errors
+///
+/// [`CoreError::BadConfig`] for a count mismatch: zipping would silently
+/// drop contributions and under-report σ. [`CoreError::Metric`] when the
+/// nominal value, a sensitivity or the resulting σ is not finite (e.g. a
+/// σ so large that the variance sum overflows): the linear model has no
+/// answer to give.
 fn report(
     spec: &MetricSpec,
     nominal: f64,
@@ -294,7 +307,7 @@ fn report(
             params.len()
         )));
     }
-    Ok(VariationReport {
+    let rep = VariationReport {
         metric: spec.name.clone(),
         nominal,
         contributions: params
@@ -308,7 +321,17 @@ fn report(
                 sigma: param.sigma,
             })
             .collect(),
-    })
+    };
+    // A non-finite sensitivity makes σ non-finite too (∞·0 is NaN).
+    let sigma = rep.sigma();
+    if nominal.is_finite() && sigma.is_finite() {
+        Ok(rep)
+    } else {
+        Err(CoreError::Metric(format!(
+            "`{}` is not finite: nominal {nominal:e}, sigma {sigma:e}",
+            spec.name
+        )))
+    }
 }
 
 /// The linear-solver backend a configuration asks for.
@@ -375,10 +398,16 @@ pub fn solve_pss_in(
 /// every response by the same per-metric readout code [`analyze`] runs on its
 /// narrowed propagation, so the two produce bit-identical reports.
 ///
+/// This is the whole-trajectory oracle form: no shipping path calls it.
+/// The integration tests (`tests/sensitivity_table.rs`), the
+/// `mismatch_analysis` bench and the perfbench replays compare the
+/// shipping paths against it.
+///
 /// # Errors
 ///
-/// Metric-extraction failures, and [`CoreError::BadConfig`] if `responses`
-/// does not hold exactly one response per mismatch parameter of `ckt`.
+/// Metric-extraction failures (a non-finite report included), and
+/// [`CoreError::BadConfig`] if `responses` does not hold exactly one
+/// response per mismatch parameter of `ckt`.
 pub fn reports_from_responses(
     ckt: &Circuit,
     pss: &PssSolution,
@@ -601,6 +630,29 @@ mod tests {
         assert!(matches!(
             reports_from_responses(&ckt, &pss, &responses, metrics),
             Err(CoreError::BadConfig(_))
+        ));
+    }
+
+    /// A σ so large that the variance sum overflows is a typed metric
+    /// error on both report paths, not an infinite σ.
+    #[test]
+    fn an_overflowing_sigma_is_a_metric_error() {
+        let (mut ckt, config, spec) = budgeted_divider(u64::MAX);
+        let r1 = ckt.find_device("R1").unwrap();
+        ckt.annotate_resistor_mismatch(r1, 1e300);
+        let metrics = std::slice::from_ref(&spec);
+        assert!(matches!(
+            analyze(&ckt, &config, metrics),
+            Err(CoreError::Metric(_))
+        ));
+        let pss = solve_pss(&ckt, &config).unwrap();
+        let responses = PeriodicSolver::with_session(&ckt, &pss, &Session::default())
+            .unwrap()
+            .all_param_responses()
+            .unwrap();
+        assert!(matches!(
+            reports_from_responses(&ckt, &pss, &responses, metrics),
+            Err(CoreError::Metric(_))
         ));
     }
 

@@ -22,12 +22,18 @@
 //!    [statistical-only](CircuitOverride::is_statistical_only) overrides,
 //!    e.g. a σ-level sweep) share one PSS+LPTV solve, the campaign-layer
 //!    version of the paper's "no additional simulation cost" claim. What
-//!    they share is the solve's sensitivity table: the orbit (one
+//!    they share is the solve's [`SensitivityTable`] (each metric's
+//!    nominal value and per-parameter sensitivities, propagated only as
+//!    far as the metrics read) and, beside it, the orbit: one
 //!    `Arc<PssSolution>` that every sharing scenario's
-//!    [`AnalysisResult::pss`] points at) plus each metric's nominal value
-//!    and per-parameter sensitivities, propagated only as far as the
-//!    metrics read. A scenario copies neither the orbit nor any response;
-//!    it only pairs the table with its own revalued circuit's σ.
+//!    [`AnalysisResult::pss`] points at. A scenario copies neither the
+//!    orbit nor any response; it only pairs the table with its own
+//!    revalued circuit's σ.
+//!
+//! Both steps are [`Campaign`] methods, [`Campaign::solve_key`] and
+//! [`Campaign::assemble`], so a caller that keeps its own cache of
+//! solves across calls (the serving daemon keeps the tables) runs exactly
+//! the code [`Campaign::run`] runs.
 //!
 //! Determinism: scenarios are keyed and chunked position-wise, each unique
 //! solve is an isolated function of (base circuit, solve overrides), and —
@@ -43,6 +49,7 @@ use crate::analysis::{
     MetricSpec, PssConfig, SensitivityTable,
 };
 use crate::error::CoreError;
+use crate::report::VariationReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tranvar_circuit::{Circuit, CircuitOverride};
@@ -93,8 +100,8 @@ impl Scenario {
 /// solve-override list in first-appearance order, and `key_of_scenario[i]`
 /// indexes the key scenario `i` shares. σ-only variants of one operating
 /// point therefore map to the same key — both [`Campaign::run`] and a
-/// response cache keyed on solves (e.g. a serving layer deduplicating
-/// concurrent requests) rely on exactly this grouping.
+/// cache of solves keyed on them (e.g. a serving layer sharing solves
+/// across requests) rely on exactly this grouping.
 pub fn solve_groups(scenarios: &[Scenario]) -> (Vec<Vec<CircuitOverride>>, Vec<usize>) {
     let mut keys: Vec<Vec<CircuitOverride>> = Vec::new();
     let mut key_of_scenario = Vec::with_capacity(scenarios.len());
@@ -202,24 +209,15 @@ impl Campaign {
             // worker lets them auto-thread.
             threads: if workers > 1 { 1 } else { 0 },
         };
-        type TableOutcome = Result<SensitivityTable, CoreError>;
+        type KeyOutcome = Result<(Arc<PssSolution>, SensitivityTable), CoreError>;
         let solve_chunk =
-            |range: (usize, usize)| -> (Vec<(TableOutcome, SolveDiagnostics)>, SessionStats) {
+            |range: (usize, usize)| -> (Vec<(KeyOutcome, SolveDiagnostics)>, SessionStats) {
                 let (start, len) = range;
                 let mut stats = SessionStats::default();
                 let mut session = Session::new(worker_session);
                 let mut outcomes = Vec::with_capacity(len);
                 for (j, key) in solve_keys[start..start + len].iter().enumerate() {
-                    let vs = solve_unique_with(
-                        &mut session,
-                        base,
-                        key,
-                        &self.config,
-                        &self.retry,
-                        start + j,
-                        &mut stats,
-                        |session, ckt, config| solve_table(session, ckt, config, &self.metrics),
-                    );
+                    let vs = self.solve_key(&mut session, base, key, start + j, &mut stats);
                     if vs.poisoned {
                         // A caught panic may have left the session's cached
                         // workspaces mid-update; retire it so the chunk's
@@ -252,12 +250,13 @@ impl Campaign {
             .map(|(sc, &key)| {
                 let result = match &solves[key] {
                     Err(e) => Err(e.clone()),
-                    Ok(table) => scenario_circuit(base, sc)
-                        .and_then(|ckt| table.reports(&ckt, &self.metrics))
-                        .map(|reports| AnalysisResult {
-                            pss: Arc::clone(&table.pss),
-                            reports,
-                        }),
+                    Ok((pss, table)) => {
+                        self.assemble(base, sc, table)
+                            .map(|reports| AnalysisResult {
+                                pss: Arc::clone(pss),
+                                reports,
+                            })
+                    }
                 };
                 ScenarioOutcome {
                     scenario: sc.name.clone(),
@@ -279,14 +278,60 @@ impl Campaign {
             stats,
         })
     }
+
+    /// Runs the unique solve of one [`solve_groups`] key: the base circuit
+    /// revalued by `solve_overrides`, solved to the campaign's
+    /// [`SensitivityTable`], with the orbit returned beside it. The solve
+    /// is panic-isolated and climbs the campaign's retry ladder (see
+    /// [`Campaign::with_retry`]); `solve_index` is its fault-injection
+    /// index. This is the per-key step of [`Campaign::run`], and of a
+    /// caller that caches tables across calls.
+    pub fn solve_key(
+        &self,
+        session: &mut Session,
+        base: &Circuit,
+        solve_overrides: &[CircuitOverride],
+        solve_index: usize,
+        stats: &mut SessionStats,
+    ) -> UniqueSolve<(Arc<PssSolution>, SensitivityTable)> {
+        solve_unique_with(
+            session,
+            base,
+            solve_overrides,
+            &self.config,
+            &self.retry,
+            solve_index,
+            stats,
+            |session, ckt, config| solve_table(session, ckt, config, &self.metrics),
+        )
+    }
+
+    /// Assembles one scenario's reports from the table of its key (a
+    /// [`Campaign::solve_key`] product): the scenario's fully revalued
+    /// circuit supplies the σ. This is the per-scenario step of
+    /// [`Campaign::run`].
+    ///
+    /// # Errors
+    ///
+    /// Override failures; the table's metric-extraction error for the
+    /// first metric that has one; [`CoreError::Metric`] for a non-finite
+    /// report (e.g. a σ whose variance sum overflows).
+    pub fn assemble(
+        &self,
+        base: &Circuit,
+        sc: &Scenario,
+        table: &SensitivityTable,
+    ) -> Result<Vec<VariationReport>, CoreError> {
+        table.reports(&scenario_circuit(base, sc)?, &self.metrics)
+    }
 }
 
-/// The result of one unique solve run through [`solve_unique`]: the
-/// campaign's panic-isolated, retry-escalated solve path, exposed for
-/// callers that manage their own dedup/caching (e.g. a serving layer).
-/// `T` is what the solve produces: by default the PSS orbit plus every
-/// unit-parameter response; [`Campaign::run`] produces a sensitivity table
-/// for its metric set through the same path.
+/// The result of one unique solve through the campaign's panic-isolated,
+/// retry-escalated solve path. `T` is what the solve produces:
+/// [`Campaign::solve_key`] (hence [`Campaign::run`] and the serving
+/// daemon) produces the orbit and a [`SensitivityTable`] for its metric
+/// set; the default, the PSS orbit plus every unit-parameter response, is
+/// the whole-trajectory oracle form that [`solve_unique`] returns.
 pub struct UniqueSolve<T = (PssSolution, Vec<PeriodicResponse>)> {
     /// The solve's product, or the typed failure.
     pub outcome: Result<T, CoreError>,
@@ -301,11 +346,12 @@ pub struct UniqueSolve<T = (PssSolution, Vec<PeriodicResponse>)> {
 /// Runs one unique solve (PSS orbit + every unit-parameter response) with
 /// the campaign's panic isolation and retry ladder.
 ///
-/// This is the per-key solve [`Campaign::run`] performs after
-/// [`solve_groups`] deduplication — same escalation ladder, same
-/// fault-injection sites — with whole responses as its product, so
-/// [`scenario_reports`] on it is bit-identical to the campaign's reports
-/// on the dense backend. Every attempt
+/// This is the whole-trajectory oracle form of [`Campaign::solve_key`] —
+/// same escalation ladder, same fault-injection sites — with whole
+/// responses as its product, so [`scenario_reports`] on it is
+/// bit-identical to the campaign's reports on the dense backend. No
+/// shipping path calls it: `tests/sensitivity_table.rs`, the campaign's
+/// retry tests and the perfbench replays do. Every attempt
 /// runs through the engine's retry ladder ([`run_ladder`]) and lands in
 /// the trail. `SwitchBackend` attempts run on a throwaway session of the
 /// other backend than `session`'s (sessions pin their solver); its
@@ -463,9 +509,11 @@ fn engine_view(e: &CoreError) -> tranvar_engine::EngineError {
     }
 }
 
-/// Assembles one scenario's variation reports from a shared solve: the
-/// σ-only assembly step [`Campaign::run`] performs per scenario, exposed
-/// for callers that cache solves across requests (see [`solve_unique`]).
+/// Assembles one scenario's variation reports from a [`solve_unique`]
+/// product: the whole-trajectory oracle form of
+/// [`Campaign::assemble`], bit-identical to it on the dense
+/// backend. `tests/sensitivity_table.rs` and the perfbench replays call
+/// it.
 ///
 /// # Errors
 ///
@@ -476,7 +524,7 @@ pub fn scenario_reports(
     pss: &PssSolution,
     responses: &[PeriodicResponse],
     metrics: &[MetricSpec],
-) -> Result<Vec<crate::report::VariationReport>, CoreError> {
+) -> Result<Vec<VariationReport>, CoreError> {
     reports_from_responses(&scenario_circuit(base, sc)?, pss, responses, metrics)
 }
 

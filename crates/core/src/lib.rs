@@ -61,7 +61,7 @@ pub mod sensitivity;
 
 pub use analysis::{
     analyze, analyze_in, reports_from_responses, solve_pss, solve_pss_in, AnalysisResult,
-    MetricSpec, PssConfig,
+    MetricSpec, PssConfig, SensitivityTable,
 };
 pub use campaign::{
     run_scenarios_per_call, scenario_reports, solve_groups, solve_unique, Campaign, CampaignResult,

@@ -22,7 +22,7 @@
 //! re-trip it.
 //!
 //! [`run_ladder`] is the one escalation loop. `tranvar_core`'s
-//! `solve_unique` runs it per unique solve, which is how
+//! `Campaign::solve_key` runs it per unique solve, which is how
 //! `Campaign::with_retry` and the serving daemon's `retry` option rescue a
 //! failing corner. Every attempt is recorded in a [`SolveDiagnostics`]
 //! trail, so a campaign report can say not just *that* a corner needed
@@ -202,7 +202,7 @@ pub fn ladder(policy: &RetryPolicy) -> &'static [Escalation] {
 }
 
 /// Runs the escalation loop: the periodic ladder `tranvar-core`'s
-/// `solve_unique` climbs for every campaign and daemon solve.
+/// `Campaign::solve_key` climbs for every campaign and daemon solve.
 ///
 /// `solve_one(esc)` performs one attempt at rung `esc`, applying the rung
 /// to the caller's cumulative configuration first. The fault-injection

@@ -1,13 +1,16 @@
-//! The circuit-hash-keyed solve cache.
+//! The circuit-hash-keyed sensitivity-table cache.
 //!
 //! The expensive part of a request is the PSS + LPTV solve of each unique
 //! variant; mismatch σ enters only the cheap report assembly (the
 //! campaign's "no additional simulation cost" sharing, see
 //! [`tranvar::core::solve_groups`]). The daemon extends that sharing
-//! *across requests*: solves are cached under a digest of everything the
-//! solve reads — deck, period, step count, retry ladder, solve-affecting
-//! overrides — so σ-only request variants (σ-level sweeps, re-polls) are
-//! served from memory. Entries are `Arc`-shared and evicted
+//! *across requests*: the product of each solve, its
+//! [`SensitivityTable`] (per metric, a nominal value and one float per
+//! mismatch parameter, or that metric's typed error), is cached under a
+//! digest of everything the solve reads — deck, period, step count, retry
+//! ladder, metric list, solve-affecting overrides — so σ-only request
+//! variants (σ-level sweeps, re-polls) are served from memory. No entry
+//! holds an orbit or a response. Entries are `Arc`-shared and evicted
 //! least-recently-used beyond a bounded capacity.
 //!
 //! Key stability: [`std::collections::hash_map::DefaultHasher`] (SipHash
@@ -23,18 +26,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tranvar::circuit::CircuitOverride;
-use tranvar::lptv::PeriodicResponse;
-use tranvar::pss::PssSolution;
+use tranvar::core::{MetricSpec, SensitivityTable};
 
-/// One cached unique solve: the PSS orbit plus unit-parameter responses.
-pub type SolveData = (PssSolution, Vec<PeriodicResponse>);
-
-/// Digest of everything a unique solve reads; the cache key.
+/// Digest of everything a unique solve reads; the cache key. Of the
+/// metrics it hashes what the table is built from, each
+/// [`Metric`](tranvar::core::Metric) in order, not the report names: a
+/// JSON request names its metrics outside the deck text, and two metric
+/// sets must not share one table.
 pub fn solve_digest(
     deck: &str,
     period: f64,
     n_steps: usize,
     retry: bool,
+    metrics: &[MetricSpec],
     solve_overrides: &[CircuitOverride],
 ) -> u64 {
     let mut h = DefaultHasher::new();
@@ -42,45 +46,11 @@ pub fn solve_digest(
     period.to_bits().hash(&mut h);
     n_steps.hash(&mut h);
     retry.hash(&mut h);
-    solve_overrides.len().hash(&mut h);
-    for ov in solve_overrides {
-        match ov {
-            CircuitOverride::Resistance { device, ohms } => {
-                (0u8, device.index(), ohms.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::Capacitance { device, farads } => {
-                (1u8, device.index(), farads.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::Inductance { device, henries } => {
-                (2u8, device.index(), henries.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::SourceDc { device, value } => {
-                (3u8, device.index(), value.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::SourceScale { device, factor } => {
-                (4u8, device.index(), factor.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::MosWidth { device, width } => {
-                (5u8, device.index(), width.to_bits()).hash(&mut h);
-            }
-            // Statistical-only overrides never reach a solve key
-            // (`Scenario::solve_overrides` strips them), but hash them
-            // anyway so the digest is total over the enum.
-            CircuitOverride::SigmaScale { factor } => {
-                (6u8, 0usize, factor.to_bits()).hash(&mut h);
-            }
-            CircuitOverride::SigmaSet { param, sigma } => {
-                (7u8, *param, sigma.to_bits()).hash(&mut h);
-            }
-            // `CircuitOverride` is non-exhaustive; a future variant must
-            // still land in the digest, so fall back to its debug form
-            // (deterministic, if slower — update with a typed arm when one
-            // appears).
-            other => {
-                (255u8, format!("{other:?}")).hash(&mut h);
-            }
-        }
-    }
+    // The debug forms are exact (shortest round-trip floats, device and
+    // node indices) and total over both non-exhaustive enums; a request
+    // has a handful of each.
+    let metrics: Vec<_> = metrics.iter().map(|spec| &spec.metric).collect();
+    format!("{metrics:?} {solve_overrides:?}").hash(&mut h);
     h.finish()
 }
 
@@ -96,7 +66,7 @@ struct Lru<V> {
 }
 
 /// A bounded, thread-safe LRU cache keyed by [`solve_digest`]; the daemon
-/// instantiates it with `Arc<SolveData>` values.
+/// instantiates it with `Arc<SensitivityTable>` values ([`ServeCache`]).
 pub struct SolveCache<V> {
     inner: Mutex<Lru<V>>,
     capacity: usize,
@@ -104,11 +74,13 @@ pub struct SolveCache<V> {
     misses: AtomicU64,
 }
 
-/// The daemon's concrete cache: `Arc`-shared successful solves.
-pub type ServeCache = SolveCache<Arc<SolveData>>;
+/// The daemon's concrete cache: the `Arc`-shared sensitivity tables of
+/// successful solves. A table records its metrics' extraction errors, so
+/// a metric that fails on an orbit is answered from the cache too.
+pub type ServeCache = SolveCache<Arc<SensitivityTable>>;
 
 impl<V: Clone> SolveCache<V> {
-    /// Creates a cache holding at most `capacity` solves (0 disables).
+    /// Creates a cache holding at most `capacity` entries (0 disables).
     pub fn new(capacity: usize) -> Self {
         SolveCache {
             inner: Mutex::new(Lru {
@@ -121,7 +93,7 @@ impl<V: Clone> SolveCache<V> {
         }
     }
 
-    /// Looks up a solve, refreshing its LRU stamp and counting hit/miss.
+    /// Looks up an entry, refreshing its LRU stamp and counting hit/miss.
     pub fn get(&self, key: u64) -> Option<V> {
         let mut lru = self.lock();
         lru.tick += 1;
@@ -142,7 +114,7 @@ impl<V: Clone> SolveCache<V> {
         }
     }
 
-    /// Inserts a solve, evicting the least-recently-used entry when full.
+    /// Inserts an entry, evicting the least-recently-used one when full.
     pub fn insert(&self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
@@ -186,15 +158,32 @@ impl<V: Clone> SolveCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tranvar::core::Metric;
 
     #[test]
     fn digest_separates_solve_inputs_but_not_sigma() {
-        let base = solve_digest("divider", 1e-6, 16, false, &[]);
-        assert_eq!(base, solve_digest("divider", 1e-6, 16, false, &[]));
-        assert_ne!(base, solve_digest("divider", 2e-6, 16, false, &[]));
-        assert_ne!(base, solve_digest("divider", 1e-6, 32, false, &[]));
-        assert_ne!(base, solve_digest("divider", 1e-6, 16, true, &[]));
-        assert_ne!(base, solve_digest("rc-lowpass", 1e-6, 16, false, &[]));
+        let ckt = crate::deck::build("divider").unwrap();
+        let b = ckt.find_node("b").unwrap();
+        let vout = [MetricSpec::new("vout", Metric::DcAverage { node: b })];
+        let digest = |deck: &str, period, n_steps, retry, metrics: &[MetricSpec]| {
+            solve_digest(deck, period, n_steps, retry, metrics, &[])
+        };
+        let hot = [CircuitOverride::Resistance {
+            device: ckt.find_device("R1").unwrap(),
+            ohms: 1100.0,
+        }];
+        let base = digest("divider", 1e-6, 16, false, &vout);
+        assert_eq!(base, digest("divider", 1e-6, 16, false, &vout));
+        assert_ne!(base, digest("divider", 2e-6, 16, false, &vout));
+        assert_ne!(base, digest("divider", 1e-6, 32, false, &vout));
+        assert_ne!(base, digest("divider", 1e-6, 16, true, &vout));
+        assert_ne!(base, digest("rc-lowpass", 1e-6, 16, false, &vout));
+        assert_ne!(base, solve_digest("divider", 1e-6, 16, false, &vout, &hot));
+        // Another metric list is another table; a renamed metric is not.
+        let freq = [MetricSpec::new("vout", Metric::Frequency)];
+        assert_ne!(base, digest("divider", 1e-6, 16, false, &freq));
+        let renamed = [MetricSpec::new("v", Metric::DcAverage { node: b })];
+        assert_eq!(base, digest("divider", 1e-6, 16, false, &renamed));
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!   boundary, answered as typed `500`s, and any session that was mid-solve
 //!   is retired from the [`SessionPool`](tranvar::engine::SessionPool) —
 //!   which never drops below its floor.
-//! - **Solve caching** ([`cache`]): responses are assembled from
-//!   circuit-hash-keyed cached PSS/LPTV solves, so σ-only request variants
-//!   share one solve across requests (the paper's "no additional
+//! - **Solve caching** ([`cache`]): a request runs as a
+//!   [`Campaign`](tranvar::core::Campaign) whose per-key solves are
+//!   cached as circuit-hash-keyed sensitivity tables, so σ-only request
+//!   variants share one solve across requests (the paper's "no additional
 //!   simulation cost" sharing, extended service-side) with bounded LRU
 //!   eviction.
 //! - **Byte-determinism** ([`wire`], [`json`]): the same request renders

@@ -10,13 +10,16 @@
 //!    [`Queue`]. A full queue sheds with a typed 429 whose `Retry-After`
 //!    grows with queue depth.
 //! 2. A **worker** pops the job, re-checks the deadline (a request that
-//!    aged out in the queue 504s without touching a session), runs the
-//!    campaign's own per-key solve path ([`tranvar::core::solve_unique`])
-//!    against a checked-out [`SessionPool`] session for every cache-miss
-//!    key, and assembles per-scenario reports. Worker panics are caught at
-//!    the job boundary (PR-6 isolation) and answered as typed 500s;
-//!    sessions that were mid-solve when a panic fired are retired, never
-//!    reused.
+//!    aged out in the queue 504s without touching a session), and runs
+//!    the request as a cached [`Campaign`]: for every cache-miss key, the
+//!    campaign's own per-key solve ([`Campaign::solve_key`]) on a
+//!    checked-out [`SessionPool`] session, whose sensitivity table is
+//!    cached; for every scenario, the campaign's own assembly
+//!    ([`Campaign::assemble`]) from its key's table. A body thus
+//!    equals [`Campaign::run`]'s because it is made by the same code.
+//!    Worker panics are caught at the job boundary and answered as typed
+//!    500s; sessions that were mid-solve when a panic fired are retired,
+//!    never reused.
 //! 3. **Shutdown** (`POST /shutdown` or [`Server::shutdown`]) stops
 //!    admission, lets workers drain the queue (each job still subject to
 //!    its own deadline), and joins every thread — a clean exit.
@@ -26,7 +29,7 @@
 //! inject panics, deadline expiry and worker stalls deterministically; the
 //! fault plan active on the constructing thread is adopted by every worker.
 
-use crate::cache::{solve_digest, ServeCache, SolveData};
+use crate::cache::{solve_digest, ServeCache};
 use crate::http::{read_request, write_response, Parsed, Request, Response};
 use crate::queue::Queue;
 use crate::wire::{self, AnalyzeRequest, WireError};
@@ -37,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tranvar::core::{scenario_reports, solve_groups, solve_unique, CoreError};
+use tranvar::core::{solve_groups, Campaign, CoreError, SensitivityTable};
 use tranvar::engine::fault::{self, sites};
 use tranvar::engine::{
     BudgetLimits, RetryPolicy, SessionOptions, SessionPool, SessionStats, SolveBudget,
@@ -443,54 +446,53 @@ fn handle(state: &State, job: &Job) -> Response {
         ));
     }
 
-    let config = pss_config(req, &job.budget);
     let policy = if req.retry {
         RetryPolicy::default()
     } else {
         RetryPolicy::none()
     };
+    let campaign =
+        Campaign::new(pss_config(req, &job.budget), req.metrics.clone()).with_retry(policy);
 
-    // ── Solve each unique variant (cache first). ──
+    // ── Solve each unique variant to its table (cache first). ──
     let (solve_keys, key_of_scenario) = solve_groups(&req.scenarios);
     let mut request_hits = 0u64;
-    let mut solves: Vec<Result<Arc<SolveData>, CoreError>> = Vec::with_capacity(solve_keys.len());
+    let mut tables: Vec<Result<Arc<SensitivityTable>, CoreError>> =
+        Vec::with_capacity(solve_keys.len());
     for key in &solve_keys {
-        let digest = solve_digest(&req.deck, req.period, req.n_steps, req.retry, key);
-        if let Some(data) = state.cache.get(digest) {
+        let digest = solve_digest(
+            &req.deck,
+            req.period,
+            req.n_steps,
+            req.retry,
+            &req.metrics,
+            key,
+        );
+        if let Some(table) = state.cache.get(digest) {
             request_hits += 1;
-            solves.push(Ok(data));
+            tables.push(Ok(table));
             continue;
         }
         let solve_index = state.solve_counter.fetch_add(1, Ordering::SeqCst);
         if let Some(e) = fault::request_fault(sites::SERVE_SOLVE, solve_index) {
-            solves.push(Err(CoreError::from(e)));
+            tables.push(Err(CoreError::from(e)));
             continue;
         }
         let mut session = state.pool.checkout();
         let mut stats = SessionStats::default();
-        let unique = solve_unique(
-            &mut session,
-            &req.circuit,
-            key,
-            &config,
-            &policy,
-            solve_index,
-            &mut stats,
-        );
+        let unique = campaign.solve_key(&mut session, &req.circuit, key, solve_index, &mut stats);
         if unique.poisoned {
             // A caught panic may have left half-updated session caches.
             state.pool.retire(session);
         } else {
             state.pool.give_back(session);
         }
-        match unique.outcome {
-            Ok(data) => {
-                let data = Arc::new(data);
-                state.cache.insert(digest, data.clone());
-                solves.push(Ok(data));
-            }
-            Err(e) => solves.push(Err(e)),
-        }
+        // The orbit is dropped here: no body reads it.
+        tables.push(unique.outcome.map(|(_, table)| {
+            let table = Arc::new(table);
+            state.cache.insert(digest, Arc::clone(&table));
+            table
+        }));
     }
 
     // ── Assemble per-scenario reports against their own σ. ──
@@ -499,9 +501,9 @@ fn handle(state: &State, job: &Job) -> Response {
         .iter()
         .zip(&key_of_scenario)
         .map(|(sc, &key)| {
-            let reports = match &solves[key] {
+            let reports = match &tables[key] {
                 Err(e) => Err(e.clone()),
-                Ok(data) => scenario_reports(&req.circuit, sc, &data.0, &data.1, &req.metrics),
+                Ok(table) => campaign.assemble(&req.circuit, sc, table),
             };
             (sc.name.clone(), reports)
         })

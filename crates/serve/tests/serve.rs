@@ -7,9 +7,9 @@ mod common;
 use common::{counter, get, post, post_spice};
 use std::net::TcpStream;
 use tranvar::circuit::CircuitOverride;
-use tranvar::core::{Campaign, Metric, MetricSpec, PssConfig, Scenario};
+use tranvar::core::{Campaign, CampaignResult, CoreError, Metric, MetricSpec, PssConfig, Scenario};
 use tranvar::pss::PssOptions;
-use tranvar_serve::{body_from_campaign, deck, Server, ServerConfig};
+use tranvar_serve::{body_from_campaign, deck, wire, Server, ServerConfig};
 
 fn start(workers: usize, queue_depth: usize) -> Server {
     Server::start(ServerConfig {
@@ -235,6 +235,23 @@ fn bad_requests_get_typed_400s() {
         r.body
     );
 
+    // The JSON parser reads `1e999` as +inf: an infinite σ scale or
+    // element value is an invalid parameter, not a 200 with a null σ or a
+    // zero nominal.
+    for (from, to) in [
+        ("\"factor\": 2.0", "\"factor\": 1e999"),
+        ("\"ohms\": 1100.0", "\"ohms\": 1e999"),
+    ] {
+        let r = post(addr, "/analyze", &ANALYZE.replace(from, to));
+        assert_eq!(r.status, 400, "{to}: {}", r.body);
+        assert!(
+            r.body.contains("\"code\":\"circuit.invalid-parameter\""),
+            "{}",
+            r.body
+        );
+        assert!(!r.body.contains("null"), "{}", r.body);
+    }
+
     server.shutdown();
     server.join();
 }
@@ -260,6 +277,101 @@ fn scenario_failures_carry_typed_codes_and_drive_overall_status() {
         "{}",
         r.body
     );
+
+    server.shutdown();
+    server.join();
+}
+
+/// The in-process oracle of a JSON request: its deck, metrics and
+/// scenarios through `Campaign::run` at the request's period and step
+/// count, rendered by the daemon's serializer.
+fn in_process(body: &str) -> (u16, String, CampaignResult) {
+    let req = wire::parse_request(body).unwrap();
+    let mut opts = PssOptions::default();
+    opts.n_steps = req.n_steps;
+    let config = PssConfig::Driven {
+        period: req.period,
+        opts,
+    };
+    let res = Campaign::new(config, req.metrics)
+        .run(&req.circuit, &req.scenarios)
+        .unwrap();
+    let (status, body) = body_from_campaign(&req.deck, &res);
+    (status, body, res)
+}
+
+#[test]
+fn the_metric_list_is_part_of_the_cache_key() {
+    let server = start(1, 8);
+    let addr = server.addr();
+
+    let first = post(addr, "/analyze", ANALYZE);
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(first.header("x-tranvar-cache-misses"), Some("2"));
+
+    // The same deck, overrides and solve settings reading another node:
+    // the tables of the first request hold the wrong sensitivities.
+    let vin = ANALYZE.replace(
+        r#"{"name": "vout", "kind": "dc-average", "node": "b"}"#,
+        r#"{"name": "vin", "kind": "dc-average", "node": "a"}"#,
+    );
+    let second = post(addr, "/analyze", &vin);
+    assert_eq!(second.status, 200, "body: {}", second.body);
+    assert_eq!(second.header("x-tranvar-cache-hits"), Some("0"));
+    assert_eq!(second.header("x-tranvar-cache-misses"), Some("2"));
+    let (_, oracle, _) = in_process(&vin);
+    assert_eq!(second.body, oracle);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_metric_error_is_cached_with_its_table() {
+    // A frequency needs an autonomous orbit; the divider is driven.
+    let body = ANALYZE.replace(
+        r#""kind": "dc-average", "node": "b""#,
+        r#""kind": "frequency""#,
+    );
+    let (status, oracle, _) = in_process(&body);
+    assert_eq!(status, 422);
+    assert!(oracle.contains("\"code\":\"core.metric\""), "{oracle}");
+
+    let server = start(2, 8);
+    let addr = server.addr();
+    let cold = post(addr, "/analyze", &body);
+    assert_eq!(cold.status, 422, "body: {}", cold.body);
+    assert_eq!(cold.header("x-tranvar-cache-misses"), Some("2"));
+    assert_eq!(cold.body, oracle);
+
+    let warm = post(addr, "/analyze", &body);
+    assert_eq!(warm.status, 422);
+    assert_eq!(warm.header("x-tranvar-cache-hits"), Some("2"));
+    assert_eq!(warm.body, cold.body);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_overflowing_sigma_is_a_typed_422() {
+    // Every input is finite, but σ(vout)² = (5e-4 · 1e301)² overflows.
+    let body = ANALYZE.replace(r#""factor": 2.0"#, r#""factor": 1e300"#);
+    let (status, oracle, res) = in_process(&body);
+    assert_eq!(status, 422);
+    assert!(matches!(
+        res.outcome("sigma2").unwrap().result,
+        Err(CoreError::Metric(_))
+    ));
+    assert!(res.outcome("nominal").unwrap().result.is_ok());
+
+    let server = start(1, 8);
+    let addr = server.addr();
+    let r = post(addr, "/analyze", &body);
+    assert_eq!(r.status, 422, "body: {}", r.body);
+    assert!(r.body.contains("\"code\":\"core.metric\""), "{}", r.body);
+    assert!(!r.body.contains("null"), "{}", r.body);
+    assert_eq!(r.body, oracle);
 
     server.shutdown();
     server.join();
