@@ -8,12 +8,17 @@
 //! result difference — required to be exactly 0) at the workspace root,
 //! mirroring `BENCH_transens.json`: the machine-readable performance
 //! trajectory the CI bench-regression gate (`compare_bench`) checks against
-//! the committed baseline.
+//! the committed baseline. Its `shooting_counts` row records the Newton
+//! iterations and factorizations of one `analyze` per paper deck; these
+//! are counts, not times, and the gate holds each at or below its
+//! committed value.
 
 use std::io::Write;
 use tranvar_bench::{bench_times, fmt_time, median};
-use tranvar_circuits::{RingOsc, StrongArm, Tech};
-use tranvar_engine::Session;
+use tranvar_circuit::Circuit;
+use tranvar_circuits::{ArrivalOrder, LogicPath, RingOsc, StrongArm, Tech};
+use tranvar_core::prelude::*;
+use tranvar_engine::{BudgetLimits, Session, SolveBudget};
 use tranvar_lptv::PeriodicSolver;
 use tranvar_pss::{autonomous_pss, monodromy_seq, monodromy_threaded, shooting_pss};
 
@@ -181,6 +186,69 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
     (cmp, json)
 }
 
+/// Newton iterations and factorizations of one `analyze` of `config` on a
+/// fresh session, read through a counting budget.
+fn analyze_counts(ckt: &Circuit, mut config: PssConfig, metrics: &[MetricSpec]) -> (u64, u64) {
+    let budget = SolveBudget::new(BudgetLimits::default().max_newton_iters(u64::MAX));
+    match &mut config {
+        PssConfig::Driven { opts, .. } => opts.newton.budget = budget.clone(),
+        PssConfig::Autonomous { opts, .. } => opts.pss.newton.budget = budget.clone(),
+    }
+    analyze(ckt, &config, metrics).expect("paper deck analysis");
+    (budget.newton_iters(), budget.factorizations())
+}
+
+/// The `shooting_counts` row: [`analyze_counts`] of each paper deck
+/// (StrongARM offset, logic-path delays, ring-oscillator f0).
+fn shooting_counts() -> String {
+    let tech = Tech::t013();
+    let sa = StrongArm::paper(&tech);
+    let path = LogicPath::new(&tech, ArrivalOrder::XFirst);
+    let ring = RingOsc::paper(&tech);
+    let decks = [
+        (
+            "strongarm",
+            &sa.circuit,
+            PssConfig::Driven {
+                period: sa.period,
+                opts: sa.pss_options(),
+            },
+            vec![sa.offset_metric()],
+        ),
+        (
+            "logic_path",
+            &path.circuit,
+            PssConfig::Driven {
+                period: path.period,
+                opts: path.pss_options(),
+            },
+            path.delay_metrics(),
+        ),
+        (
+            "ring_osc",
+            &ring.circuit,
+            PssConfig::Autonomous {
+                period_hint: ring.period_hint,
+                phase_node: ring.stages[0],
+                phase_value: ring.phase_value,
+                opts: ring.osc_options(),
+            },
+            vec![MetricSpec::new("f0", Metric::Frequency)],
+        ),
+    ];
+    let rows: Vec<String> = decks
+        .into_iter()
+        .map(|(name, ckt, config, metrics)| {
+            let (iters, factors) = analyze_counts(ckt, config, &metrics);
+            println!("shooting_counts/{name}: {iters} newton iterations, {factors} factorizations");
+            format!(
+                "    \"{name}\": {{ \"newton_iters\": {iters}, \"factorizations\": {factors} }}"
+            )
+        })
+        .collect();
+    format!("  \"shooting_counts\": {{\n{}\n  }}", rows.join(",\n"))
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = std::thread::available_parallelism()
@@ -188,6 +256,7 @@ fn main() {
         .unwrap_or(1);
     let (ring, ring_json) = bench_ring_monodromy(quick);
     let (lptv, lptv_json) = bench_strongarm_lptv(quick);
+    let counts_json = shooting_counts();
     assert!(
         ring.speedup() >= 2.0,
         "ring monodromy batched/threaded speedup {:.2}x below the 2x floor",
@@ -199,7 +268,7 @@ fn main() {
         lptv.speedup()
     );
     let json = format!(
-        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {threads},\n{ring_json},\n{lptv_json}\n}}\n",
+        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {threads},\n{ring_json},\n{lptv_json},\n{counts_json}\n}}\n",
     );
     // Emit at the workspace root regardless of the bench's working dir.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pss.json");

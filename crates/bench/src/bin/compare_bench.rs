@@ -3,7 +3,10 @@
 //! the committed baseline and fails if any drops below a floor fraction of
 //! its baseline value (default 0.8×), if a baseline figure is missing from
 //! the fresh run, or if any `"max_abs_diff"` in the fresh run is nonzero —
-//! a correctness regression masquerading as a perf number.
+//! a correctness regression masquerading as a perf number. Every figure
+//! under a `"shooting_counts"` row (Newton iterations and factorizations
+//! per solve, `BENCH_pss.json`) is a ceiling instead: the fresh count may
+//! not exceed its committed value, and a missing one fails.
 //!
 //! Usage: `compare_bench <baseline.json> <current.json> [--min-ratio 0.8]`
 //!
@@ -57,6 +60,10 @@ fn is_leaf(path: &str, key: &str) -> bool {
     path == key || path.ends_with(&format!(".{key}"))
 }
 
+/// The top-level row whose figures are ceilings: work counts that no
+/// change may raise.
+const COUNTS: &str = "shooting_counts.";
+
 fn run(baseline_path: &str, current_path: &str, min_ratio: f64) -> Result<(), String> {
     let read = |p: &str| -> Result<Vec<(String, f64)>, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
@@ -105,6 +112,16 @@ fn run(baseline_path: &str, current_path: &str, min_ratio: f64) -> Result<(), St
         let ok = *d == 0.0;
         println!("  {path}: {d:e}  {}", if ok { "ok" } else { "NONZERO" });
         failed |= !ok;
+    }
+    for (path, b) in baseline.iter().filter(|(p, _)| p.starts_with(COUNTS)) {
+        let verdict = match cur.get(path.as_str()) {
+            Some(c) if c <= b => "ok",
+            Some(_) => "RAISED",
+            None => "MISSING",
+        };
+        let c = cur.get(path.as_str()).map_or("-".into(), |c| c.to_string());
+        println!("  {path}: ceiling {b}, current {c}  {verdict}");
+        failed |= verdict != "ok";
     }
     if failed {
         Err("bench regression gate failed".into())
@@ -228,6 +245,25 @@ mod tests {
         // the gate must not silently pass vacuously.
         let cur = r#"{ "a": { "speedup": 2.5 }, "b": { "speedup": 4.3 } }"#;
         assert!(gate("missing_diff", SAMPLE, cur).is_err());
+    }
+
+    #[test]
+    fn gate_holds_shooting_counts_at_their_ceilings() {
+        let base = r#"{ "a": { "speedup": 2.0, "max_abs_diff": 0e0 },
+                        "shooting_counts": { "ring": { "newton_iters": 2345, "factorizations": 2342 } } }"#;
+        let counts = |iters: u32, factors: u32| {
+            format!(
+                r#"{{ "a": {{ "speedup": 2.0, "max_abs_diff": 0e0 }},
+                      "shooting_counts": {{ "ring": {{ "newton_iters": {iters}, "factorizations": {factors} }} }} }}"#
+            )
+        };
+        assert!(gate("counts_equal", base, &counts(2345, 2342)).is_ok());
+        assert!(gate("counts_lower", base, &counts(2000, 1999)).is_ok());
+        assert!(gate("counts_raised", base, &counts(2346, 2342)).is_err());
+        assert!(gate("factors_raised", base, &counts(2345, 2343)).is_err());
+        let missing = r#"{ "a": { "speedup": 2.0, "max_abs_diff": 0e0 },
+                           "shooting_counts": { "ring": { "newton_iters": 2345 } } }"#;
+        assert!(gate("counts_missing", base, missing).is_err());
     }
 
     #[test]

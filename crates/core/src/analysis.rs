@@ -36,11 +36,14 @@ pub enum PssConfig {
     /// Autonomous oscillator.
     Autonomous {
         /// Order-of-magnitude period guess (s). The warm-up integrates
-        /// hint-length cycles from the kicked DC point and stops at the
-        /// first one after which it has seen four rising crossings of
-        /// `phase_value` on `phase_node` (at most
-        /// [`OscOptions::settle_periods`] cycles, rounded up); the mean of
-        /// the last three crossing intervals seeds the period unknown.
+        /// hint-length cycles from the kicked DC point, on a grid 4×
+        /// coarser than the shooting grid, and stops at the first one
+        /// after which it has seen two rising crossings of `phase_value`
+        /// on `phase_node` (at most [`OscOptions::settle_periods`] cycles,
+        /// rounded up). The last crossing interval seeds the period
+        /// unknown, and the state interpolated at the last crossing seeds
+        /// the orbit, so the solved orbit does not depend on the hint
+        /// beyond the shooting tolerance.
         period_hint: f64,
         /// Node carrying the phase condition.
         phase_node: NodeId,

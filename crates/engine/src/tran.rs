@@ -70,6 +70,12 @@
 //! carries its own step size and θ ([`StepRecord::h`],
 //! [`StepRecord::theta`]), so every consumer follows the accepted grid
 //! whether it is uniform or adaptive.
+//!
+//! An *unrecorded* cycle is a warm-up cycle: only its endpoint is read, to
+//! seed a later cycle that is itself checked against the shooting
+//! tolerance. Its steps stop Newton on a per-unknown abs+rel update test,
+//! `|δxᵢ| ≤ 1e-6 + 1e-3·|xᵢ|`, instead of `|δx|∞ < vtol`. Recorded cycles
+//! (whose `J_k` LPTV replays) and every transient keep the `vtol` test.
 
 use crate::dc::NewtonOptions;
 use crate::error::EngineError;
@@ -77,6 +83,22 @@ use crate::solver::{CombineStage, FactoredJacobian, JacobianWorkspace, SolverKin
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_num::dense::vecops;
 use tranvar_num::Csc;
+
+/// Absolute part of the warm-up Newton update test (see the
+/// [module docs](self)).
+const WARM_UP_ABSTOL: f64 = 1e-6;
+
+/// Relative part of the warm-up Newton update test.
+const WARM_UP_RELTOL: f64 = 1e-3;
+
+/// The warm-up Newton update test: every `|δxᵢ| ≤ abstol + reltol·|xᵢ|` at
+/// the updated iterate `x`.
+fn warm_up_converged(delta: &[f64], x: &[f64]) -> bool {
+    delta
+        .iter()
+        .zip(x)
+        .all(|(d, x)| d.abs() <= WARM_UP_ABSTOL + WARM_UP_RELTOL * x.abs())
+}
 
 /// Time-integration scheme.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -448,9 +470,10 @@ impl std::fmt::Debug for CycleWorkspace {
 ///
 /// The Newton iteration warm-starts from the previous accepted assembly
 /// (retimed to `t1` with a handful of waveform evaluations instead of a
-/// full device re-evaluation) and reuses every buffer in `st`. On request
-/// the step record is returned; the accepted assembly is left in
-/// `st.asm_prev` for the next step.
+/// full device re-evaluation) and reuses every buffer in `st`. It stops on
+/// `|δx|∞ < vtol`, or on the looser [`warm_up_converged`] test when
+/// `warm_up`. On request the step record is returned; the accepted
+/// assembly is left in `st.asm_prev` for the next step.
 fn step(
     ckt: &Circuit,
     st: &mut StepState,
@@ -458,6 +481,7 @@ fn step(
     plan: &Plan,
     newton: &NewtonOptions,
     gmin: f64,
+    warm_up: bool,
     want_record: bool,
 ) -> Result<Option<StepRecord>, EngineError> {
     let &Plan {
@@ -494,7 +518,7 @@ fn step(
             dmax = f64::NAN;
         }
         // Non-finite guard, once per Newton iteration: a NaN/Inf update can
-        // never satisfy the `< vtol` check, so without this the loop would
+        // never satisfy either convergence test, so without this the loop would
         // burn `max_iter` iterations and report a misleading NoConvergence.
         if !dmax.is_finite() {
             return Err(EngineError::NonFinite {
@@ -510,8 +534,12 @@ fn step(
             *xi += di;
         }
         ckt.assemble_into(x, t1, &mut st.asm_cur);
-        if vecops::norm_inf(&st.delta) < newton.vtol {
-            converged = true;
+        converged = if warm_up {
+            warm_up_converged(&st.delta, x)
+        } else {
+            vecops::norm_inf(&st.delta) < newton.vtol
+        };
+        if converged {
             break;
         }
     }
@@ -590,6 +618,8 @@ pub(crate) struct Stepper<'a> {
     method: Integrator,
     gmin: f64,
     grid: Grid,
+    /// Every step stops on the warm-up Newton test (an unrecorded cycle).
+    warm_up: bool,
 }
 
 /// The grid policy of a [`Stepper`].
@@ -680,13 +710,24 @@ impl<'a> Stepper<'a> {
             period: None,
         };
         let (control, solver) = (&opts.step_control, opts.newton.solver);
-        Self::new(ckt, ws, x0, grid, control, opts.method, solver, opts.gmin)
+        Self::new(
+            ckt,
+            ws,
+            x0,
+            grid,
+            control,
+            opts.method,
+            solver,
+            opts.gmin,
+            false,
+        )
     }
 
     /// Validates the grid, anchors the workspace at `(x0, grid.t0)` and
     /// seeds `f_aug`/`q` from its assembly. Under
     /// [`StepControl::Adaptive`] the LTE controller replaces `grid`,
-    /// seeded at `grid.h` and stopping at `grid.t_stop`.
+    /// seeded at `grid.h` and stopping at `grid.t_stop`. `warm_up` selects
+    /// the warm-up Newton test for every step.
     fn new(
         ckt: &Circuit,
         ws: &'a mut CycleWorkspace,
@@ -696,6 +737,7 @@ impl<'a> Stepper<'a> {
         method: Integrator,
         solver: SolverKind,
         gmin: f64,
+        warm_up: bool,
     ) -> Result<Self, EngineError> {
         validate_grid(grid.t0, grid.t_stop, grid.h, control)?;
         let st = ws.state_for(ckt, solver, &x0, grid.t0);
@@ -720,6 +762,7 @@ impl<'a> Stepper<'a> {
             method,
             gmin,
             grid,
+            warm_up,
         })
     }
 
@@ -746,7 +789,7 @@ impl<'a> Stepper<'a> {
             let Some(plan) = plan else {
                 return Ok(None);
             };
-            let attempt = step(ckt, st, p, &plan, newton, gmin, rec);
+            let attempt = step(ckt, st, p, &plan, newton, gmin, self.warm_up, rec);
             let record = match &mut self.grid {
                 Grid::Uniform(_) => attempt?,
                 Grid::Adaptive(c) => match c.judge(ckt, st, p, attempt, &plan, newton)? {
@@ -1106,6 +1149,12 @@ pub(crate) fn run(
 /// Integrates exactly one period of length `period` from `x0` at `t0`,
 /// optionally recording per-step factorizations for PSS/LPTV reuse.
 ///
+/// `record` also picks the Newton test of every step. A recorded cycle
+/// stops each step on `|δx|∞ < newton.vtol`, like [`transient`]. An
+/// unrecorded cycle is a warm-up cycle, whose endpoint only seeds a later
+/// recorded one: its steps stop on the looser per-unknown update test
+/// `|δxᵢ| ≤ 1e-6 + 1e-3·|xᵢ|` (see the [module docs](self)).
+///
 /// `control` picks the grid: [`StepControl::Fixed`] takes `n_steps`
 /// uniform steps `t_k = t0 + period·k/n_steps`;
 /// [`StepControl::Adaptive`] lets the LTE controller accept, shrink and
@@ -1150,7 +1199,17 @@ pub fn integrate_cycle(
         period: Some(period),
     };
     let solver = newton.solver;
-    let stepper = Stepper::new(ckt, ws, x0.to_vec(), grid, control, method, solver, gmin)?;
+    let stepper = Stepper::new(
+        ckt,
+        ws,
+        x0.to_vec(),
+        grid,
+        control,
+        method,
+        solver,
+        gmin,
+        !record,
+    )?;
     stepper.run(ckt, newton, record, |_, _| {})
 }
 

@@ -31,9 +31,9 @@ use crate::shooting::{
 use tranvar_circuit::{Assembly, Circuit, NodeId, Waveform};
 use tranvar_engine::dc::DcOptions;
 use tranvar_engine::tran::CycleResult;
-use tranvar_engine::{NewtonOptions, Session};
+use tranvar_engine::{integrate_cycle, NewtonOptions, Session, StepControl};
 use tranvar_num::dense::vecops;
-use tranvar_num::interp::{crossings, nearest_index, Edge};
+use tranvar_num::interp::{crossings, Edge};
 use tranvar_num::DMat;
 
 /// Oscillator PSS controls on top of [`PssOptions`].
@@ -43,10 +43,10 @@ pub struct OscOptions {
     pub pss: PssOptions,
     /// Cap on the warm-up length, in units of the period hint. The warm-up
     /// integrates chained hint-length cycles from the kicked DC point and
-    /// stops at the first one after which it has seen the four rising
+    /// stops at the first one after which it has seen the two rising
     /// phase-level crossings the period estimate needs, so a fast-starting
     /// oscillator integrates fewer than `⌈settle_periods⌉` hint-periods.
-    /// Too short a cap to see four crossings is
+    /// Too short a cap to see two crossings is
     /// [`PssError::NoOscillation`].
     pub settle_periods: f64,
 }
@@ -71,23 +71,27 @@ const KICK: f64 = 0.1;
 /// Relative clamp on the period update of one bordered-Newton round.
 const PERIOD_UPDATE_LIMIT: f64 = 0.1;
 
-/// Periods the warm-up period estimate averages over (it needs one more
-/// rising crossing than this).
-const WARMUP_PERIODS: usize = 3;
+/// Rising crossings of the phase level the warm-up needs: the interval
+/// between the last two seeds the period.
+const WARMUP_CROSSINGS: usize = 2;
 
-/// Result of the warm-up: a refined period estimate and a state on the
-/// orbit at a rising crossing of the phase level.
+/// The warm-up grid is this many times coarser than the shooting grid.
+const WARMUP_COARSENING: usize = 4;
+
+/// Result of the warm-up: a period estimate and a state near the orbit at a
+/// rising crossing of the phase level.
 struct Warmup {
     period_est: f64,
     x_start: Vec<f64>,
-    phase_value: f64,
 }
 
 /// Integrates unrecorded hint-length cycles from the kicked DC point, on the
-/// session's cycle workspace and under the shooting grid policy, until the
-/// rising crossings of the phase level seen so far give a period estimate
-/// (at most `⌈settle_periods⌉` cycles). Returns the estimate and the sampled
-/// state nearest the last crossing.
+/// session's cycle workspace, on a uniform grid [`WARMUP_COARSENING`] times
+/// coarser than the shooting grid, until it has seen two rising crossings
+/// of the phase level (at most `⌈settle_periods⌉` cycles). Returns the last
+/// crossing interval as the period estimate and the state linearly
+/// interpolated at the last crossing, whose phase node sits at
+/// `phase_value`.
 fn warm_up(
     session: &mut Session,
     ckt: &Circuit,
@@ -109,10 +113,23 @@ fn warm_up(
     }
     let ws = session.cycle_workspace();
     let max_chunks = opts.settle_periods.ceil() as usize;
+    let n_steps = (opts.pss.n_steps / WARMUP_COARSENING).max(1);
     // Absolute times of every rising crossing so far.
     let mut rises = Vec::new();
     for chunk in 0..max_chunks {
-        let mut cyc = integrate_pss_cycle(ckt, ws, &x, 0.0, period_hint, &opts.pss, newton, false)?;
+        let cyc = integrate_cycle(
+            ckt,
+            ws,
+            &x,
+            0.0,
+            period_hint,
+            n_steps,
+            &StepControl::Fixed,
+            opts.pss.method,
+            newton,
+            opts.pss.gmin,
+            false,
+        )?;
         // A chunk's first sample is the previous chunk's last, so scanning
         // each chunk's samples counts every crossing exactly once.
         let w: Vec<f64> = cyc
@@ -124,13 +141,11 @@ fn warm_up(
         let t0 = chunk as f64 * period_hint;
         rises.extend(new.iter().map(|t| t0 + t));
         // Only this chunk's crossings can have completed the count.
-        if let Some(&t_cross) = new.last().filter(|_| rises.len() > WARMUP_PERIODS) {
+        if let Some(&t_cross) = new.last().filter(|_| rises.len() >= WARMUP_CROSSINGS) {
             let last = rises.len() - 1;
-            let idx = nearest_index(&cyc.times, t_cross);
             return Ok(Warmup {
-                period_est: (rises[last] - rises[last - WARMUP_PERIODS]) / WARMUP_PERIODS as f64,
-                phase_value: w[idx],
-                x_start: cyc.states.swap_remove(idx),
+                period_est: rises[last] - rises[last - 1],
+                x_start: state_at(&cyc, t_cross),
             });
         }
         x = last_state(&cyc)?.clone();
@@ -138,11 +153,22 @@ fn warm_up(
     Err(PssError::NoOscillation {
         detail: format!(
             "warm-up saw {} rising crossings of the phase level in {max_chunks} hint-periods, \
-             needs {}",
+             needs {WARMUP_CROSSINGS}",
             rises.len(),
-            WARMUP_PERIODS + 1
         ),
     })
+}
+
+/// The state of `cyc` linearly interpolated at time `t` within its span.
+fn state_at(cyc: &CycleResult, t: f64) -> Vec<f64> {
+    let k = cyc
+        .times
+        .partition_point(|&s| s < t)
+        .clamp(1, cyc.times.len() - 1);
+    let (t0, t1) = (cyc.times[k - 1], cyc.times[k]);
+    let a = (t - t0) / (t1 - t0);
+    let (x0, x1) = (&cyc.states[k - 1], &cyc.states[k]);
+    x0.iter().zip(x1).map(|(u, v)| u + a * (v - u)).collect()
 }
 
 /// `∂Φ/∂T` of the recorded cycle: `d ← J⁻¹(B·d + (q₁−q₀)/(h·T))` per step
@@ -177,9 +203,13 @@ fn period_derivative(
 ///
 /// `period_hint` sets the length of the warm-up cycles (an
 /// order-of-magnitude guess is enough); `phase_node`/`phase_value` define
-/// the phase condition — the node is pinned to the value it has at the
-/// chosen crossing, which fixes the time origin of the orbit. Every source
-/// must be DC: the bordered cycle map treats the circuit as time-invariant.
+/// the phase condition — the node is pinned to `phase_value` at a rising
+/// crossing, which fixes the time origin of the orbit. The warm-up runs on
+/// a grid 4× coarser than the shooting grid and only seeds bordered Newton
+/// (at its last rising crossing, with the last crossing interval as the
+/// period), so the solved orbit depends on neither the warm-up grid nor
+/// the hint beyond the shooting tolerance. Every source must be DC: the
+/// bordered cycle map treats the circuit as time-invariant.
 ///
 /// # Errors
 ///
@@ -208,7 +238,8 @@ pub fn autonomous_pss(
 }
 
 /// [`autonomous_pss`] borrowing an analysis [`Session`]: the DC seed, the
-/// warm-up cycles and every bordered-Newton cycle run through the
+/// unrecorded warm-up cycles (coarse grid, loose step Newton test; see
+/// [`integrate_cycle`]) and every bordered-Newton cycle run through the
 /// session's workspaces (see [`crate::shooting::shooting_pss_in`] for the
 /// reuse and determinism contract).
 ///
@@ -252,9 +283,10 @@ pub fn autonomous_pss_in(
     )?;
     let mut x0 = warm.x_start;
     let mut period = warm.period_est;
-    // Pin the phase to the state actually sampled (closest grid point to the
-    // crossing) — this keeps the initial phase residual tiny.
-    let v_pin = warm.phase_value;
+    // Pin the phase to the crossing itself: the interpolated start already
+    // sits on it, so the initial phase residual is rounding-level and the
+    // pinned orbit does not depend on where the warm-up grid sampled.
+    let v_pin = phase_value;
 
     // The session's cycle workspace serves the one cycle integration of
     // every bordered-Newton round and carries over to later solves.
@@ -433,6 +465,8 @@ mod tests {
         let dphi = sol.dphi_dt.as_ref().unwrap();
         let eps = 1e-4;
         let mut ws = CycleWorkspace::new();
+        // Recorded cycles, so every step stops on the same `vtol` test as
+        // the cycle `∂Φ/∂T` was propagated through.
         let mut end = |period: f64| {
             let cyc = integrate_pss_cycle(
                 &ckt,
@@ -442,7 +476,7 @@ mod tests {
                 period,
                 &opts.pss,
                 &opts.pss.newton,
-                false,
+                true,
             )
             .unwrap();
             cyc.states.last().unwrap().clone()
@@ -461,8 +495,8 @@ mod tests {
     }
 
     /// `settle_periods` only caps the warm-up: a looser cap stops at the same
-    /// crossing and returns the same bits, and a cap too short to see four
-    /// rising crossings is a typed error.
+    /// crossing and returns the same bits, and a cap too short to see two
+    /// rising crossings is a typed error (here one hint-period sees one).
     #[test]
     fn settle_cap_does_not_change_the_answer() {
         let (ckt, s0) = ring(3, 10e-15);
@@ -483,7 +517,39 @@ mod tests {
         for (u, v) in da.iter().zip(&db) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
-        assert!(matches!(solve(2.0), Err(PssError::NoOscillation { .. })));
+        assert!(matches!(solve(1.0), Err(PssError::NoOscillation { .. })));
+    }
+
+    /// The phase is pinned at the interpolated crossing, not at a warm-up
+    /// sample, so the hint only changes where bordered Newton starts: every
+    /// hint converges to the same orbit within the shooting tolerance.
+    #[test]
+    fn solved_orbit_does_not_depend_on_the_period_hint() {
+        let (ckt, s0) = ring(3, 10e-15);
+        let mut opts = OscOptions::default();
+        opts.pss.n_steps = 128;
+        let period = |scale: f64| {
+            autonomous_pss(&ckt, scale * 200e-12, s0, 0.6, &opts)
+                .unwrap()
+                .period
+        };
+        let reference = period(1.0);
+        for scale in [0.8, 1.25, 2.0] {
+            let p = period(scale);
+            assert!(
+                (p - reference).abs() <= 1e-8 * reference,
+                "hint x{scale}: period {p:.12e} vs {reference:.12e}"
+            );
+        }
+    }
+
+    /// An even ring latches instead of oscillating: the warm-up never sees
+    /// two rising crossings within the default cap.
+    #[test]
+    fn non_oscillating_ring_is_no_oscillation() {
+        let (ckt, s0) = ring(4, 10e-15);
+        let err = autonomous_pss(&ckt, 200e-12, s0, 0.6, &OscOptions::default()).unwrap_err();
+        assert!(matches!(err, PssError::NoOscillation { .. }), "{err:?}");
     }
 
     /// A pulse whose period equals the hint used to pass the driven

@@ -52,7 +52,10 @@ pub struct PssOptions {
     /// Cap on forward warm-up cycles (`x ← Φ(x)`) before shooting-Newton
     /// takes over. Every cycle after the one leaving the DC seed checks its
     /// residual, and the solve returns the first cycle within [`tol`], so a
-    /// well-damped circuit may integrate fewer cycles than this.
+    /// well-damped circuit may integrate fewer cycles than this. The cycle
+    /// leaving the DC seed is unrecorded, so its steps converge on the
+    /// loose warm-up Newton test (see [`integrate_cycle`]); only its
+    /// endpoint is read, as the start of the first checked cycle.
     ///
     /// [`tol`]: PssOptions::tol
     pub warmup_cycles: usize,
@@ -353,7 +356,8 @@ pub fn shooting_pss_in(
     // step on `Φ(x) − x`; every cycle checks its residual and the first
     // one within `tol` is the returned orbit. The cycle leaving the DC
     // seed is a forward cycle only: the DC point is not on a driven orbit,
-    // so it runs unrecorded and is never checked.
+    // so it runs unrecorded (on the loose warm-up Newton test) and is
+    // never checked.
     let mut last_residual = f64::INFINITY;
     for k in 0..opts.warmup_cycles + MAX_ITER {
         let forward = k < opts.warmup_cycles;
