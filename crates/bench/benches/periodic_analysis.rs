@@ -9,8 +9,9 @@
 //! mirroring `BENCH_transens.json`: the machine-readable performance
 //! trajectory the CI bench-regression gate (`compare_bench`) checks against
 //! the committed baseline. Its `shooting_counts` row records the Newton
-//! iterations and factorizations of one `analyze` per paper deck; these
-//! are counts, not times, and the gate holds each at or below its
+//! iterations and factorizations of one `analyze` per paper deck, and the
+//! Newton iterations of one recorded cycle from the solved orbit start;
+//! these are counts, not times, and the gate holds each at or below its
 //! committed value.
 
 use std::io::Write;
@@ -18,7 +19,9 @@ use tranvar_bench::{bench_times, fmt_time, median};
 use tranvar_circuit::Circuit;
 use tranvar_circuits::{ArrivalOrder, LogicPath, RingOsc, StrongArm, Tech};
 use tranvar_core::prelude::*;
-use tranvar_engine::{BudgetLimits, Session, SolveBudget};
+use tranvar_core::solve_pss;
+use tranvar_engine::tran::{integrate_cycle, CycleWorkspace};
+use tranvar_engine::{BudgetLimits, NewtonOptions, Session, SolveBudget};
 use tranvar_lptv::PeriodicSolver;
 use tranvar_pss::{autonomous_pss, monodromy_seq, monodromy_threaded, shooting_pss};
 
@@ -198,8 +201,39 @@ fn analyze_counts(ckt: &Circuit, mut config: PssConfig, metrics: &[MetricSpec]) 
     (budget.newton_iters(), budget.factorizations())
 }
 
+/// Newton iterations of one recorded `integrate_cycle` of `config` from
+/// the start of its solved orbit, read through a counting budget: the
+/// price of the steps whose `J_k`/`B_k` LPTV replays.
+fn recorded_cycle_iters(ckt: &Circuit, config: &PssConfig) -> u64 {
+    let sol = solve_pss(ckt, config).expect("paper deck PSS");
+    let opts = match config {
+        PssConfig::Driven { opts, .. } => opts,
+        PssConfig::Autonomous { opts, .. } => &opts.pss,
+    };
+    let newton = NewtonOptions {
+        budget: SolveBudget::new(BudgetLimits::default().max_newton_iters(u64::MAX)),
+        ..opts.newton.clone()
+    };
+    integrate_cycle(
+        ckt,
+        &mut CycleWorkspace::new(),
+        &sol.states[0],
+        sol.times[0],
+        sol.period,
+        opts.n_steps,
+        &opts.step_control,
+        opts.method,
+        &newton,
+        opts.gmin,
+        true,
+    )
+    .expect("recorded cycle from the orbit start");
+    newton.budget.newton_iters()
+}
+
 /// The `shooting_counts` row: [`analyze_counts`] of each paper deck
-/// (StrongARM offset, logic-path delays, ring-oscillator f0).
+/// (StrongARM offset, logic-path delays, ring-oscillator f0) and its
+/// [`recorded_cycle_iters`].
 fn shooting_counts() -> String {
     let tech = Tech::t013();
     let sa = StrongArm::paper(&tech);
@@ -239,10 +273,15 @@ fn shooting_counts() -> String {
     let rows: Vec<String> = decks
         .into_iter()
         .map(|(name, ckt, config, metrics)| {
+            let cycle_iters = recorded_cycle_iters(ckt, &config);
             let (iters, factors) = analyze_counts(ckt, config, &metrics);
-            println!("shooting_counts/{name}: {iters} newton iterations, {factors} factorizations");
+            println!(
+                "shooting_counts/{name}: {iters} newton iterations, {factors} factorizations, \
+                 {cycle_iters} per recorded cycle"
+            );
             format!(
-                "    \"{name}\": {{ \"newton_iters\": {iters}, \"factorizations\": {factors} }}"
+                "    \"{name}\": {{ \"newton_iters\": {iters}, \"factorizations\": {factors}, \
+                 \"recorded_cycle_iters\": {cycle_iters} }}"
             )
         })
         .collect();

@@ -5,8 +5,9 @@
 //! the fresh run, or if any `"max_abs_diff"` in the fresh run is nonzero —
 //! a correctness regression masquerading as a perf number. Every figure
 //! under a `"shooting_counts"` row (Newton iterations and factorizations
-//! per solve, `BENCH_pss.json`) is a ceiling instead: the fresh count may
-//! not exceed its committed value, and a missing one fails.
+//! per solve and Newton iterations per recorded cycle, `BENCH_pss.json`)
+//! is a ceiling instead: the fresh count may not exceed its committed
+//! value, and a missing one fails.
 //!
 //! Usage: `compare_bench <baseline.json> <current.json> [--min-ratio 0.8]`
 //!
@@ -264,6 +265,21 @@ mod tests {
         let missing = r#"{ "a": { "speedup": 2.0, "max_abs_diff": 0e0 },
                            "shooting_counts": { "ring": { "newton_iters": 2345 } } }"#;
         assert!(gate("counts_missing", base, missing).is_err());
+    }
+
+    #[test]
+    fn gate_fails_on_a_missing_recorded_cycle_count() {
+        let row = |cycle: &str| {
+            format!(
+                r#"{{ "a": {{ "speedup": 2.0, "max_abs_diff": 0e0 }},
+                      "shooting_counts": {{ "strongarm": {{ "newton_iters": 2322{cycle} }} }} }}"#
+            )
+        };
+        let base = row(r#", "recorded_cycle_iters": 878"#);
+        assert!(gate("cycle_equal", &base, &base).is_ok());
+        let raised = row(r#", "recorded_cycle_iters": 879"#);
+        assert!(gate("cycle_raised", &base, &raised).is_err());
+        assert!(gate("cycle_missing", &base, &row("")).is_err());
     }
 
     #[test]

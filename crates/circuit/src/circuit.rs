@@ -1420,11 +1420,16 @@ mod tests {
         assert_eq!(base.c.to_csc(), fresh.c.to_csc());
         // σ: scaled by 2 relative to the direct build.
         assert_eq!(ckt.mismatch_sigmas(), vec![20.0, 2e-11]);
-        // Pattern identical to the pre-revalue circuit: the original CSC
-        // structure accepts a value-refill from the revalued stamps.
+        // Pattern identical to the pre-revalue circuit: the stamps repeat
+        // the original `(row, col)` sequence, which is what lets a staged
+        // pattern refill in place (the engine's `CombineStage`).
         let (orig, _, _) = build(1e3, 1e-9, 1.0);
-        let mut csc = orig.assemble(&x, 0.0).g.to_csc();
-        assert!(csc.refill_from(&ckt.assemble(&x, 0.0).g).is_ok());
+        let coords = |asm: &crate::Assembly| {
+            let g = asm.g.iter().map(|&(r, c, _)| (r, c));
+            g.chain(asm.c.iter().map(|&(r, c, _)| (r, c)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(coords(&orig.assemble(&x, 0.0)), coords(&base));
     }
 
     #[test]

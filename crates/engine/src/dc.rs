@@ -17,7 +17,13 @@ use tranvar_num::dense::vecops;
 pub struct NewtonOptions {
     /// Maximum Newton iterations per solve.
     pub max_iter: usize,
-    /// Convergence tolerance on the update ∞-norm (V).
+    /// Convergence tolerance on the update ∞-norm (V). DC solves and
+    /// transient steps stop once the last applied update is below it. The
+    /// steps of a recorded cycle ([`crate::tran::integrate_cycle`]) also
+    /// stop once the contraction rate of successive updates bounds the
+    /// remaining distance to the Newton limit below it; the steps of an
+    /// unrecorded (warm-up) cycle stop on a looser per-unknown abs+rel test
+    /// instead (see [`crate::tran`]).
     pub vtol: f64,
     /// Convergence tolerance on the residual ∞-norm (A).
     pub itol: f64,

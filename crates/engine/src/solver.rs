@@ -138,33 +138,162 @@ impl FactoredJacobian {
     }
 }
 
-/// Reusable staging for repeated [`combine`]-style builds with a fixed
-/// pattern: the triplet buffer is refilled in place and the CSC values are
-/// updated without re-sorting (per-timestep coupling-matrix hot path).
-#[derive(Debug)]
+/// Reusable staging for repeated [`combine`] builds of one circuit (the
+/// per-step coupling matrix `B` and the sparse [`JacobianWorkspace`]
+/// path): one *layout* per combination of present terms (`alpha_g ≠ 0`,
+/// `alpha_c ≠ 0`, `gmin ≠ 0`), each holding the CSC matrix of its pattern
+/// and the `(row, col)` sequence of the combined stamps (`G`, then `C`,
+/// then the gmin diagonal) with each stamp's value slot.
+///
+/// A call whose stamps repeat the layout's `(row, col)` sequence refills
+/// the values in place: every slot restarts at the additive identity and
+/// takes `α·v` of its stamps in push order, the same left-to-right sums
+/// [`combine`] forms, so the result equals a fresh [`combine`] bitwise with
+/// no search and no allocation. A sequence mismatch rebuilds that layout.
+/// Alternating combinations (a cycle's backward-Euler first step has no
+/// `G` term in `B`, its trapezoidal steps do) each keep their own layout,
+/// so neither rebuilds nor refills into the other's pattern.
+#[derive(Debug, Default)]
 pub struct CombineStage {
-    tr: Triplets,
-    csc: Option<Csc>,
+    layouts: Vec<Layout>,
+    /// Index into `layouts` of the last staged combination.
+    active: usize,
 }
 
-impl Default for CombineStage {
-    fn default() -> Self {
-        Self::new()
+/// One combination's pattern: see [`CombineStage`].
+#[derive(Debug)]
+struct Layout {
+    /// Present terms: bit 0 `G`, bit 1 `C`, bit 2 the gmin diagonal.
+    terms: u8,
+    /// `(row, col, value slot)` of every combined stamp, in push order.
+    stamps: Vec<(usize, usize, usize)>,
+    csc: Csc,
+}
+
+/// What [`CombineStage::stage`] did to produce the staged matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Staged {
+    /// Refilled the values of the previous call's layout.
+    Refilled,
+    /// Refilled the values of another existing layout, whose pattern may
+    /// differ from the previous call's.
+    Switched,
+    /// Built a layout (first use of the combination, or its stamp sequence
+    /// changed).
+    Built,
+}
+
+/// Calls `f(row, col, value)` for every stamp of
+/// `alpha_g·G + alpha_c·C (+ gmin·I on node rows)` in push order: `G`,
+/// then `C`, then the gmin diagonal, each only when its weight is nonzero.
+fn for_each_stamp(
+    asm: &Assembly,
+    alpha_g: f64,
+    alpha_c: f64,
+    gmin: f64,
+    n_node_unknowns: usize,
+    mut f: impl FnMut(usize, usize, f64),
+) {
+    if alpha_g != 0.0 {
+        for &(r, c, v) in asm.g.iter() {
+            f(r, c, alpha_g * v);
+        }
     }
+    if alpha_c != 0.0 {
+        for &(r, c, v) in asm.c.iter() {
+            f(r, c, alpha_c * v);
+        }
+    }
+    if gmin != 0.0 {
+        for i in 0..n_node_unknowns.min(asm.n) {
+            f(i, i, gmin);
+        }
+    }
+}
+
+/// The stamps of [`for_each_stamp`] as triplets.
+fn combined_triplets(
+    asm: &Assembly,
+    alpha_g: f64,
+    alpha_c: f64,
+    gmin: f64,
+    n_node_unknowns: usize,
+) -> Triplets {
+    let mut tr = Triplets::new(asm.n, asm.n);
+    for_each_stamp(asm, alpha_g, alpha_c, gmin, n_node_unknowns, |r, c, v| {
+        tr.push(r, c, v)
+    });
+    tr
+}
+
+impl Layout {
+    /// Compresses the combination and records each stamp's value slot.
+    fn build(
+        asm: &Assembly,
+        alpha_g: f64,
+        alpha_c: f64,
+        gmin: f64,
+        n_node_unknowns: usize,
+    ) -> Layout {
+        let tr = combined_triplets(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
+        let csc = tr.to_csc();
+        // Every compressed stamp is stored; were one missing, the empty
+        // sequence would only make every later call rebuild.
+        let stamps = tr
+            .iter()
+            .map(|&(r, c, _)| csc.slot(r, c).map(|k| (r, c, k)))
+            .collect::<Option<Vec<_>>>()
+            .unwrap_or_default();
+        Layout {
+            terms: terms(alpha_g, alpha_c, gmin),
+            stamps,
+            csc,
+        }
+    }
+
+    /// Refills the values in place; `false` (values unspecified) when the
+    /// stamps do not repeat the recorded `(row, col)` sequence.
+    fn refill(
+        &mut self,
+        asm: &Assembly,
+        alpha_g: f64,
+        alpha_c: f64,
+        gmin: f64,
+        n_node_unknowns: usize,
+    ) -> bool {
+        let mut same = self.csc.rows() == asm.n;
+        let (stamps, vals) = (&self.stamps, self.csc.values_mut());
+        // −0.0 is the additive identity bitwise (`−0.0 + v` is `v`, also
+        // for v = ±0.0), so each slot ends as exactly the sum `v₁ + v₂ + …`
+        // that `Triplets::to_csc` forms for duplicates.
+        vals.fill(-0.0);
+        let mut k = 0;
+        for_each_stamp(asm, alpha_g, alpha_c, gmin, n_node_unknowns, |r, c, v| {
+            match stamps.get(k) {
+                Some(&(sr, sc, slot)) if sr == r && sc == c => vals[slot] += v,
+                _ => same = false,
+            }
+            k += 1;
+        });
+        same && k == stamps.len()
+    }
+}
+
+/// The [`Layout::terms`] key of a combination.
+fn terms(alpha_g: f64, alpha_c: f64, gmin: f64) -> u8 {
+    u8::from(alpha_g != 0.0) | u8::from(alpha_c != 0.0) << 1 | u8::from(gmin != 0.0) << 2
 }
 
 impl CombineStage {
     /// Creates an empty stage.
     pub fn new() -> Self {
-        CombineStage {
-            tr: Triplets::new(0, 0),
-            csc: None,
-        }
+        CombineStage::default()
     }
 
     /// Builds `alpha_g·G + alpha_c·C (+ gmin·I on node rows)` into the
-    /// staged storage and returns a borrow of it. Equivalent to [`combine`]
-    /// but allocation-free after the first same-pattern call.
+    /// staged storage and returns a borrow of it. Bitwise equal to
+    /// [`combine`], but allocation-free after the first call of each
+    /// combination.
     pub fn combine(
         &mut self,
         asm: &Assembly,
@@ -174,28 +303,52 @@ impl CombineStage {
         n_node_unknowns: usize,
     ) -> &Csc {
         self.stage(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-        self.csc.as_ref().expect("staged combine")
+        &self.layouts[self.active].csc
     }
 
-    /// Refills the triplets in place and value-refills the staged CSC when
-    /// the pattern is unchanged, rebuilding it otherwise. Returns `true` if
-    /// the pattern had to be rebuilt (first call or stamp-pattern change).
-    fn stage(
+    /// Stages the combination into its layout (refilled in place, or built
+    /// on first use or a stamp-sequence change) and makes it the active
+    /// one; [`CombineStage::staged`] borrows the result.
+    pub(crate) fn stage(
         &mut self,
         asm: &Assembly,
         alpha_g: f64,
         alpha_c: f64,
         gmin: f64,
         n_node_unknowns: usize,
-    ) -> bool {
-        fill_combined_triplets(&mut self.tr, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-        if let Some(csc) = self.csc.as_mut() {
-            if csc.refill_from(&self.tr).is_ok() {
-                return false;
+    ) -> Staged {
+        let key = terms(alpha_g, alpha_c, gmin);
+        let previous = self.active;
+        let found = self.layouts.iter().position(|l| l.terms == key);
+        match found {
+            Some(k) if self.layouts[k].refill(asm, alpha_g, alpha_c, gmin, n_node_unknowns) => {
+                self.active = k;
+                if k == previous {
+                    Staged::Refilled
+                } else {
+                    Staged::Switched
+                }
+            }
+            _ => {
+                let layout = Layout::build(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
+                self.active = match found {
+                    Some(k) => {
+                        self.layouts[k] = layout;
+                        k
+                    }
+                    None => {
+                        self.layouts.push(layout);
+                        self.layouts.len() - 1
+                    }
+                };
+                Staged::Built
             }
         }
-        self.csc = Some(self.tr.to_csc());
-        true
+    }
+
+    /// The last staged matrix, or `None` before the first call.
+    pub(crate) fn staged(&self) -> Option<&Csc> {
+        self.layouts.get(self.active).map(|l| &l.csc)
     }
 }
 
@@ -240,8 +393,8 @@ impl SolverStats {
 /// A circuit's MNA sparsity pattern never changes between timesteps or
 /// Newton iterations, so this workspace:
 ///
-/// - keeps the [`Triplets`]/[`Csc`] staging buffers alive and refills their
-///   *values* in place,
+/// - stages the sparse backends' [`Csc`] in a [`CombineStage`], which
+///   refills its *values* in place through recorded value slots,
 /// - for the sparse backend, performs the symbolic pivot analysis once and
 ///   replays it on every subsequent factorization
 ///   ([`SparseLu::refactor`] / [`Csc::lu_with`]), falling back to a fresh
@@ -338,13 +491,16 @@ impl JacobianWorkspace {
                 }
             }
             SolverKind::Sparse | SolverKind::SparseOrdered => {
-                let rebuilt = self
+                let staged = self
                     .stage
                     .stage(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-                if rebuilt {
+                if staged == Staged::Built {
                     self.stats.pattern_builds += 1;
                 }
-                let Some(csc) = self.stage.csc.as_ref() else {
+                // The cached factorization belongs to the previous call's
+                // pattern; only a refill of that same layout can replay it.
+                let rebuilt = staged != Staged::Refilled;
+                let Some(csc) = self.stage.staged() else {
                     return Err(NumError::Internal {
                         what: "csc staging missing after staging",
                     });
@@ -381,37 +537,6 @@ impl JacobianWorkspace {
     }
 }
 
-/// Fills `tr` with `alpha_g·G + alpha_c·C (+ gmin·I on node rows)` triplets,
-/// retaining its allocation.
-fn fill_combined_triplets(
-    tr: &mut Triplets,
-    asm: &Assembly,
-    alpha_g: f64,
-    alpha_c: f64,
-    gmin: f64,
-    n_node_unknowns: usize,
-) {
-    if tr.rows() != asm.n || tr.cols() != asm.n {
-        *tr = Triplets::new(asm.n, asm.n);
-    }
-    tr.clear();
-    if alpha_g != 0.0 {
-        for &(r, c, v) in asm.g.iter() {
-            tr.push(r, c, alpha_g * v);
-        }
-    }
-    if alpha_c != 0.0 {
-        for &(r, c, v) in asm.c.iter() {
-            tr.push(r, c, alpha_c * v);
-        }
-    }
-    if gmin != 0.0 {
-        for i in 0..n_node_unknowns.min(asm.n) {
-            tr.push(i, i, gmin);
-        }
-    }
-}
-
 /// Fills a dense matrix with the same combination, retaining its allocation.
 fn fill_combined_dense(
     m: &mut DMat,
@@ -422,21 +547,9 @@ fn fill_combined_dense(
     n_node_unknowns: usize,
 ) {
     m.fill_zero();
-    if alpha_g != 0.0 {
-        for &(r, c, v) in asm.g.iter() {
-            m[(r, c)] += alpha_g * v;
-        }
-    }
-    if alpha_c != 0.0 {
-        for &(r, c, v) in asm.c.iter() {
-            m[(r, c)] += alpha_c * v;
-        }
-    }
-    if gmin != 0.0 {
-        for i in 0..n_node_unknowns.min(asm.n) {
-            m[(i, i)] += gmin;
-        }
-    }
+    for_each_stamp(asm, alpha_g, alpha_c, gmin, n_node_unknowns, |r, c, v| {
+        m[(r, c)] += v
+    });
 }
 
 /// Builds `alpha_g·G + alpha_c·C (+ gmin·I on node rows)` as CSC.
@@ -447,15 +560,15 @@ pub fn combine(
     gmin: f64,
     n_node_unknowns: usize,
 ) -> Csc {
-    let mut t = Triplets::new(asm.n, asm.n);
-    fill_combined_triplets(&mut t, asm, alpha_g, alpha_c, gmin, n_node_unknowns);
-    t.to_csc()
+    combined_triplets(asm, alpha_g, alpha_c, gmin, n_node_unknowns).to_csc()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tranvar_circuit::{Circuit, NodeId, Waveform};
+    use tranvar_circuit::{
+        Circuit, CircuitOverride, DeviceId, MosModel, MosType, NodeId, Waveform,
+    };
 
     fn rc() -> Circuit {
         let mut ckt = Circuit::new();
@@ -538,6 +651,129 @@ mod tests {
             let expect = combine(&asm, 1.0, 1e9, 1e-12, nn);
             assert_eq!(staged, &expect, "trial {trial}");
         }
+    }
+
+    /// A CMOS inverter driving a load capacitor: its MOSFET stamps make
+    /// both `G` and `C` depend on the state.
+    fn inverter() -> (Circuit, DeviceId) {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsource("VDD", vdd, NodeId::GROUND, Waveform::Dc(1.2));
+        ckt.add_vsource("VIN", inp, NodeId::GROUND, Waveform::Dc(0.6));
+        let mp = ckt.add_mosfet(
+            "MP",
+            out,
+            inp,
+            vdd,
+            MosType::Pmos,
+            MosModel::pmos_013(),
+            2e-6,
+            0.13e-6,
+        );
+        ckt.add_mosfet(
+            "MN",
+            out,
+            inp,
+            NodeId::GROUND,
+            MosType::Nmos,
+            MosModel::nmos_013(),
+            1e-6,
+            0.13e-6,
+        );
+        ckt.add_capacitor("CL", out, NodeId::GROUND, 10e-15);
+        (ckt, mp)
+    }
+
+    /// Sets to 0.0 the `G` stamps of one off-diagonal coordinate that `C`
+    /// does not stamp, and returns that coordinate.
+    fn zero_a_g_only_slot(asm: &mut Assembly) -> (usize, usize) {
+        let in_c = |rc| asm.c.iter().any(|&(r, c, _)| (r, c) == rc);
+        let at = asm
+            .g
+            .iter()
+            .map(|&(r, c, _)| (r, c))
+            .find(|&(r, c)| r != c && !in_c((r, c)))
+            .unwrap();
+        let mut g = Triplets::new(asm.n, asm.n);
+        for &(r, c, v) in asm.g.iter() {
+            g.push(r, c, if (r, c) == at { 0.0 } else { v });
+        }
+        asm.g = g;
+        at
+    }
+
+    /// Dense images of two matrices, compared bitwise.
+    fn assert_dense_bits_eq(got: &Csc, want: &Csc, what: &str) {
+        let (g, w) = (got.to_dense(), want.to_dense());
+        for (k, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: entry {k}: {a:e} vs {b:e}"
+            );
+        }
+    }
+
+    /// The stage alternates a `G`-free combination (a backward-Euler `B`)
+    /// with a `G`-bearing one (a trapezoidal `B`) over the assemblies of a
+    /// nonlinear circuit. Every staged matrix equals a fresh `combine`
+    /// bitwise and densely, and each combination builds its layout once.
+    #[test]
+    fn slot_refill_matches_fresh_combine_without_rebuilds() {
+        let (ckt, _) = inverter();
+        let nn = ckt.n_nodes() - 1;
+        let (h, gmin) = (1e-11, 1e-12);
+        let mut stage = CombineStage::new();
+        let mut built = [0usize; 2];
+        for trial in 0..6 {
+            let vout = 0.2 * trial as f64;
+            let x = vec![1.2, 0.55 + 0.02 * trial as f64, vout, -1e-4, 1e-5];
+            let mut asm = ckt.assemble(&x, 0.0);
+            // On odd trials a slot stamped by G alone holds only zeros: under
+            // the trapezoidal weight −½ it sums to −0.0, a sign the refill
+            // must keep as a fresh build does.
+            let zeroed = (trial % 2 == 1).then(|| zero_a_g_only_slot(&mut asm));
+            for (combo, theta) in [1.0, 0.5].into_iter().enumerate() {
+                let (ag, ac, gm) = (-(1.0 - theta), 1.0 / h, -(1.0 - theta) * gmin);
+                if stage.stage(&asm, ag, ac, gm, nn) == Staged::Built {
+                    built[combo] += 1;
+                }
+                let fresh = combine(&asm, ag, ac, gm, nn);
+                if let (Some((r, c)), 0.5) = (zeroed, theta) {
+                    assert_eq!(fresh.get(r, c).to_bits(), (-0.0f64).to_bits());
+                }
+                let staged = stage.staged().unwrap();
+                assert_dense_bits_eq(staged, &fresh, &format!("trial {trial} θ={theta}"));
+                // The BE layout holds C's pattern alone: no stale G zeros.
+                assert_eq!(staged.nnz(), fresh.nnz(), "trial {trial} θ={theta}");
+                assert_eq!(stage.combine(&asm, ag, ac, gm, nn), &fresh);
+            }
+        }
+        assert_eq!(built, [1, 1], "one layout build per combination");
+    }
+
+    /// A value-only revaluation keeps the stamp sequence, so a stage built
+    /// on the original circuit refills from the revalued one without a
+    /// rebuild, and the refill equals a fresh build.
+    #[test]
+    fn revalued_circuit_refills_the_staged_layout() {
+        let (mut ckt, mp) = inverter();
+        let nn = ckt.n_nodes() - 1;
+        let x = vec![1.2, 0.6, 0.5, -1e-4, 1e-5];
+        let mut stage = CombineStage::new();
+        let asm = ckt.assemble(&x, 0.0);
+        assert_eq!(stage.stage(&asm, 0.5, 1e11, 1e-12, nn), Staged::Built);
+        ckt.revalue(&[CircuitOverride::MosWidth {
+            device: mp,
+            width: 3e-6,
+        }])
+        .unwrap();
+        let asm = ckt.assemble(&x, 0.0);
+        assert_eq!(stage.stage(&asm, 0.5, 1e11, 1e-12, nn), Staged::Refilled);
+        let fresh = combine(&asm, 0.5, 1e11, 1e-12, nn);
+        assert_dense_bits_eq(stage.staged().unwrap(), &fresh, "revalued");
     }
 
     #[test]

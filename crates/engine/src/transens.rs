@@ -51,7 +51,7 @@ use crate::par::effective_threads_for_work;
 use crate::sens::{dc_sensitivities, param_step_rhs};
 use crate::session::Session;
 use crate::solver::{combine, FactoredJacobian};
-use crate::tran::{CycleWorkspace, StepRecord, Stepper, TranOptions, TranResult};
+use crate::tran::{CycleWorkspace, NewtonTest, StepRecord, Stepper, TranOptions, TranResult};
 use tranvar_circuit::{Circuit, ParamDeriv};
 use tranvar_num::dense::vecops;
 
@@ -249,7 +249,7 @@ pub(crate) fn run(
     // `tran::transient`, so the nominal trajectory is bitwise identical),
     // recording the accepted per-step factorization J and coupling B so the
     // sensitivity pass never has to re-assemble or re-factor anything.
-    let mut stepper = Stepper::transient(ckt, ws, opts, x0)?;
+    let mut stepper = Stepper::transient(ckt, ws, opts, x0, NewtonTest::Vtol)?;
     let mut times = Vec::with_capacity(n_steps + 1);
     let mut states = Vec::with_capacity(n_steps + 1);
     times.push(opts.t_start);

@@ -96,9 +96,6 @@ pub enum NumError {
         /// Actual size.
         actual: usize,
     },
-    /// A numeric-only update was attempted on a matrix whose sparsity
-    /// pattern differs from the one the structure was built for.
-    PatternMismatch,
     /// An internal workspace invariant was violated (e.g. staged storage or
     /// a cached factorization missing where one must exist). Indicates a
     /// kernel bug, surfaced as a typed error instead of a panic so solve
@@ -127,9 +124,6 @@ impl fmt::Display for NumError {
             NumError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
-            NumError::PatternMismatch => {
-                write!(f, "sparsity pattern differs from the analyzed structure")
-            }
             NumError::Internal { what } => {
                 write!(f, "internal invariant violated: {what}")
             }
@@ -156,7 +150,6 @@ impl NumError {
             NumError::DimensionMismatch { .. } => {
                 WireFault::new("num.dimension-mismatch", Internal)
             }
-            NumError::PatternMismatch => WireFault::new("num.pattern-mismatch", Internal),
             NumError::Internal { .. } => WireFault::new("num.internal", Internal),
         }
     }
@@ -179,7 +172,6 @@ mod tests {
                 expected: 4,
                 actual: 5,
             },
-            NumError::PatternMismatch,
             NumError::Internal { what: "test" },
         ];
         for e in errs {

@@ -223,43 +223,26 @@ impl Csc {
 
     /// Returns the entry at `(row, col)`, or zero if not stored.
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        let lo = self.col_ptr[col];
-        let hi = self.col_ptr[col + 1];
-        match self.row_idx[lo..hi].binary_search(&row) {
-            Ok(k) => self.values[lo + k],
-            Err(_) => 0.0,
-        }
+        self.slot(row, col).map_or(0.0, |k| self.values[k])
     }
 
-    /// Numeric-only value update from a triplet set with the *same sparsity
-    /// pattern* as the one this matrix was compressed from (hot-loop reuse:
-    /// the MNA pattern of a circuit never changes between timesteps, only
-    /// the stamped values do). Zero heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::PatternMismatch`] if a triplet addresses a
-    /// coordinate that is not stored, or [`NumError::DimensionMismatch`] on
-    /// shape disagreement. On error the stored values are unspecified
-    /// (partially refilled) — discard the matrix and rebuild with
-    /// [`Triplets::to_csc`].
-    pub fn refill_from(&mut self, t: &Triplets) -> Result<(), NumError> {
-        if t.rows != self.rows || t.cols != self.cols {
-            return Err(NumError::DimensionMismatch {
-                expected: self.rows,
-                actual: t.rows,
-            });
-        }
-        self.values.iter_mut().for_each(|v| *v = 0.0);
-        for &(r, c, v) in &t.entries {
-            let lo = self.col_ptr[c];
-            let hi = self.col_ptr[c + 1];
-            match self.row_idx[lo..hi].binary_search(&r) {
-                Ok(k) => self.values[lo + k] += v,
-                Err(_) => return Err(NumError::PatternMismatch),
-            }
-        }
-        Ok(())
+    /// Mutably borrows the stored values in column-major pattern order
+    /// (numeric-only refills: the pattern stays fixed, so a caller that
+    /// knows each entry's [`Csc::slot`] rewrites values without a search).
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// The index into [`Csc::values`] of the stored entry at `(row, col)`,
+    /// or `None` if that coordinate is not stored.
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let lo = self.col_ptr[col];
+        let hi = self.col_ptr[col + 1];
+        self.row_idx[lo..hi]
+            .binary_search(&row)
+            .ok()
+            .map(|k| lo + k)
     }
 
     /// Matrix–vector product `A·x`.
@@ -1471,25 +1454,24 @@ mod tests {
     }
 
     #[test]
-    fn refill_from_updates_values_in_place() {
+    fn slots_address_stored_values() {
         let mut t = Triplets::new(3, 3);
         t.push(0, 0, 1.0);
         t.push(1, 1, 2.0);
         t.push(2, 0, 3.0);
         let mut m = t.to_csc();
-        let mut t2 = Triplets::new(3, 3);
-        t2.push(0, 0, 4.0);
-        t2.push(0, 0, 0.5); // duplicate sums
-        t2.push(1, 1, -2.0);
-        // 2,0 omitted: becomes an explicit zero, pattern unchanged.
-        m.refill_from(&t2).unwrap();
-        assert_eq!(m.get(0, 0), 4.5);
-        assert_eq!(m.get(1, 1), -2.0);
-        assert_eq!(m.get(2, 0), 0.0);
         assert_eq!(m.nnz(), 3);
-        // A triplet outside the pattern is a PatternMismatch.
-        let mut t3 = Triplets::new(3, 3);
-        t3.push(2, 2, 1.0);
-        assert!(matches!(m.refill_from(&t3), Err(NumError::PatternMismatch)));
+        // Column-major order: (0,0), (2,0), (1,1).
+        assert_eq!(m.slot(0, 0), Some(0));
+        assert_eq!(m.slot(2, 0), Some(1));
+        assert_eq!(m.slot(1, 1), Some(2));
+        assert_eq!(m.slot(2, 2), None);
+        assert_eq!(m.slot(1, 0), None);
+        // A value rewrite through a slot keeps the pattern.
+        let k = m.slot(2, 0).unwrap();
+        m.values_mut()[k] = -4.5;
+        assert_eq!(m.get(2, 0), -4.5);
+        assert_eq!(m.get(0, 0), 1.0);
+        assert_eq!(m.nnz(), 3);
     }
 }
