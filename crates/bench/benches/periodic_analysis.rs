@@ -12,11 +12,13 @@
 //! iterations and factorizations of one `analyze` per paper deck, and the
 //! Newton iterations of one recorded cycle from the solved orbit start;
 //! these are counts, not times, and the gate holds each at or below its
-//! committed value.
+//! committed value. Its `assembly_refresh` row times the transient step's
+//! in-place assembly refresh against a full assembly over the logic path's
+//! orbit states, with a `max_abs_diff` that must be 0.
 
 use std::io::Write;
 use tranvar_bench::{bench_times, fmt_time, median};
-use tranvar_circuit::Circuit;
+use tranvar_circuit::{Assembly, Circuit};
 use tranvar_circuits::{ArrivalOrder, LogicPath, RingOsc, StrongArm, Tech};
 use tranvar_core::prelude::*;
 use tranvar_core::solve_pss;
@@ -189,6 +191,114 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
     (cmp, json)
 }
 
+/// The largest `|a − b|` between two assemblies of one circuit over `f`,
+/// `q`, the `G` and `C` values and every MOSFET operating point. Values
+/// that differ only in their bits (a NaN, or `−0.0` against `+0.0`) count
+/// as the smallest positive gap; different stamp patterns as an infinite
+/// one.
+fn assembly_gap(a: &Assembly, b: &Assembly) -> f64 {
+    let coords = |asm: &Assembly| -> Vec<(usize, usize)> {
+        let stamps = asm.g.iter().chain(asm.c.iter());
+        stamps.map(|&(r, c, _)| (r, c)).collect()
+    };
+    let values = |asm: &Assembly| -> Vec<f64> {
+        let ops = asm.mos_ops.iter().flat_map(|o| {
+            [
+                o.ids,
+                o.di_dvd,
+                o.di_dvg,
+                o.di_dvs,
+                o.di_dvt,
+                o.di_dbeta_rel,
+            ]
+        });
+        let stamps = asm.g.iter().chain(asm.c.iter()).map(|&(_, _, v)| v);
+        let fq = asm.f.iter().chain(&asm.q).copied();
+        fq.chain(stamps).chain(ops).collect()
+    };
+    let (va, vb) = (values(a), values(b));
+    if coords(a) != coords(b) || va.len() != vb.len() {
+        return f64::INFINITY;
+    }
+    let gap = |(x, y): (&f64, &f64)| {
+        if x.to_bits() == y.to_bits() {
+            0.0
+        } else {
+            (x - y).abs().max(f64::MIN_POSITIVE)
+        }
+    };
+    va.iter().zip(&vb).map(gap).fold(0.0, f64::max)
+}
+
+/// The transient step's assembly refresh ([`Circuit::refresh_into`],
+/// which rewrites only the state-dependent stamps of a built buffer)
+/// against a full [`Circuit::assemble_into`], both over every state of the
+/// logic path's solved orbit.
+fn bench_assembly_refresh(quick: bool) -> String {
+    let tech = Tech::t013();
+    let path = LogicPath::new(&tech, ArrivalOrder::XFirst);
+    let ckt = &path.circuit;
+    let sol = shooting_pss(ckt, path.period, &path.pss_options()).expect("logic-path PSS");
+    let points: Vec<(&[f64], f64)> = sol
+        .states
+        .iter()
+        .zip(&sol.times)
+        .map(|(x, &t)| (x.as_slice(), t))
+        .collect();
+    let mut full = ckt.assemble(points[0].0, points[0].1);
+    let mut refreshed = full.clone();
+
+    // Correctness gate: every refresh equals a fresh assembly exactly.
+    let mut max_abs_diff = 0.0f64;
+    for &(x, t) in &points {
+        ckt.assemble_into(x, t, &mut full);
+        ckt.refresh_into(x, t, &mut refreshed);
+        max_abs_diff = max_abs_diff.max(assembly_gap(&full, &refreshed));
+    }
+    assert!(
+        max_abs_diff == 0.0,
+        "assembly refresh disagrees with a full assembly: {max_abs_diff:e}"
+    );
+
+    let (min_iters, min_time) = bench_budget(quick);
+    let full_times = bench_times(min_iters, min_time, || {
+        for &(x, t) in &points {
+            ckt.assemble_into(x, t, &mut full);
+        }
+    });
+    let refresh_times = bench_times(min_iters, min_time, || {
+        for &(x, t) in &points {
+            ckt.refresh_into(x, t, &mut refreshed);
+        }
+    });
+    let (full_s, refresh_s) = (median(&full_times), median(&refresh_times));
+    let speedup = full_s / refresh_s;
+    println!(
+        "assembly_refresh/full    {:>12}   ({} states)",
+        fmt_time(full_s),
+        points.len()
+    );
+    println!("assembly_refresh/refresh {:>12}", fmt_time(refresh_s));
+    println!("assembly_refresh/speedup {speedup:>11.2}x");
+    format!(
+        concat!(
+            "  \"assembly_refresh\": {{\n",
+            "    \"circuit\": \"logic_path\",\n",
+            "    \"n_states\": {},\n",
+            "    \"full_median_s\": {:.6e},\n",
+            "    \"refresh_median_s\": {:.6e},\n",
+            "    \"speedup\": {:.3},\n",
+            "    \"max_abs_diff\": {:.3e}\n",
+            "  }}"
+        ),
+        points.len(),
+        full_s,
+        refresh_s,
+        speedup,
+        max_abs_diff
+    )
+}
+
 /// Newton iterations and factorizations of one `analyze` of `config` on a
 /// fresh session, read through a counting budget.
 fn analyze_counts(ckt: &Circuit, mut config: PssConfig, metrics: &[MetricSpec]) -> (u64, u64) {
@@ -295,6 +405,7 @@ fn main() {
         .unwrap_or(1);
     let (ring, ring_json) = bench_ring_monodromy(quick);
     let (lptv, lptv_json) = bench_strongarm_lptv(quick);
+    let refresh_json = bench_assembly_refresh(quick);
     let counts_json = shooting_counts();
     assert!(
         ring.speedup() >= 2.0,
@@ -307,7 +418,7 @@ fn main() {
         lptv.speedup()
     );
     let json = format!(
-        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {threads},\n{ring_json},\n{lptv_json},\n{counts_json}\n}}\n",
+        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {threads},\n{ring_json},\n{lptv_json},\n{refresh_json},\n{counts_json}\n}}\n",
     );
     // Emit at the workspace root regardless of the bench's working dir.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pss.json");

@@ -282,6 +282,27 @@ mod tests {
         assert!(gate("cycle_missing", &base, &row("")).is_err());
     }
 
+    /// The `assembly_refresh` row of `BENCH_pss.json` needs no rule of its
+    /// own: its `speedup` takes the ratio floor, its `max_abs_diff` must be
+    /// 0, and a fresh run without the row fails.
+    #[test]
+    fn gate_covers_the_assembly_refresh_row() {
+        let row = |speedup: f64, diff: &str| {
+            format!(
+                r#"{{ "assembly_refresh": {{ "circuit": "logic_path", "n_states": 801,
+                      "full_median_s": 1.96e-3, "refresh_median_s": 1.44e-3,
+                      "speedup": {speedup}, "max_abs_diff": {diff} }} }}"#
+            )
+        };
+        let base = row(1.359, "0.000e0");
+        assert!(gate("refresh_equal", &base, &base).is_ok());
+        assert!(gate("refresh_noise", &base, &row(1.1, "0e0")).is_ok());
+        assert!(gate("refresh_slower", &base, &row(1.0, "0e0")).is_err());
+        assert!(gate("refresh_inexact", &base, &row(1.4, "5.0e-16")).is_err());
+        let other = r#"{ "a": { "speedup": 2.0, "max_abs_diff": 0e0 } }"#;
+        assert!(gate("refresh_missing", &base, other).is_err());
+    }
+
     #[test]
     fn gate_fails_on_missing_baseline_key() {
         let cur = r#"{ "a": { "speedup": 2.5, "max_abs_diff": 0e0 } }"#;

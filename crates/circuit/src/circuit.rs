@@ -737,84 +737,128 @@ impl Circuit {
         out
     }
 
-    /// Assembles into a caller-provided buffer (clears it first).
+    /// Assembles into a caller-provided buffer: clears it, then builds every
+    /// stamp. The `G` and `C` triplets come out in a fixed push order that
+    /// depends on the circuit's topology alone, never on `(x, t)`, so a
+    /// buffer built here can later be brought to another point with
+    /// [`Circuit::refresh_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.n_unknowns()` or the buffer size disagrees.
     pub fn assemble_into(&self, x: &[f64], t: f64, out: &mut Assembly) {
-        let n = self.n_unknowns();
-        assert_eq!(x.len(), n, "state vector length mismatch");
-        assert_eq!(out.n, n, "assembly buffer dimension mismatch");
-        out.f.iter_mut().for_each(|v| *v = 0.0);
-        out.q.iter_mut().for_each(|v| *v = 0.0);
+        self.check_buffer(x, out);
         out.g.clear();
         out.c.clear();
         out.mos_ops.clear();
         out.mos_ops
             .resize(self.devices.len(), crate::mosfet::MosOp::default());
+        let mut sink = Build {
+            g: &mut out.g,
+            c: &mut out.c,
+        };
+        self.stamp_devices(x, t, &mut out.f, &mut out.q, &mut out.mos_ops, &mut sink);
+    }
 
+    /// Brings a buffer that [`Circuit::assemble_into`] built to the point
+    /// `(x, t)`, rewriting only what depends on it: `f`, `q`, the MOSFET
+    /// operating points and the `G` values, in push order. `C` and the
+    /// triplet pattern stay as built. The result equals a fresh
+    /// [`Circuit::assemble_into`] bitwise.
+    ///
+    /// Contract: `out` was built from this circuit, with its current device
+    /// values. `C` and the linear `G` stamps are only valid under that
+    /// contract, so a buffer must be rebuilt after any edit of the circuit,
+    /// such as [`Circuit::revalue`]. The transient stepper builds once per
+    /// run, while it borrows the circuit immutably, and refreshes every
+    /// later assembly of the run. Debug builds check every stamp's
+    /// `(row, col)` against the pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.n_unknowns()`, the buffer size
+    /// disagrees, or the buffer was never built.
+    pub fn refresh_into(&self, x: &[f64], t: f64, out: &mut Assembly) {
+        self.check_buffer(x, out);
+        assert_eq!(
+            out.mos_ops.len(),
+            self.devices.len(),
+            "refresh of an assembly this circuit never built"
+        );
+        let mut sink = Refresh {
+            g: &mut out.g,
+            k: 0,
+        };
+        self.stamp_devices(x, t, &mut out.f, &mut out.q, &mut out.mos_ops, &mut sink);
+        debug_assert_eq!(sink.k, out.g.len(), "refresh left G stamps unwritten");
+    }
+
+    fn check_buffer(&self, x: &[f64], out: &Assembly) {
+        let n = self.n_unknowns();
+        assert_eq!(x.len(), n, "state vector length mismatch");
+        assert_eq!(out.n, n, "assembly buffer dimension mismatch");
+    }
+
+    /// The one device loop behind [`Circuit::assemble_into`] and
+    /// [`Circuit::refresh_into`]: zeroes and stamps `f` and `q`, records
+    /// each MOSFET's operating point, and hands every Jacobian stamp to
+    /// `s` in push order.
+    fn stamp_devices<S: StampSink>(
+        &self,
+        x: &[f64],
+        t: f64,
+        f: &mut [f64],
+        q: &mut [f64],
+        mos_ops: &mut [crate::mosfet::MosOp],
+        s: &mut S,
+    ) {
+        f.fill(0.0);
+        q.fill(0.0);
         let v = |node: NodeId| self.voltage(x, node);
-        // Helper closures cannot borrow `out` mutably while `v` borrows `x`,
-        // so index arithmetic is done inline below.
         for (dev_idx, dev) in self.devices.iter().enumerate() {
             match dev {
                 Device::Resistor { a, b, r } => {
                     let g = 1.0 / r;
                     let i = (v(*a) - v(*b)) * g;
-                    stamp_f(self, out, *a, i);
-                    stamp_f(self, out, *b, -i);
-                    stamp_g2(self, out, *a, *b, g);
+                    stamp_row(self, f, *a, i);
+                    stamp_row(self, f, *b, -i);
+                    stamp2(self, *a, *b, g, |i, j, w| s.g(i, j, w));
                 }
                 Device::Capacitor { a, b, c } => {
                     let qc = (v(*a) - v(*b)) * c;
-                    stamp_q(self, out, *a, qc);
-                    stamp_q(self, out, *b, -qc);
-                    stamp_c2(self, out, *a, *b, *c);
+                    stamp_row(self, q, *a, qc);
+                    stamp_row(self, q, *b, -qc);
+                    stamp2(self, *a, *b, *c, |i, j, w| s.c(i, j, w));
                 }
                 Device::Inductor { a, b, l, branch } => {
                     let bi = self.unknown_of_branch(*branch);
                     let il = x[bi];
-                    stamp_f(self, out, *a, il);
-                    stamp_f(self, out, *b, -il);
-                    if let Some(ia) = self.unknown_of_node(*a) {
-                        out.g.push(ia, bi, 1.0);
-                        out.g.push(bi, ia, 1.0);
-                    }
-                    if let Some(ib) = self.unknown_of_node(*b) {
-                        out.g.push(ib, bi, -1.0);
-                        out.g.push(bi, ib, -1.0);
-                    }
+                    stamp_row(self, f, *a, il);
+                    stamp_row(self, f, *b, -il);
+                    stamp_branch(self, s, *a, *b, bi);
                     // Branch residual: v_a - v_b - L·di/dt = 0.
-                    out.f[bi] += v(*a) - v(*b);
-                    out.q[bi] += -l * il;
-                    out.c.push(bi, bi, -l);
+                    f[bi] += v(*a) - v(*b);
+                    q[bi] += -l * il;
+                    s.c(bi, bi, -l);
                 }
                 Device::Vsource { p, n, wave, branch } => {
                     let bi = self.unknown_of_branch(*branch);
                     let ib = x[bi];
-                    stamp_f(self, out, *p, ib);
-                    stamp_f(self, out, *n, -ib);
-                    if let Some(ip) = self.unknown_of_node(*p) {
-                        out.g.push(ip, bi, 1.0);
-                        out.g.push(bi, ip, 1.0);
-                    }
-                    if let Some(inn) = self.unknown_of_node(*n) {
-                        out.g.push(inn, bi, -1.0);
-                        out.g.push(bi, inn, -1.0);
-                    }
-                    out.f[bi] += v(*p) - v(*n) - wave.value(t);
+                    stamp_row(self, f, *p, ib);
+                    stamp_row(self, f, *n, -ib);
+                    stamp_branch(self, s, *p, *n, bi);
+                    f[bi] += v(*p) - v(*n) - wave.value(t);
                 }
                 Device::Isource { p, n, wave } => {
                     let i = wave.value(t);
-                    stamp_f(self, out, *p, i);
-                    stamp_f(self, out, *n, -i);
+                    stamp_row(self, f, *p, i);
+                    stamp_row(self, f, *n, -i);
                 }
                 Device::Vccs { p, n, cp, cn, gm } => {
                     let i = gm * (v(*cp) - v(*cn));
-                    stamp_f(self, out, *p, i);
-                    stamp_f(self, out, *n, -i);
-                    stamp_g_cross(self, out, *p, *n, *cp, *cn, *gm);
+                    stamp_row(self, f, *p, i);
+                    stamp_row(self, f, *n, -i);
+                    stamp_g_cross(self, s, *p, *n, *cp, *cn, *gm);
                 }
                 Device::Vcvs {
                     p,
@@ -826,22 +870,15 @@ impl Circuit {
                 } => {
                     let bi = self.unknown_of_branch(*branch);
                     let ib = x[bi];
-                    stamp_f(self, out, *p, ib);
-                    stamp_f(self, out, *n, -ib);
-                    if let Some(ip) = self.unknown_of_node(*p) {
-                        out.g.push(ip, bi, 1.0);
-                        out.g.push(bi, ip, 1.0);
-                    }
-                    if let Some(inn) = self.unknown_of_node(*n) {
-                        out.g.push(inn, bi, -1.0);
-                        out.g.push(bi, inn, -1.0);
-                    }
-                    out.f[bi] += v(*p) - v(*n) - gain * (v(*cp) - v(*cn));
+                    stamp_row(self, f, *p, ib);
+                    stamp_row(self, f, *n, -ib);
+                    stamp_branch(self, s, *p, *n, bi);
+                    f[bi] += v(*p) - v(*n) - gain * (v(*cp) - v(*cn));
                     if let Some(icp) = self.unknown_of_node(*cp) {
-                        out.g.push(bi, icp, -gain);
+                        s.g(bi, icp, -gain);
                     }
                     if let Some(icn) = self.unknown_of_node(*cn) {
-                        out.g.push(bi, icn, *gain);
+                        s.g(bi, icn, *gain);
                     }
                 }
                 Device::Mosfet(m) => {
@@ -856,20 +893,20 @@ impl Circuit {
                         v(m.g),
                         v(m.s),
                     );
-                    out.mos_ops[dev_idx] = op;
-                    stamp_f(self, out, m.d, op.ids);
-                    stamp_f(self, out, m.s, -op.ids);
+                    mos_ops[dev_idx] = op;
+                    stamp_row(self, f, m.d, op.ids);
+                    stamp_row(self, f, m.s, -op.ids);
                     // Jacobian rows for drain and source KCL.
                     for (node, sign) in [(m.d, 1.0), (m.s, -1.0)] {
                         if let Some(row) = self.unknown_of_node(node) {
                             if let Some(cd) = self.unknown_of_node(m.d) {
-                                out.g.push(row, cd, sign * op.di_dvd);
+                                s.g(row, cd, sign * op.di_dvd);
                             }
                             if let Some(cg) = self.unknown_of_node(m.g) {
-                                out.g.push(row, cg, sign * op.di_dvg);
+                                s.g(row, cg, sign * op.di_dvg);
                             }
                             if let Some(cs) = self.unknown_of_node(m.s) {
-                                out.g.push(row, cs, sign * op.di_dvs);
+                                s.g(row, cs, sign * op.di_dvs);
                             }
                         }
                     }
@@ -878,18 +915,18 @@ impl Circuit {
                     let cgd = m.cgd();
                     let cj = m.cj_term();
                     let qgs = (v(m.g) - v(m.s)) * cgs;
-                    stamp_q(self, out, m.g, qgs);
-                    stamp_q(self, out, m.s, -qgs);
-                    stamp_c2(self, out, m.g, m.s, cgs);
+                    stamp_row(self, q, m.g, qgs);
+                    stamp_row(self, q, m.s, -qgs);
+                    stamp2(self, m.g, m.s, cgs, |i, j, w| s.c(i, j, w));
                     let qgd = (v(m.g) - v(m.d)) * cgd;
-                    stamp_q(self, out, m.g, qgd);
-                    stamp_q(self, out, m.d, -qgd);
-                    stamp_c2(self, out, m.g, m.d, cgd);
+                    stamp_row(self, q, m.g, qgd);
+                    stamp_row(self, q, m.d, -qgd);
+                    stamp2(self, m.g, m.d, cgd, |i, j, w| s.c(i, j, w));
                     // Junction caps to ground rail.
                     for term in [m.d, m.s] {
                         if let Some(it) = self.unknown_of_node(term) {
-                            out.q[it] += v(term) * cj;
-                            out.c.push(it, it, cj);
+                            q[it] += v(term) * cj;
+                            s.c(it, it, cj);
                         }
                     }
                 }
@@ -1299,52 +1336,92 @@ fn scale_waveform(w: &Waveform, alpha: f64) -> Waveform {
     }
 }
 
-fn stamp_f(ckt: &Circuit, out: &mut Assembly, node: NodeId, val: f64) {
-    if let Some(i) = ckt.unknown_of_node(node) {
-        out.f[i] += val;
+/// Where the device loop of [`Circuit::assemble_into`] and
+/// [`Circuit::refresh_into`] sends its Jacobian stamps, in push order.
+trait StampSink {
+    /// A `∂f/∂x` stamp.
+    fn g(&mut self, row: usize, col: usize, v: f64);
+    /// A `∂q/∂x` stamp.
+    fn c(&mut self, row: usize, col: usize, v: f64);
+}
+
+/// Builds the pattern: appends every stamp.
+struct Build<'a> {
+    g: &'a mut Triplets,
+    c: &'a mut Triplets,
+}
+
+impl StampSink for Build<'_> {
+    #[inline]
+    fn g(&mut self, row: usize, col: usize, v: f64) {
+        self.g.push(row, col, v);
+    }
+
+    #[inline]
+    fn c(&mut self, row: usize, col: usize, v: f64) {
+        self.c.push(row, col, v);
     }
 }
 
-fn stamp_q(ckt: &Circuit, out: &mut Assembly, node: NodeId, val: f64) {
+/// Refreshes a built pattern: overwrites the `G` value at a cursor and
+/// skips `C`, whose stamps are constant for a given circuit.
+struct Refresh<'a> {
+    g: &'a mut Triplets,
+    /// Index of the next `G` stamp.
+    k: usize,
+}
+
+impl StampSink for Refresh<'_> {
+    #[inline]
+    fn g(&mut self, row: usize, col: usize, v: f64) {
+        self.g.set(self.k, row, col, v);
+        self.k += 1;
+    }
+
+    #[inline]
+    fn c(&mut self, _row: usize, _col: usize, _v: f64) {}
+}
+
+/// Adds `val` to node `node`'s row of `vec` (`f` or `q`); ground has none.
+fn stamp_row(ckt: &Circuit, vec: &mut [f64], node: NodeId, val: f64) {
     if let Some(i) = ckt.unknown_of_node(node) {
-        out.q[i] += val;
+        vec[i] += val;
     }
 }
 
-/// Two-terminal conductance stamp.
-fn stamp_g2(ckt: &Circuit, out: &mut Assembly, a: NodeId, b: NodeId, g: f64) {
+/// Two-terminal stamp of `val` between nodes `a` and `b` (a conductance
+/// or a capacitance, by `push`).
+fn stamp2(ckt: &Circuit, a: NodeId, b: NodeId, val: f64, mut push: impl FnMut(usize, usize, f64)) {
     let (ia, ib) = (ckt.unknown_of_node(a), ckt.unknown_of_node(b));
     if let Some(ia) = ia {
-        out.g.push(ia, ia, g);
+        push(ia, ia, val);
         if let Some(ib) = ib {
-            out.g.push(ia, ib, -g);
-            out.g.push(ib, ia, -g);
+            push(ia, ib, -val);
+            push(ib, ia, -val);
         }
     }
     if let Some(ib) = ib {
-        out.g.push(ib, ib, g);
+        push(ib, ib, val);
     }
 }
 
-/// Two-terminal capacitance stamp.
-fn stamp_c2(ckt: &Circuit, out: &mut Assembly, a: NodeId, b: NodeId, c: f64) {
-    let (ia, ib) = (ckt.unknown_of_node(a), ckt.unknown_of_node(b));
-    if let Some(ia) = ia {
-        out.c.push(ia, ia, c);
-        if let Some(ib) = ib {
-            out.c.push(ia, ib, -c);
-            out.c.push(ib, ia, -c);
-        }
+/// The `±1` coupling between branch current `bi` and the KCL rows of its
+/// terminals `p` (+) and `n` (−): inductors and voltage sources.
+fn stamp_branch(ckt: &Circuit, s: &mut impl StampSink, p: NodeId, n: NodeId, bi: usize) {
+    if let Some(ip) = ckt.unknown_of_node(p) {
+        s.g(ip, bi, 1.0);
+        s.g(bi, ip, 1.0);
     }
-    if let Some(ib) = ib {
-        out.c.push(ib, ib, c);
+    if let Some(inn) = ckt.unknown_of_node(n) {
+        s.g(inn, bi, -1.0);
+        s.g(bi, inn, -1.0);
     }
 }
 
 /// Transconductance stamp: current `gm·(v_cp − v_cn)` from p to n.
 fn stamp_g_cross(
     ckt: &Circuit,
-    out: &mut Assembly,
+    s: &mut impl StampSink,
     p: NodeId,
     n: NodeId,
     cp: NodeId,
@@ -1354,10 +1431,10 @@ fn stamp_g_cross(
     for (node, sign) in [(p, 1.0), (n, -1.0)] {
         if let Some(row) = ckt.unknown_of_node(node) {
             if let Some(icp) = ckt.unknown_of_node(cp) {
-                out.g.push(row, icp, sign * gm);
+                s.g(row, icp, sign * gm);
             }
             if let Some(icn) = ckt.unknown_of_node(cn) {
-                out.g.push(row, icn, -sign * gm);
+                s.g(row, icn, -sign * gm);
             }
         }
     }
@@ -1584,6 +1661,96 @@ mod tests {
             assert!((a - b).abs() < 1e-12, "f[{i}]: {a} vs {b}");
         }
         assert_eq!(asm.q, fresh.q);
+    }
+
+    /// Every device kind (R, C, L, V, I, VCCS, VCVS, NMOS, PMOS), with
+    /// grounded terminals on each two-terminal kind, a controlled source
+    /// sensing ground and a MOSFET with its source on ground.
+    fn every_device_kind() -> Circuit {
+        use crate::waveform::Pulse;
+        let mut ckt = Circuit::new();
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| ckt.node(n));
+        let gnd = NodeId::GROUND;
+        let pulse = Pulse {
+            v0: 0.0,
+            v1: 1.2,
+            delay: 1e-10,
+            rise: 5e-11,
+            fall: 5e-11,
+            width: 4e-10,
+            period: 1e-9,
+        };
+        ckt.add_vsource("V1", a, gnd, Waveform::Pulse(pulse));
+        let sin = Waveform::Sin {
+            offset: 1e-5,
+            ampl: 2e-5,
+            freq: 1e9,
+            delay: 0.0,
+        };
+        ckt.add_isource("I1", b, c, sin);
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_resistor("R2", c, gnd, 2e3);
+        ckt.add_capacitor("C1", b, gnd, 1e-12);
+        ckt.add_capacitor("C2", c, d, 2e-13);
+        ckt.add_inductor("L1", d, gnd, 1e-9);
+        ckt.add_vccs("G1", e, gnd, b, c, 1e-4);
+        ckt.add_vcvs("E1", e, d, c, gnd, 2.0);
+        let (nmos, pmos) = (MosModel::nmos_013(), MosModel::pmos_013());
+        ckt.add_mosfet("MN", c, b, gnd, MosType::Nmos, nmos, 1e-6, 0.13e-6);
+        ckt.add_mosfet("MP", d, b, a, MosType::Pmos, pmos, 2e-6, 0.13e-6);
+        ckt
+    }
+
+    /// A buffer built once and refreshed at 50 seeded `(x, t)` points
+    /// equals a fresh `assemble_into` bitwise in `f`, `q`, `G`, `C` and the
+    /// operating points, also when a MOSFET's drain and source swap roles.
+    #[test]
+    fn refresh_matches_a_fresh_assembly_bitwise() {
+        let ckt = every_device_kind();
+        let n = ckt.n_unknowns();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let stamps = |t: &Triplets| {
+            let entries = t.iter().map(|&(r, c, v)| (r, c, v.to_bits()));
+            entries.collect::<Vec<_>>()
+        };
+        let mut rng = tranvar_num::rng::Rng64::seed_from(25);
+        let mut refreshed = ckt.assemble(&vec![0.0; n], 0.0);
+        let mut fresh = ckt.assemble(&vec![0.0; n], 0.0);
+        let mut swapped = [0usize; 2];
+        for point in 0..50 {
+            let x: Vec<f64> = (0..n).map(|_| 2.4 * rng.uniform() - 0.6).collect();
+            let t = 2e-9 * rng.uniform();
+            ckt.refresh_into(&x, t, &mut refreshed);
+            ckt.assemble_into(&x, t, &mut fresh);
+            let at = format!("point {point}");
+            assert_eq!(bits(&refreshed.f), bits(&fresh.f), "{at}: f");
+            assert_eq!(bits(&refreshed.q), bits(&fresh.q), "{at}: q");
+            assert_eq!(stamps(&refreshed.g), stamps(&fresh.g), "{at}: G");
+            assert_eq!(stamps(&refreshed.c), stamps(&fresh.c), "{at}: C");
+            let ops = |a: &Assembly| {
+                let each = a.mos_ops.iter().map(|o| {
+                    bits(&[
+                        o.ids,
+                        o.di_dvd,
+                        o.di_dvg,
+                        o.di_dvs,
+                        o.di_dvt,
+                        o.di_dbeta_rel,
+                    ])
+                });
+                each.collect::<Vec<_>>()
+            };
+            assert_eq!(ops(&refreshed), ops(&fresh), "{at}: mos_ops");
+            // MN (drain c, source ground) and MP (drain d, source a) in
+            // their reverse orientations.
+            let v = |node: &str| ckt.voltage(&x, ckt.find_node(node).unwrap());
+            swapped[0] += usize::from(v("c") < 0.0);
+            swapped[1] += usize::from(v("d") > v("a"));
+        }
+        assert!(
+            swapped.iter().all(|&k| k > 0 && k < 50),
+            "both orientations of each MOSFET: {swapped:?}"
+        );
     }
 
     #[test]

@@ -535,6 +535,24 @@ impl JacobianWorkspace {
             what: "factorization cache empty after factoring",
         })
     }
+
+    /// The cached factorization, for a caller that knows a
+    /// [`JacobianWorkspace::factor`] call would see exactly the values it
+    /// was computed from (the next transient step's first Newton Jacobian
+    /// after a recorded step). It returns what `factor` would, through the
+    /// same fault hook, without the refill and the value compare.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::Internal`] before the first factorization.
+    pub(crate) fn reuse_cached(&mut self) -> Result<&FactoredJacobian, NumError> {
+        if let Some(e) = crate::fault::numeric_fault(crate::fault::sites::FACTOR) {
+            return Err(e);
+        }
+        self.cached.as_ref().ok_or(NumError::Internal {
+            what: "no cached factorization to reuse",
+        })
+    }
 }
 
 /// Fills a dense matrix with the same combination, retaining its allocation.

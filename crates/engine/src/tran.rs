@@ -71,6 +71,33 @@
 //! [`StepRecord::theta`]), so every consumer follows the accepted grid
 //! whether it is uniform or adaptive.
 //!
+//! # Warm start and the Newton loop
+//!
+//! A run assembles the circuit in full only when it starts (and when the
+//! LTE controller rolls back to an accepted state): it builds both buffers
+//! of its assembly double-buffer there. Every later assembly of the run
+//! refreshes a buffer in place ([`Circuit::refresh_into`]), rewriting `f`,
+//! `q`, the MOSFET operating points and the `G` values. `C` and the stamp
+//! pattern depend only on the circuit, which the run borrows immutably, so
+//! they stay as built.
+//!
+//! Each step warm-starts from the previous accepted assembly without
+//! copying it. Its device stamps are valid at the accepted state and only
+//! the independent sources move with time, so just `f` (retimed to the
+//! step's end) and `q` are carried into the current buffer. The first
+//! Newton iteration factors the previous assembly's `G` and `C` where they
+//! lie. After a recorded step that factorization is already cached: the
+//! record factors its accepted-point Jacobian, and when the next step's
+//! weights `(θ, 1/h, θ·gmin)` equal that factorization's bitwise, the first
+//! iteration takes it as is, with no dense refill and no value compare.
+//! Every later iteration refreshes the current buffer at the new iterate
+//! and factors it. The solve budget is charged one factorization per
+//! iteration either way.
+//!
+//! A backward-Euler record's coupling matrix `B = C₀/h` has no `G` term,
+//! so it is the same matrix at every such step of a run with the same `h`:
+//! those records share one allocation ([`StepRecord::b`]).
+//!
 //! # Newton tests
 //!
 //! Each step's Newton iteration stops on one of three tests, picked by the
@@ -96,7 +123,8 @@
 use crate::dc::NewtonOptions;
 use crate::error::EngineError;
 use crate::solver::{CombineStage, FactoredJacobian, JacobianWorkspace, SolverKind};
-use tranvar_circuit::{Circuit, NodeId};
+use std::sync::Arc;
+use tranvar_circuit::{Assembly, Circuit, NodeId};
 use tranvar_num::dense::vecops;
 use tranvar_num::Csc;
 
@@ -386,9 +414,14 @@ pub struct StepRecord {
     /// Coupling to the previous state: `B = C₀/h − (1−θ)·(G₀ + gmin)`, so
     /// that `∂x₁/∂x₀ = J⁻¹·B`. Its pattern holds only the terms present:
     /// a backward-Euler step (θ = 1) stores `C₀`'s pattern alone. The
-    /// stepper refills it in place from recorded value slots, one layout
-    /// per combination of terms ([`crate::solver::CombineStage`]).
-    pub b: Csc,
+    /// stepper stages it from recorded value slots, one layout per
+    /// combination of terms ([`crate::solver::CombineStage`]).
+    ///
+    /// Shared: a backward-Euler `B = C₀/h` depends only on the run's
+    /// constant `C` and on `h`, so every backward-Euler record of a run
+    /// with the same `h` (bitwise) holds one allocation. Trapezoidal
+    /// records and adaptive steps of another `h` get their own.
+    pub b: Arc<Csc>,
     /// MOSFET operating points at the accepted state (device-indexed),
     /// captured from the final assembly so sensitivity sources can be built
     /// without re-evaluating any device model
@@ -416,37 +449,56 @@ pub(crate) struct StepState {
     pub(crate) jws: JacobianWorkspace,
     bstage: CombineStage,
     /// Assembly at the previous accepted state `(x0, t0)`.
-    pub(crate) asm_prev: tranvar_circuit::Assembly,
+    pub(crate) asm_prev: Assembly,
     /// Assembly buffer for the current step (swapped with `asm_prev`).
-    asm_cur: tranvar_circuit::Assembly,
+    /// Both buffers are built when the run starts and only refreshed
+    /// ([`Circuit::refresh_into`]) after that, so they share one pattern
+    /// and the run's constant `C`.
+    asm_cur: Assembly,
+    /// `(θ, 1/h, θ·gmin)` bits of the accepted-point factorization that
+    /// the last recorded step left cached in `jws`, whose values are those
+    /// of `asm_prev`; `None` once anything else may have been factored.
+    accepted: Option<[u64; 3]>,
+    /// The shared `G`-free coupling matrix `B = C₀/h` of the last
+    /// backward-Euler record, with the bits of its `h`.
+    be_b: Option<(u64, Arc<Csc>)>,
     r: Vec<f64>,
     delta: Vec<f64>,
     scratch: Vec<f64>,
 }
 
 impl StepState {
-    /// Initializes the step state at `(x0, t0)`.
+    /// Initializes the step state at `(x0, t0)`: builds both assembly
+    /// buffers.
     pub(crate) fn new(ckt: &Circuit, kind: SolverKind, x0: &[f64], t0: f64) -> Self {
         let n = ckt.n_unknowns();
         let asm_prev = ckt.assemble(x0, t0);
-        let asm_cur = ckt.assemble(x0, t0);
         StepState {
             jws: JacobianWorkspace::new(kind),
             bstage: CombineStage::new(),
+            asm_cur: asm_prev.clone(),
             asm_prev,
-            asm_cur,
+            accepted: None,
+            be_b: None,
             r: vec![0.0; n],
             delta: vec![0.0; n],
             scratch: vec![0.0; n],
         }
     }
 
-    /// Re-anchors the state at a new `(x0, t0)` without releasing any
-    /// buffer: only the previous-accepted assembly is re-evaluated (the
-    /// current-step assembly is overwritten by the first Newton iteration,
-    /// and the factorization/staging workspaces carry over unchanged).
+    /// Re-anchors the state at a new `(x0, t0)`, starting a new run of
+    /// `ckt` without releasing any buffer. It fully assembles `asm_prev`
+    /// and copies it into `asm_cur`, so both buffers hold `ckt`'s current
+    /// `C` and stamp pattern even after a [`Circuit::revalue`] between
+    /// runs; every later assembly of the run refreshes them in place. It
+    /// also forgets the cached accepted-point factorization and the shared
+    /// backward-Euler `B`, both built from the previous anchor. The
+    /// factorization and staging workspaces carry over.
     pub(crate) fn reset(&mut self, ckt: &Circuit, x0: &[f64], t0: f64) {
         ckt.assemble_into(x0, t0, &mut self.asm_prev);
+        self.asm_cur.copy_from(&self.asm_prev);
+        self.accepted = None;
+        self.be_b = None;
     }
 }
 
@@ -521,11 +573,10 @@ impl std::fmt::Debug for CycleWorkspace {
 /// left to the stepper, which commits it on acceptance.
 ///
 /// The Newton iteration warm-starts from the previous accepted assembly
-/// (retimed to `t1` with a handful of waveform evaluations instead of a
-/// full device re-evaluation) and reuses every buffer in `st`. It stops on
-/// the Newton test `test` ([`NewtonTest`]). On request the step record is
-/// returned; the accepted assembly is left in `st.asm_prev` for the next
-/// step.
+/// without copying it (see the [module docs](self)), refreshes `st.asm_cur`
+/// at every iterate, and stops on the Newton test `test` ([`NewtonTest`]).
+/// On request the step record is returned; the accepted assembly is left
+/// in `st.asm_prev` for the next step.
 fn step(
     ckt: &Circuit,
     st: &mut StepState,
@@ -544,12 +595,17 @@ fn step(
     let n_node = ckt.n_nodes() - 1;
     let theta = method.theta();
     // Warm start: device stamps of the previous accepted assembly are valid
-    // at (x, t1); only the independent sources move with time.
-    st.asm_cur.copy_from(&st.asm_prev);
+    // at (x, t1); only the independent sources move with time. So only `f`
+    // (retimed) and `q` are carried into `asm_cur`; the first iteration
+    // factors `asm_prev`'s G and C where they are.
+    st.asm_cur.f.copy_from_slice(&st.asm_prev.f);
+    st.asm_cur.q.copy_from_slice(&st.asm_prev.q);
     ckt.retime_sources(&mut st.asm_cur, t0, t1);
+    let key = [theta, 1.0 / h, theta * gmin].map(f64::to_bits);
+    let reuse = st.accepted.take() == Some(key);
     let mut converged = false;
     let mut prev = None;
-    for _ in 0..newton.max_iter {
+    for iter in 0..newton.max_iter {
         newton.budget.begin_iteration("transient step")?;
         let asm1 = &st.asm_cur;
         // Residual r = (q1 − q0)/h + θ f1_aug + (1−θ) f0_aug.
@@ -559,11 +615,18 @@ fn step(
         }
         // The MNA pattern is fixed across iterations and steps, so the
         // workspace replays its symbolic analysis and refactors in place —
-        // and skips the numeric work entirely when the values are unchanged
-        // (the warm-started first iteration repeats the previous accepted
-        // Jacobian).
+        // and skips the numeric work entirely when the values are unchanged.
+        // A recorded step leaves its accepted-point factorization cached;
+        // when this step's weights match it bitwise, the first iteration
+        // (whose Jacobian is exactly that one) takes it without a refill.
         newton.budget.count_factorization();
-        let lu = st.jws.factor(asm1, theta, 1.0 / h, theta * gmin, n_node)?;
+        let lu = match iter {
+            0 if reuse => st.jws.reuse_cached()?,
+            0 => st
+                .jws
+                .factor(&st.asm_prev, theta, 1.0 / h, theta * gmin, n_node)?,
+            _ => st.jws.factor(asm1, theta, 1.0 / h, theta * gmin, n_node)?,
+        };
         lu.solve_into(&st.r, &mut st.delta, &mut st.scratch);
         vecops::scale(&mut st.delta, -1.0);
         let mut dmax = vecops::norm_inf(&st.delta);
@@ -586,7 +649,7 @@ fn step(
         for (xi, di) in x.iter_mut().zip(st.delta.iter()) {
             *xi += di;
         }
-        ckt.assemble_into(x, t1, &mut st.asm_cur);
+        ckt.refresh_into(x, t1, &mut st.asm_cur);
         converged = test.stops(&st.delta, x, &mut prev, newton.vtol);
         if converged {
             break;
@@ -606,17 +669,29 @@ fn step(
             .jws
             .factor(&st.asm_cur, theta, 1.0 / h, theta * gmin, n_node)?
             .clone();
-        // B = C0/h − (1−θ)·(G0 + gmin)
-        let b = st
-            .bstage
-            .combine(
-                &st.asm_prev,
-                -(1.0 - theta),
-                1.0 / h,
-                -(1.0 - theta) * gmin,
-                n_node,
-            )
-            .clone();
+        st.accepted = Some(key);
+        // B = C0/h − (1−θ)·(G0 + gmin). With θ = 1 it is G-free, C0/h, and
+        // C0 is the run's constant C: one matrix per step size.
+        let b = match &st.be_b {
+            Some((hb, b)) if theta == 1.0 && *hb == h.to_bits() => Arc::clone(b),
+            _ => {
+                let b = Arc::new(
+                    st.bstage
+                        .combine(
+                            &st.asm_prev,
+                            -(1.0 - theta),
+                            1.0 / h,
+                            -(1.0 - theta) * gmin,
+                            n_node,
+                        )
+                        .clone(),
+                );
+                if theta == 1.0 {
+                    st.be_b = Some((h.to_bits(), Arc::clone(&b)));
+                }
+                b
+            }
+        };
         Some(StepRecord {
             t1,
             h,
@@ -1268,7 +1343,9 @@ pub(crate) fn run(
 /// [`CycleWorkspace`] `ws`. On the dense backend a reused workspace is
 /// bit-identical to a fresh one; the sparse backend replays the first
 /// cycle's pivot order (identical to machine precision, see
-/// [`crate::session`]).
+/// [`crate::session`]). Each call rebuilds the workspace's assemblies from
+/// `ckt`, so one workspace may serve a circuit across
+/// [`Circuit::revalue`] calls.
 ///
 /// # Errors
 ///
@@ -1436,6 +1513,149 @@ mod tests {
         let gap = max_gap(&vtol.states, &rate.states);
         let vtol_bound = opts.newton.vtol / 10.0;
         assert!(gap > 0.0 && gap <= vtol_bound, "rate vs vtol gap {gap:e}");
+    }
+
+    /// Bit patterns of a vector, for bitwise comparisons.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two cycles equal bitwise: states, and per record `t1`, `h`,
+    /// θ, a probe solve through `J`, `B` and the operating points.
+    fn assert_cycles_bitwise(a: &CycleResult, b: &CycleResult, what: &str) {
+        assert_eq!(bits(&a.times), bits(&b.times), "{what}: times");
+        for (k, (sa, sb)) in a.states.iter().zip(&b.states).enumerate() {
+            assert_eq!(bits(sa), bits(sb), "{what}: state {k}");
+        }
+        assert_eq!(a.states.len(), b.states.len(), "{what}: states");
+        assert_eq!(a.records.len(), b.records.len(), "{what}: records");
+        for (k, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
+            let probe: Vec<f64> = (0..ra.lu.n()).map(|i| 1.0 - 0.3 * i as f64).collect();
+            assert_eq!(
+                bits(&[ra.t1, ra.h, ra.theta]),
+                bits(&[rb.t1, rb.h, rb.theta]),
+                "{what}: record {k} grid"
+            );
+            assert_eq!(
+                bits(&ra.lu.solve(&probe)),
+                bits(&rb.lu.solve(&probe)),
+                "{what}: record {k} J"
+            );
+            assert_eq!(*ra.b, *rb.b, "{what}: record {k} B pattern");
+            assert_eq!(
+                bits(ra.b.values()),
+                bits(rb.b.values()),
+                "{what}: record {k} B"
+            );
+            assert_eq!(ra.mos_ops, rb.mos_ops, "{what}: record {k} mos_ops");
+        }
+    }
+
+    /// A workspace reused across a `Circuit::revalue` of a capacitor and a
+    /// resistor rebuilds its assemblies from the revalued circuit: its
+    /// recorded cycles and transients equal a fresh workspace's bitwise,
+    /// and none repeats the pre-revalue run.
+    #[test]
+    fn workspace_reuse_across_revalue_matches_fresh() {
+        use tranvar_circuit::CircuitOverride;
+        let mut ckt = pulsed_inverter();
+        let out = ckt.find_node("out").unwrap();
+        let rl = ckt.add_resistor("RL", out, NodeId::GROUND, 50e3);
+        let cl = ckt.find_device("CL").unwrap();
+        let x0 = crate::dc::dc_operating_point(&ckt, &crate::dc::DcOptions::default()).unwrap();
+        let newton = NewtonOptions::default();
+        let (period, n_steps, gmin) = (1e-9, 100, 1e-12);
+        let mut opts = TranOptions::new(2e-9, 1e-11);
+        opts.x0 = Some(x0.clone());
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+            opts.method = method;
+            let cycle = |ckt: &Circuit, ws: &mut CycleWorkspace| {
+                let control = StepControl::Fixed;
+                integrate_cycle(
+                    ckt, ws, &x0, 0.0, period, n_steps, &control, method, &newton, gmin, true,
+                )
+                .unwrap()
+            };
+            let tran = |ckt: &Circuit, ws: &mut CycleWorkspace| {
+                run(ckt, ws, &opts, x0.clone(), |_, _| {}).unwrap()
+            };
+            let mut ws = CycleWorkspace::new();
+            let before = cycle(&ckt, &mut ws);
+            let tran_before = tran(&ckt, &mut ws);
+            let mut revalued = ckt.clone();
+            revalued
+                .revalue(&[
+                    CircuitOverride::Capacitance {
+                        device: cl,
+                        farads: 35e-15,
+                    },
+                    CircuitOverride::Resistance {
+                        device: rl,
+                        ohms: 20e3,
+                    },
+                ])
+                .unwrap();
+            let reused = cycle(&revalued, &mut ws);
+            let fresh = cycle(&revalued, &mut CycleWorkspace::new());
+            assert_cycles_bitwise(&reused, &fresh, &format!("{method:?} cycle"));
+            assert!(max_gap(&reused.states, &before.states) > 1e-3);
+            let reused = tran(&revalued, &mut ws);
+            let fresh = tran(&revalued, &mut CycleWorkspace::new());
+            assert_eq!(reused.times, fresh.times);
+            for (k, (a, b)) in reused.states.iter().zip(&fresh.states).enumerate() {
+                assert_eq!(bits(a), bits(b), "{method:?} transient state {k}");
+            }
+            assert!(max_gap(&reused.states, &tran_before.states) > 1e-3);
+        }
+    }
+
+    /// Every record's `B` equals a fresh `combine` at the previous accepted
+    /// state bitwise. The G-free backward-Euler records of a fixed-grid
+    /// cycle share one allocation; trapezoidal records share none, and on
+    /// an adaptive grid only steps of the same `h` share.
+    #[test]
+    fn backward_euler_records_share_one_coupling_matrix() {
+        let ckt = pulsed_inverter();
+        let x0 = crate::dc::dc_operating_point(&ckt, &crate::dc::DcOptions::default()).unwrap();
+        let (n_node, gmin) = (ckt.n_nodes() - 1, 1e-12);
+        let adaptive = StepControl::Adaptive(AdaptiveOptions::default());
+        for (method, control) in [
+            (Integrator::BackwardEuler, StepControl::Fixed),
+            (Integrator::Trapezoidal, StepControl::Fixed),
+            (Integrator::BackwardEuler, adaptive),
+        ] {
+            let cyc = integrate_cycle(
+                &ckt,
+                &mut CycleWorkspace::new(),
+                &x0,
+                0.0,
+                1e-9,
+                100,
+                &control,
+                method,
+                &NewtonOptions::default(),
+                gmin,
+                true,
+            )
+            .unwrap();
+            let what = format!("{method:?} {control:?}");
+            for (k, rec) in cyc.records.iter().enumerate() {
+                let prev = ckt.assemble(&cyc.states[k], cyc.times[k]);
+                let (ag, gm) = (-(1.0 - rec.theta), -(1.0 - rec.theta) * gmin);
+                let fresh = crate::solver::combine(&prev, ag, 1.0 / rec.h, gm, n_node);
+                assert_eq!(*rec.b, fresh, "{what}: record {k}");
+                assert_eq!(bits(rec.b.values()), bits(fresh.values()), "{what}: {k}");
+            }
+            let fixed = control == StepControl::Fixed;
+            for (k, a) in cyc.records.iter().enumerate() {
+                for b in &cyc.records[..k] {
+                    let shared = Arc::ptr_eq(&a.b, &b.b);
+                    let g_free = a.theta == 1.0 && b.theta == 1.0;
+                    assert!(!shared || (g_free && a.h == b.h), "{what}: record {k}");
+                    assert!(!fixed || shared == g_free, "{what}: record {k}");
+                }
+            }
+        }
     }
 
     #[test]

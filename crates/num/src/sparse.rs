@@ -87,6 +87,25 @@ impl Triplets {
         self.entries.push((row, col, value));
     }
 
+    /// Overwrites the value of the `k`-th pushed triplet, which must sit at
+    /// `(row, col)` (checked in debug builds): the in-place refresh of a
+    /// builder whose pattern is fixed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    #[inline]
+    pub fn set(&mut self, k: usize, row: usize, col: usize, value: f64) {
+        let e = &mut self.entries[k];
+        debug_assert!(
+            (e.0, e.1) == (row, col),
+            "triplet {k} sits at {:?}, not {:?}",
+            (e.0, e.1),
+            (row, col)
+        );
+        e.2 = value;
+    }
+
     /// Number of accumulated (pre-compression) triplets.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -1067,6 +1086,25 @@ mod tests {
         let x = t.to_csc().lu().unwrap().solve(&[3.0, 7.0]);
         assert!((x[0] - 7.0).abs() < 1e-14);
         assert!((x[1] - 3.0).abs() < 1e-14);
+    }
+
+    /// `set` rewrites one pushed value in place and keeps the pattern; a
+    /// debug build rejects a stamp at the wrong coordinate.
+    #[test]
+    fn set_overwrites_in_push_order() {
+        let mut t = Triplets::new(2, 2);
+        t.push(0, 0, 1.0);
+        t.push(1, 0, 2.0);
+        t.push(0, 0, 3.0);
+        t.set(2, 0, 0, 5.0);
+        t.set(1, 1, 0, -2.0);
+        let got: Vec<_> = t.iter().copied().collect();
+        assert_eq!(got, [(0, 0, 1.0), (1, 0, -2.0), (0, 0, 5.0)]);
+        assert_eq!(t.to_csc().get(0, 0), 6.0);
+        if cfg!(debug_assertions) {
+            let wrong = std::panic::catch_unwind(move || t.set(0, 1, 1, 0.0));
+            assert!(wrong.is_err());
+        }
     }
 
     #[test]
