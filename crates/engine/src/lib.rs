@@ -7,8 +7,10 @@
 //! - [`tran`]: BE/trapezoidal transient on a fixed or LTE-controlled
 //!   adaptive grid ([`tran::StepControl`]), plus the one-period integrator
 //!   with per-step factorization records reused by PSS and LPTV,
-//! - [`sens`]: DC sensitivities (`.SENS`, paper refs. \[20\],\[26\]) and the
-//!   shared θ-method parameter RHS,
+//! - [`sens`]: DC sensitivities (`.SENS`, paper refs. \[20\],\[26\]), the
+//!   θ-method parameter RHS, and [`sens::RecordSweep`], the one kernel that
+//!   propagates blocks through recorded steps (monodromy, LPTV responses,
+//!   transient sensitivities),
 //! - [`transens`]: transient forward sensitivity — the expensive baseline
 //!   of paper ref. \[23\] (cost ∝ #parameters, integrates through settling),
 //! - [`mc`]: deterministic parallel Monte-Carlo driver (the paper's
@@ -51,7 +53,7 @@ pub use budget::{BudgetKind, BudgetLimits, BudgetProgress, SolveBudget};
 pub use dc::{dc_operating_point, DcOptions, NewtonOptions};
 pub use error::EngineError;
 pub use mc::{monte_carlo, monte_carlo_multi, McOptions, McResult};
-pub use par::{chunk_ranges, effective_threads, effective_threads_for_work, map_scoped};
+pub use par::{chunk_ranges, effective_threads, map_scoped};
 pub use pool::SessionPool;
 pub use retry::{is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics};
 pub use session::{Session, SessionOptions, SessionStats};

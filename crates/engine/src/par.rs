@@ -2,11 +2,11 @@
 //!
 //! Every parallel path in the workspace follows the same shape: split a set
 //! of independent jobs into contiguous chunks, spawn one std scoped worker
-//! per chunk, and join in order. Before this module each call site carried
-//! its own copy of that boilerplate (`transens`, the PSS monodromy
-//! accumulation, the LPTV parameter responses); they now share
-//! [`chunk_ranges`] + [`map_scoped`], as does the scenario-campaign runner
-//! in `tranvar-core`.
+//! per chunk, and join in order. Two drivers share [`chunk_ranges`] +
+//! [`map_scoped`]: the record sweep [`crate::sens::RecordSweep`] (the PSS
+//! monodromy, the LPTV parameter responses and the transient
+//! sensitivities all chunk through it, with its work-aware worker count)
+//! and the scenario-campaign runner in `tranvar-core`.
 //!
 //! Determinism contract: job construction and result placement are
 //! position-based, so as long as each job's arithmetic is independent of the
@@ -40,15 +40,15 @@ const MIN_WORK_PER_THREAD: usize = 1 << 16;
 /// [`effective_threads`] with a work-size guard for the *automatic* mode:
 /// when `requested == 0`, the worker count is additionally capped so that
 /// each spawned thread receives at least `MIN_WORK_PER_THREAD` (2^16) of
-/// `total_work` (callers pass a flop-count proxy), so a sub-100 µs problem
+/// `work` (callers pass a flop-count proxy), so a sub-100 µs problem
 /// is not made slower by thread spawns. Explicit nonzero requests are
-/// honored unchanged.
-pub fn effective_threads_for_work(requested: usize, n_jobs: usize, total_work: usize) -> usize {
+/// honored unchanged. The record sweep's chunk driver is the only caller.
+pub(crate) fn effective_threads_for_work(requested: usize, n_jobs: usize, work: usize) -> usize {
     let t = effective_threads(requested, n_jobs);
     if requested != 0 {
         return t;
     }
-    t.min((total_work / MIN_WORK_PER_THREAD).max(1))
+    t.min((work / MIN_WORK_PER_THREAD).max(1))
 }
 
 /// Splits `0..n_items` into contiguous `(start, len)` chunks of at most
@@ -83,7 +83,9 @@ pub fn chunk_ranges(n_items: usize, chunk: usize) -> Vec<(usize, usize)> {
 ///
 /// # Panics
 ///
-/// Propagates worker panics.
+/// Re-raises a worker's panic with the worker's own payload, so a caller
+/// that catches it (a campaign's per-key `catch_unwind`) sees the original
+/// message.
 pub fn map_scoped<J, T, F>(jobs: Vec<J>, f: F) -> Vec<T>
 where
     J: Send,
@@ -114,7 +116,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("chunk worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
 }
@@ -154,6 +156,23 @@ mod tests {
         let jobs: Vec<usize> = (0..13).collect();
         let out = map_scoped(jobs, |x| x * x);
         assert_eq!(out, (0..13).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_scoped_reraises_the_worker_panic_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            map_scoped(vec![0usize, 1], |i| {
+                if i == 1 {
+                    panic!("job {i} failed on purpose");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the panicking job must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("job 1 failed on purpose")
+        );
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! DC sensitivity analysis (`.SENS`) — the classic linear-perturbation
-//! computation the paper's references \[8\],\[9\],\[20\],\[26\] build on, and the
-//! shared right-hand-side helper used by both the transient-sensitivity
-//! baseline and the LPTV periodic solver.
+//! computation the paper's references \[8\],\[9\],\[20\],\[26\] build on —
+//! and [`RecordSweep`], the one kernel that propagates blocks through
+//! recorded steps: the PSS monodromy, the LPTV parameter responses and
+//! [`crate::Session::transient_with_sensitivities`] all run it. The
+//! sequential references (`monodromy_seq`, `PeriodicSolver::param_response`,
+//! [`crate::transens::transient_with_sensitivities_seq`] and
+//! [`param_step_rhs`]) stay separate, as independent oracles.
 
 use crate::error::EngineError;
+use crate::par::{chunk_ranges, effective_threads_for_work, map_scoped};
 use crate::solver::{FactoredJacobian, SolverKind};
-use tranvar_circuit::{Circuit, ParamDeriv};
+use crate::tran::StepRecord;
+use std::ops::Range;
+use tranvar_circuit::{Circuit, CircuitError, ParamDeriv};
 use tranvar_num::lanes_scratch_len;
 
 /// DC sensitivities `dx/dp_k` of the operating point with respect to every
@@ -57,6 +64,7 @@ pub fn dc_sensitivities(
 /// [`crate::tran::StepRecord`], the parameter sensitivity propagates as
 /// `J·S₁ = B·S₀ − w`. The same `w` is the periodic-BVP source term in the
 /// LPTV mismatch analysis (pseudo-noise injection integrated over a step).
+/// The per-parameter oracle of [`RecordSweep::stage_sources`].
 ///
 /// # Errors
 ///
@@ -69,52 +77,160 @@ pub fn param_step_rhs(
     h: f64,
     theta: f64,
 ) -> Result<Vec<f64>, EngineError> {
+    let (pd1, pd0) = (ckt.d_residual_dparam(k, x1)?, ckt.d_residual_dparam(k, x0)?);
     let mut w = vec![0.0; ckt.n_unknowns()];
-    let mut scratch = ParamDerivPair::default();
-    param_step_rhs_into(ckt, k, x1, x0, h, theta, &mut w, &mut scratch)?;
+    for &(i, v) in &pd1.df {
+        w[i] += theta * v;
+    }
+    for &(i, v) in &pd0.df {
+        w[i] += (1.0 - theta) * v;
+    }
+    for &(i, v) in &pd1.dq {
+        w[i] += v / h;
+    }
+    for &(i, v) in &pd0.dq {
+        w[i] -= v / h;
+    }
     Ok(w)
 }
 
-/// Reusable derivative buffers for [`param_step_rhs_into`] — one pair per
-/// worker thread keeps the per-step parameter loop allocation-free.
-#[derive(Clone, Debug, Default)]
-pub struct ParamDerivPair {
-    pd1: ParamDeriv,
-    pd0: ParamDeriv,
+/// One worker chunk of a record sweep: `J_k·d_k = B_k·d_{k−1} − w_k`
+/// through [`StepRecord`]s for `p` right-hand sides (columns or mismatch
+/// parameters) in one RHS-interleaved block, allocation-free per step.
+/// Each job's arithmetic is the sequential references' (a lane solve is
+/// `solve_into` bit for bit; an entry minus a zero source is the entry),
+/// so results are bit-identical for any thread count.
+#[derive(Debug, Default)]
+pub struct RecordSweep {
+    /// The chunk's jobs, `k0..k0 + p`.
+    pub jobs: Range<usize>,
+    /// The block, `state[i·p + kk]` = row `i` of job `k0 + kk`; zero when
+    /// the chunk first runs.
+    pub state: Vec<f64>,
+    n: usize,
+    rhs: Vec<f64>,
+    scratch: Vec<f64>,
+    /// Staged sources, `sources[s·n·p + i·p + kk]` for record `s`.
+    sources: Vec<f64>,
+    /// Parameter derivatives at the last staged state, and the next one's.
+    pd_prev: Vec<ParamDeriv>,
+    pd_cur: Vec<ParamDeriv>,
 }
 
-/// Allocation-free variant of [`param_step_rhs`]: writes `w_k` into `out`
-/// (which must have length `n_unknowns`), reusing `scratch`'s buffers.
-///
-/// # Errors
-///
-/// Propagates unknown-parameter errors.
-pub fn param_step_rhs_into(
-    ckt: &Circuit,
-    k: usize,
-    x1: &[f64],
-    x0: &[f64],
-    h: f64,
-    theta: f64,
-    out: &mut [f64],
-    scratch: &mut ParamDerivPair,
-) -> Result<(), EngineError> {
-    ckt.d_residual_dparam_into(k, x1, &mut scratch.pd1)?;
-    ckt.d_residual_dparam_into(k, x0, &mut scratch.pd0)?;
-    out.iter_mut().for_each(|v| *v = 0.0);
-    for &(i, v) in &scratch.pd1.df {
-        out[i] += theta * v;
+impl RecordSweep {
+    /// Splits `n_jobs` jobs of an `n`-unknown system into contiguous
+    /// chunks, one per worker: `threads` (`0` = all cores, capped so each
+    /// worker gets enough of the flop-count proxy `work` to amortize its
+    /// spawn), at most `n_jobs`.
+    pub fn chunks(n: usize, n_jobs: usize, threads: usize, work: usize) -> Vec<RecordSweep> {
+        let threads = effective_threads_for_work(threads, n_jobs, work);
+        let chunk = n_jobs.div_ceil(threads).max(1);
+        let chunk_of = |(k0, p)| RecordSweep {
+            jobs: k0..k0 + p,
+            n,
+            ..RecordSweep::default()
+        };
+        chunk_ranges(n_jobs, chunk)
+            .into_iter()
+            .map(chunk_of)
+            .collect()
     }
-    for &(i, v) in &scratch.pd0.df {
-        out[i] += (1.0 - theta) * v;
+
+    /// Runs `f` on every chunk, one scoped worker each (see [`map_scoped`]),
+    /// with the chunk's slots of `out` (one per job, or `&mut []`). A chunk
+    /// moves onto its worker, which allocates its buffers on the first run
+    /// and drops it (one-shot) or returns it (windowed); results belong in
+    /// the caller's `out`, since memory one thread allocates and another
+    /// frees after the first exits can stay resident in the allocator.
+    pub fn run<R: Send, T: Send>(
+        chunks: Vec<Self>,
+        out: &mut [R],
+        f: impl Fn(Self, &mut [R]) -> T + Sync,
+    ) -> Vec<T> {
+        let mut rest = out;
+        let jobs: Vec<_> = chunks
+            .into_iter()
+            .map(|sw| {
+                let k = sw.jobs.len().min(rest.len());
+                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(k);
+                rest = tail;
+                (sw, slots)
+            })
+            .collect();
+        map_scoped(jobs, |(mut sw, slots)| {
+            if sw.rhs.is_empty() {
+                let (n, p) = (sw.n, sw.jobs.len());
+                sw.state = vec![0.0; n * p];
+                sw.rhs = vec![0.0; n * p];
+                sw.scratch = vec![0.0; lanes_scratch_len(n, p)];
+            }
+            f(sw, slots)
+        })
     }
-    for &(i, v) in &scratch.pd1.dq {
-        out[i] += v / h;
+
+    /// Stages the sources `w` of `records` for the chunk's parameters, in
+    /// [`param_step_rhs`] order, with the records' MOSFET operating points:
+    /// `states[s + 1]` is the state `records[s]` reached. The first staging
+    /// evaluates `states[0]`; later ones (further windows of one run)
+    /// continue from the last staged state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::UnknownMismatchParam`] for jobs that are not
+    /// parameters of `ckt`.
+    pub fn stage_sources(
+        &mut self,
+        ckt: &Circuit,
+        records: &[StepRecord],
+        states: &[Vec<f64>],
+    ) -> Result<(), CircuitError> {
+        let (k0, p, np) = (self.jobs.start, self.jobs.len(), self.state.len());
+        if self.pd_prev.is_empty() {
+            self.pd_prev = vec![ParamDeriv::default(); p];
+            self.pd_cur = vec![ParamDeriv::default(); p];
+            ckt.d_residual_dparams_into(k0, &states[0], &mut self.pd_prev)?;
+        }
+        self.sources.clear();
+        self.sources.resize(records.len() * np, 0.0);
+        let steps = records.iter().zip(&states[1..]);
+        for ((rec, x1), ws) in steps.zip(self.sources.chunks_exact_mut(np)) {
+            ckt.d_residual_dparams_with_ops(k0, x1, &rec.mos_ops, &mut self.pd_cur)?;
+            for (kk, (cur, prev)) in self.pd_cur.iter().zip(&self.pd_prev).enumerate() {
+                for &(i, v) in &cur.df {
+                    ws[i * p + kk] += rec.theta * v;
+                }
+                for &(i, v) in &prev.df {
+                    ws[i * p + kk] += (1.0 - rec.theta) * v;
+                }
+                for &(i, v) in &cur.dq {
+                    ws[i * p + kk] += v / rec.h;
+                }
+                for &(i, v) in &prev.dq {
+                    ws[i * p + kk] -= v / rec.h;
+                }
+            }
+            std::mem::swap(&mut self.pd_prev, &mut self.pd_cur);
+        }
+        Ok(())
     }
-    for &(i, v) in &scratch.pd0.dq {
-        out[i] -= v / h;
+
+    /// Advances [`RecordSweep::state`] through `records` — `B_k·d`, minus
+    /// record `k`'s staged source if any are staged, then one lane solve
+    /// with `J_k` — and hands the block to `after` after each record.
+    pub fn sweep(&mut self, records: &[StepRecord], mut after: impl FnMut(&[f64])) {
+        let (p, np) = (self.jobs.len(), self.state.len());
+        for (s, rec) in records.iter().enumerate() {
+            rec.b.mat_vec_interleaved(&self.state, &mut self.rhs, p);
+            if !self.sources.is_empty() {
+                let w = &self.sources[s * np..(s + 1) * np];
+                self.rhs.iter_mut().zip(w).for_each(|(r, w)| *r -= *w);
+            }
+            rec.lu
+                .solve_multi_lanes(&mut self.rhs, p, &mut self.scratch);
+            std::mem::swap(&mut self.state, &mut self.rhs);
+            after(&self.state);
+        }
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@
 //!
 //! Either backend solves through one lane kernel: the single solve
 //! [`FactoredJacobian::solve_into`] is its width-1 case, and wide multi-RHS
-//! solves (sensitivity and LPTV batches) go through
-//! [`FactoredJacobian::solve_multi_lanes`] with bit-for-bit the same
-//! per-RHS results.
+//! solves (DC sensitivities and the record sweep
+//! [`crate::sens::RecordSweep`]) go through the crate's
+//! `solve_multi_lanes` with bit-for-bit the same per-RHS results.
 
 use tranvar_circuit::Assembly;
 use tranvar_num::{lanes_scratch_len, Csc, DMat, Lu, NumError, SparseLu, Triplets};
@@ -101,7 +101,7 @@ impl FactoredJacobian {
 
     /// Solves `J·x = b` into `out` with zero heap allocation; `scratch`
     /// must have length `self.n()`. Bit-for-bit identical to every lane of
-    /// [`FactoredJacobian::solve_multi_lanes`].
+    /// a multi-RHS lane solve.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         match self {
             FactoredJacobian::Dense(lu) => lu.solve_into(b, out, scratch),
@@ -118,7 +118,7 @@ impl FactoredJacobian {
     /// [`tranvar_num::lanes_scratch_len`]`(self.n(), n_rhs)` elements — size
     /// caller buffers with that helper. Per-RHS results are bit-for-bit
     /// identical to [`FactoredJacobian::solve`].
-    pub fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
+    pub(crate) fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
         debug_assert!(
             scratch.len() >= lanes_scratch_len(self.n(), n_rhs),
             "lane scratch shorter than lanes_scratch_len"

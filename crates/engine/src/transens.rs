@@ -20,16 +20,14 @@
 //!    and re-factors *nothing*. The symbolic pivot analysis is replayed
 //!    across all steps ([`crate::solver::JacobianWorkspace`]) because the
 //!    MNA pattern never changes.
-//! 2. *Propagate phase* (parallel): the mismatch parameters are split into
-//!    contiguous chunks, one worker thread per chunk (the session's
-//!    [`Session::threads`]).
-//!    Each worker advances its chunk through the window with a single
-//!    multi-RHS lane solve per step
-//!    ([`crate::solver::FactoredJacobian::solve_multi_lanes`]) over
-//!    preallocated RHS-interleaved blocks — **zero heap allocation inside
-//!    the per-step parameter loop**. Each state's parameter derivatives are
-//!    evaluated once (not once per adjacent step), and same-device
-//!    parameter pairs (Pelgrom V_T/β) share one model evaluation
+//! 2. *Propagate phase* (parallel): the window goes through the record
+//!    sweep [`crate::sens::RecordSweep`] (shared with the PSS monodromy and
+//!    the LPTV responses; this module keeps only the windowing): parameter
+//!    chunks on the session's [`Session::threads`] workers, one multi-RHS
+//!    lane solve per step. Each state's parameter derivatives are
+//!    evaluated once (a chunk carries the last state's across windows),
+//!    from the records' MOSFET operating points, and same-device parameter
+//!    pairs (Pelgrom V_T/β) share one model evaluation
 //!    ([`tranvar_circuit::Circuit::d_residual_dparams_into`]).
 //!
 //! Because every parameter's arithmetic is independent of the partitioning,
@@ -47,12 +45,11 @@
 //! `(h, θ)`.
 
 use crate::error::EngineError;
-use crate::par::effective_threads_for_work;
-use crate::sens::{dc_sensitivities, param_step_rhs};
+use crate::sens::{dc_sensitivities, param_step_rhs, RecordSweep};
 use crate::session::Session;
 use crate::solver::{combine, FactoredJacobian};
 use crate::tran::{CycleWorkspace, NewtonTest, StepRecord, Stepper, TranOptions, TranResult};
-use tranvar_circuit::{Circuit, ParamDeriv};
+use tranvar_circuit::Circuit;
 use tranvar_num::dense::vecops;
 
 /// Steps per factor/propagate window: bounds the number of simultaneously
@@ -92,79 +89,6 @@ fn initial_sens(
         SensInit::FromDc => dc_sensitivities(ckt, x0, opts.newton.solver)?,
         SensInit::Zero => vec![vec![0.0; ckt.n_unknowns()]; ckt.mismatch_params().len()],
     })
-}
-
-/// Per-chunk worker state that persists across windows: the interleaved
-/// sensitivity block, the batched RHS blocks, and the parameter derivatives
-/// at the previous state (the `x₁` evaluations of one step are the `x₀`
-/// evaluations of the next, so each state is evaluated exactly once per
-/// chunk).
-struct ChunkState {
-    k0: usize,
-    /// Current sensitivities, interleaved: `s_cur[i·p + kk]` is unknown `i`
-    /// of chunk-parameter `kk`.
-    s_cur: Vec<f64>,
-    block: Vec<f64>,
-    scratch: Vec<f64>,
-    w: Vec<f64>,
-    pd_prev: Vec<ParamDeriv>,
-    pd_cur: Vec<ParamDeriv>,
-}
-
-/// Advances one parameter chunk through one window of recorded steps —
-/// the propagate phase of the pipeline (each record carries its own `h`
-/// and `θ`, so the arithmetic is grid-agnostic). `window_start` is the
-/// global step index of `records[0]`; `sens_chunk[kk]` must already have
-/// storage through `window_start + records.len() - 1`.
-fn propagate_window(
-    ckt: &Circuit,
-    cs: &mut ChunkState,
-    sens_chunk: &mut [Vec<Vec<f64>>],
-    records: &[StepRecord],
-    states: &[Vec<f64>],
-    window_start: usize,
-    n: usize,
-) -> Result<(), EngineError> {
-    let p = sens_chunk.len();
-    for (si, rec) in records.iter().enumerate() {
-        let step = window_start + si;
-        // No device evaluation at all: the MOSFET operating points
-        // were captured by the accepted assembly of this step, so
-        // the derivatives come straight from the record.
-        ckt.d_residual_dparams_with_ops(cs.k0, &states[step], &rec.mos_ops, &mut cs.pd_cur)?;
-        // Zero-allocation inner loop over an interleaved block:
-        // every factor entry becomes a p-wide contiguous axpy.
-        rec.b.mat_vec_interleaved(&cs.s_cur, &mut cs.block, p);
-        for kk in 0..p {
-            // w in the θ-method order of `param_step_rhs`.
-            cs.w.iter_mut().for_each(|v| *v = 0.0);
-            for &(i, v) in &cs.pd_cur[kk].df {
-                cs.w[i] += rec.theta * v;
-            }
-            for &(i, v) in &cs.pd_prev[kk].df {
-                cs.w[i] += (1.0 - rec.theta) * v;
-            }
-            for &(i, v) in &cs.pd_cur[kk].dq {
-                cs.w[i] += v / rec.h;
-            }
-            for &(i, v) in &cs.pd_prev[kk].dq {
-                cs.w[i] -= v / rec.h;
-            }
-            for (i, wi) in cs.w.iter().enumerate() {
-                cs.block[i * p + kk] -= *wi;
-            }
-        }
-        rec.lu.solve_multi_lanes(&mut cs.block, p, &mut cs.scratch);
-        std::mem::swap(&mut cs.s_cur, &mut cs.block);
-        for (kk, hist) in sens_chunk.iter_mut().enumerate() {
-            let out = &mut hist[step];
-            for i in 0..n {
-                out[i] = cs.s_cur[i * p + kk];
-            }
-        }
-        std::mem::swap(&mut cs.pd_prev, &mut cs.pd_cur);
-    }
-    Ok(())
 }
 
 /// Runs a transient with forward parameter sensitivities for every mismatch
@@ -217,33 +141,8 @@ pub(crate) fn run(
     // Auto mode stays single-threaded when the whole propagation is too
     // small to amortize the per-window thread spawns (work proxy: one
     // triangular sweep per step per parameter ≈ steps·n²·p flops).
-    let threads = effective_threads_for_work(threads, n_params, n_steps * n * n * n_params.max(1));
-    let chunk = n_params.div_ceil(threads.max(1)).max(1);
-    let mut chunk_states: Vec<ChunkState> = sens
-        .chunks(chunk)
-        .enumerate()
-        .map(|(ci, sc)| {
-            let p = sc.len();
-            let k0 = ci * chunk;
-            let mut s_cur = vec![0.0; n * p];
-            for (kk, _) in sc.iter().enumerate() {
-                for i in 0..n {
-                    s_cur[i * p + kk] = s0[k0 + kk][i];
-                }
-            }
-            let mut cs = ChunkState {
-                k0,
-                s_cur,
-                block: vec![0.0; n * p],
-                scratch: vec![0.0; tranvar_num::lanes_scratch_len(n, p)],
-                w: vec![0.0; n],
-                pd_prev: vec![ParamDeriv::default(); p],
-                pd_cur: vec![ParamDeriv::default(); p],
-            };
-            ckt.d_residual_dparams_into(cs.k0, &x0, &mut cs.pd_prev)?;
-            Ok(cs)
-        })
-        .collect::<Result<_, tranvar_circuit::CircuitError>>()?;
+    let work = n_steps * n * n * n_params.max(1);
+    let mut chunks = RecordSweep::chunks(n, n_params, threads, work);
 
     // Nominal integration on the shared stepper (the same loop behind
     // `tran::transient`, so the nominal trajectory is bitwise identical),
@@ -279,27 +178,33 @@ pub(crate) fn run(
         for hist in sens.iter_mut() {
             hist.resize_with(hist.len() + new_steps, || vec![0.0; n]);
         }
-        // ── Propagate phase: parameter chunks in parallel. One scoped
-        // worker per (state, sensitivity) chunk pair via the shared helper;
-        // a single chunk runs inline.
-        let records_ref = &records;
-        let states_ref = &states;
-        let jobs: Vec<(&mut ChunkState, &mut [Vec<Vec<f64>>])> = chunk_states
-            .iter_mut()
-            .zip(sens.chunks_mut(chunk))
-            .collect();
-        for r in crate::par::map_scoped(jobs, |(cs, sens_chunk)| {
-            propagate_window(
-                ckt,
-                cs,
-                sens_chunk,
-                records_ref,
-                states_ref,
-                window_start,
-                n,
-            )
-        }) {
-            r?;
+        // ── Propagate phase: parameter chunks in parallel through the
+        // record sweep; `window[0]` is the state the window leaves, and
+        // the first window seeds each chunk with its `S(0)`.
+        let (recs, window) = (&records, &states[window_start - 1..]);
+        let swept = RecordSweep::run(std::mem::take(&mut chunks), &mut sens, |mut sw, hists| {
+            let p = hists.len();
+            if window_start == 1 {
+                for (kk, hist) in hists.iter().enumerate() {
+                    for (i, v) in hist[0].iter().enumerate() {
+                        sw.state[i * p + kk] = *v;
+                    }
+                }
+            }
+            sw.stage_sources(ckt, recs, window)?;
+            let mut step = window_start;
+            sw.sweep(recs, |block| {
+                for (kk, hist) in hists.iter_mut().enumerate() {
+                    for (i, v) in hist[step].iter_mut().enumerate() {
+                        *v = block[i * p + kk];
+                    }
+                }
+                step += 1;
+            });
+            Ok::<_, tranvar_circuit::CircuitError>(sw)
+        });
+        for sw in swept {
+            chunks.push(sw?);
         }
     }
     Ok(TranSensResult {

@@ -483,11 +483,6 @@ pub mod vecops {
         x.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
 
-    /// Euclidean norm.
-    pub fn norm2(x: &[f64]) -> f64 {
-        x.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Elementwise difference `a - b`.
     pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
         debug_assert_eq!(a.len(), b.len());

@@ -398,6 +398,113 @@ fn lptv_param_responses_are_bit_identical_for_any_thread_count() {
     }
 }
 
+/// On the StrongARM deck (22 Pelgrom parameters, V_T/β pairs per device),
+/// sessions with 1, 3 and 8 workers cut the parameters into chunks of 22,
+/// 8 and 3, so the 8-worker run splits same-device pairs across workers.
+/// Every record sweep stays bit-identical to its sequential oracle: the
+/// LPTV responses (whole and narrowed), the monodromy and — on a short
+/// MOSFET transient crossing a window boundary — the transient
+/// sensitivities (bitwise across thread counts, machine precision against
+/// the sequential reference).
+#[test]
+fn mosfet_deck_sweeps_are_bit_identical_for_any_thread_count() {
+    use tranvar::circuits::{StrongArm, Tech};
+    use tranvar::engine::transens::{transient_with_sensitivities_seq, SensInit};
+    use tranvar::engine::{Session, SessionOptions, SolverKind, TranOptions};
+    use tranvar::lptv::PeriodicSolver;
+    use tranvar::pss::{monodromy_seq, monodromy_threaded, shooting_pss};
+    let sa = StrongArm::paper(&Tech::t013());
+    let ckt = &sa.circuit;
+    assert_eq!(ckt.mismatch_params().len(), 22);
+    let mut opts = sa.pss_options();
+    opts.n_steps = 96;
+    let sol = shooting_pss(ckt, sa.period, &opts).unwrap();
+    let n = ckt.n_unknowns();
+    let session = |threads| {
+        Session::new(SessionOptions {
+            solver: SolverKind::Dense,
+            threads,
+        })
+    };
+    let same = |a: &[f64], b: &[f64], what: &str| {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(x.to_bits() == y.to_bits(), "{what} row {i}: {x} vs {y}");
+        }
+    };
+
+    let seq = PeriodicSolver::with_session(ckt, &sol, &session(1))
+        .unwrap()
+        .all_param_responses_seq()
+        .unwrap();
+    let m_seq = monodromy_seq(&sol.records, n);
+    let nodes = [sa.vos, sa.outp];
+    let topts = TranOptions::new(sa.period / 4.0, sa.period / 384.0);
+    let tran_seq = transient_with_sensitivities_seq(ckt, &topts, SensInit::FromDc).unwrap();
+    let mut tran_one = None;
+    for threads in [1usize, 3, 8] {
+        let mut s = session(threads);
+        let solver = PeriodicSolver::with_session(ckt, &sol, &s).unwrap();
+        let batched = solver.all_param_responses().unwrap();
+        assert_eq!(batched.len(), seq.len());
+        for (k, (b, r)) in batched.iter().zip(&seq).enumerate() {
+            assert_eq!(b.dperiod.to_bits(), r.dperiod.to_bits());
+            for (step, (bs, rs)) in b.dx.iter().zip(&r.dx).enumerate() {
+                same(bs, rs, &format!("threads {threads} param {k} step {step}"));
+            }
+        }
+        let narrow = solver.node_responses(&nodes, 40).unwrap();
+        for (k, (nr, r)) in narrow.iter().zip(&seq).enumerate() {
+            for (wave, &node) in nr.waves.iter().zip(&nodes) {
+                let want = r.node_waveform(ckt, node);
+                same(
+                    wave,
+                    &want[..=40],
+                    &format!("threads {threads} param {k} node"),
+                );
+            }
+        }
+        let m = monodromy_threaded(&sol.records, n, threads);
+        for j in 0..n {
+            let (col, col_seq): (Vec<f64>, Vec<f64>) =
+                (0..n).map(|i| (m[(i, j)], m_seq[(i, j)])).unzip();
+            same(
+                &col,
+                &col_seq,
+                &format!("threads {threads} monodromy column {j}"),
+            );
+        }
+
+        let tran = s
+            .transient_with_sensitivities(ckt, &topts, SensInit::FromDc)
+            .unwrap();
+        assert!(tran.tran.states.len() > 65, "must cross a window boundary");
+        let mut max_diff = 0.0f64;
+        for (pk, sk) in tran.sens.iter().zip(&tran_seq.sens) {
+            assert_eq!(pk.len(), sk.len());
+            for (ps, ss) in pk.iter().zip(sk) {
+                for (a, b) in ps.iter().zip(ss) {
+                    max_diff = max_diff.max((a - b).abs());
+                }
+            }
+        }
+        assert!(
+            max_diff < 1e-12,
+            "threads {threads}: max |batched - seq| = {max_diff:e}"
+        );
+        match &tran_one {
+            None => tran_one = Some(tran),
+            Some(one) => {
+                for (k, (pk, ok)) in tran.sens.iter().zip(&one.sens).enumerate() {
+                    for (step, (ps, os)) in pk.iter().zip(ok).enumerate() {
+                        same(ps, os, &format!("threads {threads} param {k} step {step}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Adaptive step control reproduces the fixed-grid trajectory on every demo
 /// circuit: final states agree to within `10 × reltol` (scaled by the state
 /// magnitude, plus the matching absolute floor) while the accepted grid
