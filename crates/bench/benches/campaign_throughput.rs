@@ -117,9 +117,8 @@ fn max_abs_diff_reports(a: &[ScenarioOutcome], b: &[ScenarioOutcome]) -> f64 {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (min_iters, min_time) = if quick { (3, 0.5) } else { (5, 2.0) };
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    // The worker count `with_threads(0)` resolves to (all cores).
+    let threads = tranvar_engine::effective_threads(0, usize::MAX);
 
     let ckt = ladder(6);
     let scenarios = grid(&ckt);

@@ -4,9 +4,9 @@
 //! sequential transient-sensitivity comparison.
 //!
 //! The transient-sensitivity section emits `BENCH_transens.json` (median
-//! wall time of the ≥10-parameter logic-path run, batched on one worker vs
-//! sequential, the ungated auto-threaded batched median, and the max
-//! absolute result difference) so later performance PRs have a
+//! wall time of the ≥10-parameter logic-path run, batched on the default
+//! one-worker session vs sequential, and the max absolute result
+//! difference) so later performance PRs have a
 //! machine-readable trajectory to compare against.
 
 use std::io::Write;
@@ -17,7 +17,7 @@ use tranvar_core::{reports_from_responses, solve_pss};
 use tranvar_engine::transens::{
     transient_with_sensitivities, transient_with_sensitivities_seq, SensInit,
 };
-use tranvar_engine::{Session, SessionOptions, TranOptions};
+use tranvar_engine::{Session, TranOptions};
 use tranvar_lptv::PeriodicSolver;
 
 fn bench_comparator() {
@@ -82,23 +82,15 @@ fn bench_transens() {
         n_params >= 10,
         "logic path must expose >= 10 mismatch parameters, has {n_params}"
     );
-    // The gated batched side runs on a fresh one-worker session, the
-    // configuration the committed baseline was measured in; the free
-    // function (a fresh automatic-threading session) is timed beside it,
-    // ungated, so a multi-worker loss stays visible.
+    // The batched side is the free function: a fresh default session, on
+    // one worker, the configuration the committed baseline was measured in.
     let opts = TranOptions::new(path.period, path.period / 400.0);
-    let threads = 1;
-    let pinned = || {
-        Session::new(SessionOptions {
-            solver: opts.newton.solver,
-            threads,
-        })
-        .transient_with_sensitivities(&path.circuit, &opts, SensInit::FromDc)
-        .unwrap()
-    };
+    let threads = Session::default().threads();
+    let batched_run =
+        || transient_with_sensitivities(&path.circuit, &opts, SensInit::FromDc).unwrap();
 
     // Correctness gate first: the two paths must agree to machine precision.
-    let batched = pinned();
+    let batched = batched_run();
     let seq = transient_with_sensitivities_seq(&path.circuit, &opts, SensInit::FromDc).unwrap();
     let mut max_abs_diff = 0.0f64;
     for (bk, sk) in batched.sens.iter().zip(seq.sens.iter()) {
@@ -117,14 +109,10 @@ fn bench_transens() {
         transient_with_sensitivities_seq(&path.circuit, &opts, SensInit::FromDc).unwrap();
     });
     let bat_times = bench_times(5, 2.0, || {
-        pinned();
-    });
-    let auto_times = bench_times(5, 2.0, || {
-        transient_with_sensitivities(&path.circuit, &opts, SensInit::FromDc).unwrap();
+        batched_run();
     });
     let seq_median = median(&seq_times);
     let bat_median = median(&bat_times);
-    let auto_median = median(&auto_times);
     let speedup = seq_median / bat_median;
     println!(
         "transens_logic_path/sequential          {:>12}   ({} iters)",
@@ -135,11 +123,6 @@ fn bench_transens() {
         "transens_logic_path/batched             {:>12}   ({} iters)",
         fmt_time(bat_median),
         bat_times.len()
-    );
-    println!(
-        "transens_logic_path/batched (auto)      {:>12}   ({} iters)",
-        fmt_time(auto_median),
-        auto_times.len()
     );
     println!("transens_logic_path/speedup             {speedup:>11.2}x");
 
@@ -153,7 +136,6 @@ fn bench_transens() {
             "  \"threads\": {},\n",
             "  \"sequential_median_s\": {:.6e},\n",
             "  \"batched_median_s\": {:.6e},\n",
-            "  \"auto_batched_median_s\": {:.6e},\n",
             "  \"speedup\": {:.3},\n",
             "  \"max_abs_diff\": {:.3e}\n",
             "}}\n"
@@ -163,7 +145,6 @@ fn bench_transens() {
         threads,
         seq_median,
         bat_median,
-        auto_median,
         speedup,
         max_abs_diff
     );

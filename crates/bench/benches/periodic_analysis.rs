@@ -8,10 +8,10 @@
 //! result difference — required to be exactly 0) at the workspace root,
 //! mirroring `BENCH_transens.json`: the machine-readable performance
 //! trajectory the CI bench-regression gate (`compare_bench`) checks against
-//! the committed baseline. The gated batched side runs on one worker (the
-//! `"threads"` figure), the configuration the committed baselines were
-//! measured in; each row also records the automatic-threading median as an
-//! ungated `auto_batched_median_s`. Its `shooting_counts` row records the Newton
+//! the committed baseline. The batched side runs on the default session's
+//! worker count (the `"threads"` figure: one, the calling thread), the
+//! configuration the committed baselines were measured in. Its
+//! `shooting_counts` row records the Newton
 //! iterations and factorizations of one `analyze` per paper deck, and the
 //! Newton iterations of one recorded cycle from the solved orbit start;
 //! these are counts, not times, and the gate holds each at or below its
@@ -26,22 +26,14 @@ use tranvar_circuits::{ArrivalOrder, LogicPath, RingOsc, StrongArm, Tech};
 use tranvar_core::prelude::*;
 use tranvar_core::solve_pss;
 use tranvar_engine::tran::{integrate_cycle, CycleWorkspace};
-use tranvar_engine::{
-    BudgetLimits, NewtonOptions, Session, SessionOptions, SolveBudget, SolverKind,
-};
+use tranvar_engine::{BudgetLimits, NewtonOptions, Session, SolveBudget};
 use tranvar_lptv::PeriodicSolver;
 use tranvar_pss::{autonomous_pss, monodromy_seq, monodromy_threaded, shooting_pss};
 
-/// Workers of the gated batched side: the configuration the committed
-/// baselines were measured in.
-const THREADS: usize = 1;
-
 struct Comparison {
     sequential_median_s: f64,
-    /// The batched side on [`THREADS`] workers (gated).
+    /// The batched side on the default session (gated).
     batched_median_s: f64,
-    /// The batched side in automatic thread mode (ungated, informational).
-    auto_batched_median_s: f64,
     max_abs_diff: f64,
 }
 
@@ -58,10 +50,6 @@ impl Comparison {
         println!(
             "{name}/batched    {:>12}   ({bat_iters} iters)",
             fmt_time(self.batched_median_s)
-        );
-        println!(
-            "{name}/auto       {:>12}",
-            fmt_time(self.auto_batched_median_s)
         );
         println!("{name}/speedup    {:>11.2}x", self.speedup());
     }
@@ -93,7 +81,8 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
 
     // Correctness gate: both paths must agree exactly.
     let m_seq = monodromy_seq(&sol.records, n);
-    let m_bat = monodromy_threaded(&sol.records, n, THREADS);
+    let threads = Session::default().threads();
+    let m_bat = monodromy_threaded(&sol.records, n, threads);
     let mut max_abs_diff = 0.0f64;
     for i in 0..n {
         for j in 0..n {
@@ -110,15 +99,11 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
         monodromy_seq(&sol.records, n);
     });
     let bat_times = bench_times(min_iters, min_time, || {
-        monodromy_threaded(&sol.records, n, THREADS);
-    });
-    let auto_times = bench_times(min_iters, min_time, || {
-        monodromy_threaded(&sol.records, n, 0);
+        monodromy_threaded(&sol.records, n, threads);
     });
     let cmp = Comparison {
         sequential_median_s: median(&seq_times),
         batched_median_s: median(&bat_times),
-        auto_batched_median_s: median(&auto_times),
         max_abs_diff,
     };
     cmp.print("pss_ring_monodromy", seq_times.len(), bat_times.len());
@@ -130,7 +115,6 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
             "    \"n_records\": {},\n",
             "    \"sequential_median_s\": {:.6e},\n",
             "    \"batched_median_s\": {:.6e},\n",
-            "    \"auto_batched_median_s\": {:.6e},\n",
             "    \"speedup\": {:.3},\n",
             "    \"max_abs_diff\": {:.3e}\n",
             "  }}"
@@ -139,7 +123,6 @@ fn bench_ring_monodromy(quick: bool) -> (Comparison, String) {
         sol.records.len(),
         cmp.sequential_median_s,
         cmp.batched_median_s,
-        cmp.auto_batched_median_s,
         cmp.speedup(),
         cmp.max_abs_diff
     );
@@ -158,12 +141,7 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
         "StrongARM must expose >= 10 mismatch parameters, has {n_params}"
     );
     let sol = shooting_pss(&sa.circuit, sa.period, &sa.pss_options()).expect("StrongARM PSS");
-    let session = Session::new(SessionOptions {
-        solver: SolverKind::Dense,
-        threads: THREADS,
-    });
-    let solver = PeriodicSolver::with_session(&sa.circuit, &sol, &session).unwrap();
-    let auto = PeriodicSolver::with_session(&sa.circuit, &sol, &Session::default()).unwrap();
+    let solver = PeriodicSolver::with_session(&sa.circuit, &sol, &Session::default()).unwrap();
 
     // Correctness gate: batched/threaded vs sequential reference.
     let batched = solver.all_param_responses().unwrap();
@@ -189,13 +167,9 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
     let bat_times = bench_times(min_iters, min_time, || {
         solver.all_param_responses().unwrap();
     });
-    let auto_times = bench_times(min_iters, min_time, || {
-        auto.all_param_responses().unwrap();
-    });
     let cmp = Comparison {
         sequential_median_s: median(&seq_times),
         batched_median_s: median(&bat_times),
-        auto_batched_median_s: median(&auto_times),
         max_abs_diff,
     };
     cmp.print("lptv_strongarm_params", seq_times.len(), bat_times.len());
@@ -207,7 +181,6 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
             "    \"n_records\": {},\n",
             "    \"sequential_median_s\": {:.6e},\n",
             "    \"batched_median_s\": {:.6e},\n",
-            "    \"auto_batched_median_s\": {:.6e},\n",
             "    \"speedup\": {:.3},\n",
             "    \"max_abs_diff\": {:.3e}\n",
             "  }}"
@@ -216,7 +189,6 @@ fn bench_strongarm_lptv(quick: bool) -> (Comparison, String) {
         sol.records.len(),
         cmp.sequential_median_s,
         cmp.batched_median_s,
-        cmp.auto_batched_median_s,
         cmp.speedup(),
         cmp.max_abs_diff
     );
@@ -447,7 +419,8 @@ fn main() {
         lptv.speedup()
     );
     let json = format!(
-        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {THREADS},\n{ring_json},\n{lptv_json},\n{refresh_json},\n{counts_json}\n}}\n",
+        "{{\n  \"bench\": \"periodic_analysis\",\n  \"threads\": {},\n{ring_json},\n{lptv_json},\n{refresh_json},\n{counts_json}\n}}\n",
+        Session::default().threads(),
     );
     // Emit at the workspace root regardless of the bench's working dir.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pss.json");

@@ -355,7 +355,7 @@ pub(crate) fn budget_of(config: &PssConfig) -> SolveBudget {
 }
 
 /// The session a fresh per-call entry point runs on: solver backend taken
-/// from the config's Newton options, automatic threading.
+/// from the config's Newton options, one worker (the calling thread).
 pub(crate) fn session_for(config: &PssConfig) -> Session {
     Session::with_solver(solver_of(config))
 }

@@ -129,10 +129,10 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Creates a campaign with automatic worker threading (`0` = all
-    /// cores, capped at the number of unique solves) and no retry
-    /// escalation (a failing corner is reported after its first attempt;
-    /// see [`Campaign::with_retry`]).
+    /// Creates a campaign whose workers use all cores (`0`, capped at the
+    /// number of unique solves; each worker solves on its own thread) and
+    /// no retry escalation (a failing corner is reported after its first
+    /// attempt; see [`Campaign::with_retry`]).
     pub fn new(config: PssConfig, metrics: Vec<MetricSpec>) -> Self {
         Campaign {
             config,
@@ -156,7 +156,9 @@ impl Campaign {
         self
     }
 
-    /// Sets the worker-thread count (`0` = all cores). On the dense solver
+    /// Sets the worker-thread count (`0` = all cores, resolved by
+    /// [`tranvar_engine::effective_threads`]); every worker runs a default
+    /// one-worker session, so one solve never splits. On the dense solver
     /// backend (the default) the worker count never affects results, only
     /// scheduling; the sparse backend carries the pivot-replay caveat of
     /// [`tranvar_engine::session`] (worker assignment decides which solve
@@ -199,15 +201,13 @@ impl Campaign {
         let (solve_keys, key_of_scenario) = solve_groups(scenarios);
         let n_unique = solve_keys.len();
 
-        // ── Solve each unique variant on worker sessions. ──
+        // ── Solve each unique variant on worker sessions: the parallelism
+        // is across solves, and each solve runs on its worker's thread. ──
         let workers = effective_threads(self.threads, n_unique);
         let chunk = n_unique.div_ceil(workers.max(1)).max(1);
         let worker_session = SessionOptions {
             solver: crate::analysis::solver_of(&self.config),
-            // Workers solving in parallel keep their inner batched analyses
-            // single-threaded (the parallelism is across scenarios); a lone
-            // worker lets them auto-thread.
-            threads: if workers > 1 { 1 } else { 0 },
+            ..SessionOptions::default()
         };
         type KeyOutcome = Result<(Arc<PssSolution>, SensitivityTable), CoreError>;
         let solve_chunk =

@@ -8,6 +8,7 @@
 //! regardless of thread count.
 
 use crate::error::EngineError;
+use crate::par::{effective_threads, map_scoped};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tranvar_circuit::Circuit;
 use tranvar_num::rng::{standard_normal, CorrelatedNormal, Rng64};
@@ -20,7 +21,8 @@ pub struct McOptions {
     pub n_samples: usize,
     /// RNG seed; fixed seed ⇒ fully reproducible sample set.
     pub seed: u64,
-    /// Worker threads (0 = all available cores).
+    /// Worker threads (0 = all available cores; at most one per sample, see
+    /// [`crate::par::effective_threads`]).
     pub threads: usize,
     /// Optional mixing matrix realizing correlated mismatch `Y = A·X`
     /// (paper eq. 6). `None` draws independent parameters.
@@ -132,40 +134,22 @@ where
 {
     let deltas = draw_samples(ckt, opts);
     let n = deltas.len();
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
-    }
-    .max(1);
-
+    // Workers steal samples through one shared counter; `map_scoped` runs a
+    // lone worker inline and re-raises a worker's panic with its payload.
     let next = AtomicUsize::new(0);
-    let mut per_thread: Vec<Vec<(usize, Option<Vec<f64>>)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let next = &next;
-            let deltas = &deltas;
-            let measure = &measure;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut c = ckt.clone();
-                    c.apply_mismatch(&deltas[i]);
-                    local.push((i, measure(&c).ok()));
-                }
-                local
-            }));
+    let workers = vec![(); effective_threads(opts.threads, n)];
+    let per_thread = map_scoped(workers, |()| {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let mut c = ckt.clone();
+            c.apply_mismatch(&deltas[i]);
+            local.push((i, measure(&c).ok()));
         }
-        for h in handles {
-            per_thread.push(h.join().expect("monte-carlo worker panicked"));
-        }
+        local
     });
 
     let mut slots: Vec<Option<Vec<f64>>> = vec![None; n];
@@ -229,6 +213,28 @@ mod tests {
         let r1 = monte_carlo(&ckt, &o1, measure_b);
         let r4 = monte_carlo(&ckt, &o4, measure_b);
         assert_eq!(r1.samples, r4.samples);
+    }
+
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        let ckt = divider_with_mismatch();
+        let mut opts = McOptions::new(3, 5);
+        opts.threads = 8;
+        // Exactly one sample (the first one measured) panics.
+        let calls = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            monte_carlo(&ckt, &opts, |c| {
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    std::panic::panic_any(String::from("measure failed on purpose"));
+                }
+                measure_b(c)
+            })
+        });
+        let payload = caught.expect_err("the panicking sample must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("measure failed on purpose")
+        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Shared worker-thread policy and chunking for the batched analyses.
+//! The workspace's one worker-thread rule, and its chunking.
 //!
 //! Every parallel path in the workspace follows the same shape: split a set
 //! of independent jobs into contiguous chunks, spawn one std scoped worker
-//! per chunk, and join in order. Two drivers share [`chunk_ranges`] +
-//! [`map_scoped`]: the record sweep [`crate::sens::RecordSweep`] (the PSS
-//! monodromy, the LPTV parameter responses and the transient
-//! sensitivities all chunk through it, with its work-aware worker count)
-//! and the scenario-campaign runner in `tranvar-core`.
+//! per chunk, and join in order. Every worker count resolves through
+//! [`effective_threads`]: the record sweep [`crate::sens::RecordSweep`]
+//! (the PSS monodromy, the LPTV parameter responses and the transient
+//! sensitivities), the scenario-campaign runner in `tranvar-core` and the
+//! Monte Carlo driver [`crate::mc`]. A solve runs on its caller's thread
+//! unless its caller asks for more: sessions default to one worker, and the
+//! parallel traffic is many independent solves (campaign workers, the
+//! daemon's session pool, Monte Carlo samples).
 //!
 //! Determinism contract: job construction and result placement are
 //! position-based, so as long as each job's arithmetic is independent of the
@@ -14,12 +17,11 @@
 //! combined result is bit-identical for any thread count. A single job runs
 //! inline on the calling thread with no scope at all.
 
-/// Resolves a worker-thread count in the convention shared by every
-/// batched analysis (transient sensitivities, the PSS monodromy
-/// accumulation and the LPTV parameter responses, all at their session's
-/// [`crate::SessionOptions::threads`], and scenario campaigns): `0` means
-/// all available cores, and the count never exceeds `n_jobs` independent
-/// work items (so no worker is ever spawned idle).
+/// Resolves a worker-thread count, the one rule of every parallel path
+/// (record sweeps at their session's [`crate::SessionOptions::threads`],
+/// scenario campaigns and Monte Carlo): `0` means all available cores, and
+/// the count never exceeds `n_jobs` independent work items (so no worker
+/// is ever spawned idle).
 pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism()
@@ -29,26 +31,6 @@ pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
         requested
     };
     t.clamp(1, n_jobs.max(1))
-}
-
-/// Work a spawned worker must receive before the automatic mode of
-/// [`effective_threads_for_work`] spawns it: a std scoped thread costs tens
-/// of microseconds to spawn+join against roughly 10 ns per flop-proxy unit,
-/// so a worker needs ~2^16 units before the spawn amortizes.
-const MIN_WORK_PER_THREAD: usize = 1 << 16;
-
-/// [`effective_threads`] with a work-size guard for the *automatic* mode:
-/// when `requested == 0`, the worker count is additionally capped so that
-/// each spawned thread receives at least `MIN_WORK_PER_THREAD` (2^16) of
-/// `work` (callers pass a flop-count proxy), so a sub-100 µs problem
-/// is not made slower by thread spawns. Explicit nonzero requests are
-/// honored unchanged. The record sweep's chunk driver is the only caller.
-pub(crate) fn effective_threads_for_work(requested: usize, n_jobs: usize, work: usize) -> usize {
-    let t = effective_threads(requested, n_jobs);
-    if requested != 0 {
-        return t;
-    }
-    t.min((work / MIN_WORK_PER_THREAD).max(1))
 }
 
 /// Splits `0..n_items` into contiguous `(start, len)` chunks of at most

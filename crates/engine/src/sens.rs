@@ -8,7 +8,7 @@
 //! [`param_step_rhs`]) stay separate, as independent oracles.
 
 use crate::error::EngineError;
-use crate::par::{chunk_ranges, effective_threads_for_work, map_scoped};
+use crate::par::{chunk_ranges, effective_threads, map_scoped};
 use crate::solver::{FactoredJacobian, SolverKind};
 use crate::tran::StepRecord;
 use std::ops::Range;
@@ -119,11 +119,10 @@ pub struct RecordSweep {
 
 impl RecordSweep {
     /// Splits `n_jobs` jobs of an `n`-unknown system into contiguous
-    /// chunks, one per worker: `threads` (`0` = all cores, capped so each
-    /// worker gets enough of the flop-count proxy `work` to amortize its
-    /// spawn), at most `n_jobs`.
-    pub fn chunks(n: usize, n_jobs: usize, threads: usize, work: usize) -> Vec<RecordSweep> {
-        let threads = effective_threads_for_work(threads, n_jobs, work);
+    /// chunks, one per worker: `threads` (`0` = all cores), at most
+    /// `n_jobs` (see [`effective_threads`]).
+    pub fn chunks(n: usize, n_jobs: usize, threads: usize) -> Vec<RecordSweep> {
+        let threads = effective_threads(threads, n_jobs);
         let chunk = n_jobs.div_ceil(threads).max(1);
         let chunk_of = |(k0, p)| RecordSweep {
             jobs: k0..k0 + p,
@@ -238,6 +237,27 @@ mod tests {
     use super::*;
     use crate::dc::{dc_operating_point, DcOptions};
     use tranvar_circuit::{Circuit, NodeId, Waveform};
+
+    /// The chunk split is the worker-count rule alone: one chunk on one
+    /// worker, `ceil(jobs / threads)` jobs per chunk otherwise, `0` = all
+    /// cores. `tests/properties.rs` relies on the 3- and 8-thread splits.
+    #[test]
+    fn chunks_split_by_the_requested_worker_count() {
+        let split = |t| -> Vec<Range<usize>> {
+            RecordSweep::chunks(4, 22, t)
+                .into_iter()
+                .map(|c| c.jobs)
+                .collect()
+        };
+        assert_eq!(split(1), vec![0..22]);
+        assert_eq!(split(3), vec![0..8, 8..16, 16..22]);
+        assert_eq!(split(8).iter().map(|r| r.len()).max(), Some(3));
+        assert_eq!(split(8).len(), 8);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let all = split(0);
+        assert_eq!(all[0], 0..22usize.div_ceil(cores));
+        assert_eq!(all.last().map(|r| r.end), Some(22));
+    }
 
     /// Divider sensitivity has a closed form: vout = V·R2/(R1+R2),
     /// ∂vout/∂R1 = −V·R2/(R1+R2)², ∂vout/∂R2 = V·R1/(R1+R2)².

@@ -15,10 +15,13 @@
 //!   [`JacobianWorkspace`] per pattern class (static solves, dynamic
 //!   integration), each retaining its staged structure, factor storage and
 //!   — for the sparse backend — the replayed pivot analysis across calls,
-//! - the **thread policy**: the one worker count of every batched kernel
-//!   run on the session — the transient-sensitivity propagation, the PSS
+//! - the **thread rule**: the one worker count of every record sweep run
+//!   on the session — the transient-sensitivity propagation, the PSS
 //!   monodromy accumulation and the LPTV parameter responses; no per-call
-//!   option overrides it,
+//!   option overrides it. The default is one worker, so a solve runs on
+//!   its caller's thread; parallel traffic is many independent solves
+//!   (campaign workers, the daemon's session pool), and a caller that
+//!   wants one solve split asks for a count (`0` = all cores),
 //! - [`SessionStats`] counters proving the reuse (a warm session performs
 //!   zero additional pattern builds or symbolic analyses per call).
 //!
@@ -48,7 +51,7 @@ use crate::transens::{SensInit, TranSensResult};
 use tranvar_circuit::Circuit;
 
 /// Construction options for a [`Session`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Linear-solver backend used by every analysis in the session
     /// (default [`SolverKind::Dense`]); the fill-reducing
@@ -56,12 +59,21 @@ pub struct SessionOptions {
     /// substrates.
     pub solver: SolverKind,
     /// Worker-thread count of every batched analysis run through the
-    /// session (`0` = all cores, `1` = single-threaded; see
+    /// session (`1` = the calling thread, the default; `0` = all cores; see
     /// [`crate::par::effective_threads`]). Within one session the batched
     /// analyses are bit-identical for any count; across *sessions* the
     /// dense backend is bit-identical too, while the sparse backend carries
     /// the pivot-replay caveat of the [module docs](self).
     pub threads: usize,
+}
+
+impl Default for SessionOptions {
+    fn default() -> Self {
+        SessionOptions {
+            solver: SolverKind::default(),
+            threads: 1,
+        }
+    }
 }
 
 /// Aggregated structural-work counters of a session (see
@@ -95,7 +107,7 @@ pub type SessionStats = SolverStats;
 /// assert_eq!(first.states, again.states);
 /// # Ok::<(), tranvar_engine::EngineError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Session {
     solver: SolverKind,
     threads: usize,
@@ -104,6 +116,12 @@ pub struct Session {
     /// Workspace chain for the dynamic pattern `θ·G + C/h + gmin·I`
     /// (transient steps, cycle integrations, sensitivity windows).
     cycle: CycleWorkspace,
+}
+
+impl Default for Session {
+    fn default() -> Self {
+        Session::new(SessionOptions::default())
+    }
 }
 
 impl Session {
@@ -117,9 +135,13 @@ impl Session {
         }
     }
 
-    /// Creates a session with the given backend and automatic threading.
+    /// Creates a session with the given backend on one worker (the
+    /// calling thread).
     pub fn with_solver(solver: SolverKind) -> Self {
-        Session::new(SessionOptions { solver, threads: 0 })
+        Session::new(SessionOptions {
+            solver,
+            ..SessionOptions::default()
+        })
     }
 
     /// The session's linear-solver backend.
@@ -127,7 +149,8 @@ impl Session {
         self.solver
     }
 
-    /// The session's worker-thread count (`0` = all cores).
+    /// The session's worker-thread count (`1` = the calling thread, `0` =
+    /// all cores).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -309,6 +332,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One thread rule: every default session runs its record sweeps on
+    /// the calling thread; only an explicit count splits them.
+    #[test]
+    fn sessions_default_to_one_worker() {
+        assert_eq!(SessionOptions::default().threads, 1);
+        assert_eq!(Session::default().threads(), 1);
+        assert_eq!(Session::with_solver(SolverKind::SparseOrdered).threads(), 1);
     }
 
     /// The session performs its structural work exactly once per pattern:

@@ -76,15 +76,16 @@ pub struct PeriodicSolver<'a> {
     /// autonomous orbits.
     boundary: Lu,
     autonomous: bool,
-    /// Worker threads of [`PeriodicSolver::all_param_responses`], taken
-    /// from the session (`0` = all cores).
+    /// Worker threads of the batched parameter responses, taken from the
+    /// session (`1` = the calling thread, the default; `0` = all cores).
     threads: usize,
 }
 
 impl<'a> PeriodicSolver<'a> {
     /// Prepares the boundary factorization for a PSS solution. The batched
     /// parameter propagation runs on the analysis [`Session`]'s worker
-    /// count ([`Session::threads`]). The boundary factorization is
+    /// count ([`Session::threads`]; one by default, so it runs on the
+    /// calling thread). The boundary factorization is
     /// per-orbit state and is always computed here; the per-step
     /// factorizations come from the PSS records, which the session-run PSS
     /// solve already reused.
@@ -318,10 +319,7 @@ impl<'a> PeriodicSolver<'a> {
     {
         let recs = &self.sol.records;
         let n = self.ckt.n_unknowns();
-        // Work proxy: two triangular sweeps per record per parameter
-        // ≈ steps·n²·p flops.
-        let work = recs.len() * n * n * out.len();
-        let chunks = RecordSweep::chunks(n, out.len(), self.threads, work);
+        let chunks = RecordSweep::chunks(n, out.len(), self.threads);
         let mut slots: Vec<(&mut R, f64)> = out.iter_mut().map(|r| (r, 0.0)).collect();
         let results = RecordSweep::run(chunks, &mut slots, |mut sw, out| {
             let p = out.len();
@@ -416,7 +414,7 @@ mod tests {
     use tranvar_engine::{SessionOptions, SolverKind};
     use tranvar_pss::{shooting_pss, PssOptions};
 
-    /// A solver on a default (automatic-threading) session.
+    /// A solver on a default (one-worker) session.
     fn solver_for<'a>(
         ckt: &'a Circuit,
         sol: &'a PssSolution,

@@ -204,16 +204,16 @@ impl PssSolution {
 /// product, so they run through the engine's record sweep
 /// ([`tranvar_engine::sens::RecordSweep`], with no source term) from
 /// identity columns: contiguous column chunks, one std scoped worker per
-/// chunk (`threads` as in [`tranvar_engine::effective_threads`]: `0` = all
-/// cores, and the automatic mode stays single-threaded below a
-/// `records·n²` work proxy; the shooting drivers pass their session's
-/// [`Session::threads`]), one RHS-interleaved lane sweep per record.
+/// chunk (`threads` as in [`tranvar_engine::effective_threads`]: `1` = the
+/// calling thread, `0` = all cores; the shooting drivers pass their
+/// session's [`Session::threads`]), one RHS-interleaved lane sweep per
+/// record.
 ///
 /// Per-column arithmetic is independent of the chunking, so the result is
 /// bit-for-bit identical for any thread count and to the per-column
 /// sequential reference [`monodromy_seq`].
 pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> DMat {
-    let chunks = RecordSweep::chunks(n, n, threads, records.len() * n * n);
+    let chunks = RecordSweep::chunks(n, n, threads);
     // `M` column-major, one slot per column.
     let mut cols = vec![0.0; n * n];
     let mut slots: Vec<&mut [f64]> = cols.chunks_mut(n.max(1)).collect();

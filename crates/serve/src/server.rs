@@ -129,13 +129,7 @@ impl Server {
         let state = Arc::new(State {
             queue: Queue::new(config.queue_depth),
             cache: ServeCache::new(config.cache_entries),
-            pool: SessionPool::new(
-                SessionOptions {
-                    threads: 1,
-                    ..SessionOptions::default()
-                },
-                config.session_floor,
-            ),
+            pool: SessionPool::new(SessionOptions::default(), config.session_floor),
             draining: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),

@@ -78,9 +78,11 @@
 //! solve `solve_into` and which `solve_multi_lanes` drives for multi-RHS
 //! blocks, bit-for-bit identical per RHS — and the transient sensitivity
 //! engine propagates all mismatch
-//! parameters as one batched block across worker threads (the session's
-//! [`engine::SessionOptions::threads`]). See ROADMAP.md's "Performance"
-//! section and `BENCH_transens.json` for the measured trajectory.
+//! parameters as one batched block, on the calling thread unless the
+//! session asks for more workers ([`engine::SessionOptions::threads`]; the
+//! parallel traffic is many independent solves). See ROADMAP.md's
+//! "Performance" section and `BENCH_transens.json` for the measured
+//! trajectory.
 //!
 //! ## Sessions & campaigns
 //!
